@@ -21,35 +21,13 @@ from repro.traffic import WifiPacketSource
 
 
 def test_engine_event_throughput(benchmark):
-    """Schedule + fire 10k no-op events on the default scheduler backend.
+    """Schedule + fire 10k no-op events.
 
-    This is the headline engine number tracked in ``BENCH_kernels.json``;
-    the default backend is the calendar queue, so this row moved when the
-    default flipped (the heap oracle stays tracked by the pinned variant
-    below).
+    This is the headline engine number tracked in ``BENCH_kernels.json``.
     """
 
     def run():
         sim = Simulator()
-        for i in range(10_000):
-            sim.schedule(i * 1e-6, _noop)
-        sim.run()
-        return sim.events_processed
-
-    events = benchmark(run)
-    assert events == 10_000
-
-
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
-def test_engine_event_throughput_backend(benchmark, backend):
-    """The same 10k-event workload pinned to each scheduler backend.
-
-    Keeping both rows in the benchmark JSON makes the backend gap itself a
-    tracked number, independent of which backend is the session default.
-    """
-
-    def run():
-        sim = Simulator(backend=backend)
         for i in range(10_000):
             sim.schedule(i * 1e-6, _noop)
         sim.run()

@@ -1,24 +1,20 @@
-"""Scale ceiling: a generator-built dense deployment on both scheduler backends.
+"""Scale ceiling: a generator-built dense deployment per medium kernel.
 
 The coexistence surveys BiCord targets study deployments far denser than the
 paper's office — hundreds of Wi-Fi pairs contending with thousands of ZigBee
 links.  This benchmark compiles such a deployment from the ``grid`` generator
-and drives a fixed event budget through it on **each scheduler backend**,
+and drives a fixed event budget through it on **each medium kernel**,
 recording realtime factor and engine event throughput into the benchmark JSON
 (``BENCH_kernels.json`` when refreshed locally; see docs/reproducing.md) so
 every future PR moves a tracked number.
 
-One pedantic round per backend: the run is expensive and the quantity of
+One pedantic round per row: the run is expensive and the quantity of
 interest (events/s at density) is stable enough that round-to-round variance
 is dominated by machine noise anyway.  ``BICORD_BENCH_SCALE`` scales the
 deployment for smoke runs.
 
 At this density the per-event cost is dominated by Medium/coordination work,
-not the scheduler — the backends should land within a few percent of each
-other here, while the scheduler-bound micro benchmark
-(``test_kernel_performance.py::test_engine_event_throughput*``) shows the
-calendar queue's full advantage.  Tracking both pins down where the next
-ceiling is.
+not the scheduler.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ import pytest
 from repro.phy.medium import set_default_medium_kernel
 from repro.phy.propagation import Position
 from repro.scenarios import compile_scenario, get_scenario
-from repro.sim.engine import set_default_backend
 from repro.sim.process import Process
 
 from .conftest import scaled
@@ -49,23 +44,17 @@ DENSITIES = [50, 200, 800]
 MAX_EVENTS_DENSITY = scaled(1500)
 
 
-def _scale_run(backend: str, kernel=None,
-               n_zigbee=N_ZIGBEE_LINKS, n_wifi=N_WIFI_PAIRS,
+def _scale_run(kernel: str, n_zigbee=N_ZIGBEE_LINKS, n_wifi=N_WIFI_PAIRS,
                max_events=MAX_EVENTS):
-    previous_backend = set_default_backend(backend)
-    previous_kernel = set_default_medium_kernel(kernel) if kernel else None
+    previous_kernel = set_default_medium_kernel(kernel)
     try:
         spec = get_scenario("grid", n_zigbee_links=n_zigbee, n_wifi_pairs=n_wifi)
         compiled = compile_scenario(spec, seed=7, trace_kinds=set())
-        assert compiled.sim.backend_name == backend
-        if kernel:
-            assert compiled.ctx.medium.kernel_name == kernel
+        assert compiled.ctx.medium.kernel_name == kernel
         result = compiled.run(max_events=max_events)
         return result.events_processed, compiled.sim.now
     finally:
-        set_default_backend(previous_backend)
-        if previous_kernel:
-            set_default_medium_kernel(previous_kernel)
+        set_default_medium_kernel(previous_kernel)
 
 
 def _report(emit, variant, benchmark, events, sim_seconds,
@@ -80,28 +69,19 @@ def _report(emit, variant, benchmark, events, sim_seconds,
     )
 
 
-@pytest.mark.parametrize("backend", ["heap", "calendar"])
-def test_scale_ceiling_backend(benchmark, emit, backend):
-    events, sim_seconds = benchmark.pedantic(
-        _scale_run, args=(backend,), rounds=1, iterations=1
-    )
-    assert events == MAX_EVENTS  # the deployment saturates the budget
-    _report(emit, backend, benchmark, events, sim_seconds)
-
-
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_scale_ceiling_kernel(benchmark, emit, kernel):
-    """Both medium kernels at full density on the calendar backend.
+    """Both medium kernels at full density.
 
     These two rows are the like-for-like pair behind the vectorized kernel's
-    headline speedup: identical deployment, seed, backend, and event budget,
+    headline speedup: identical deployment, seed, and event budget,
     differing only in the Medium implementation.  The regression gate
     (``check_throughput_regression.py``) divides them.
     """
     events, sim_seconds = benchmark.pedantic(
-        _scale_run, args=("calendar", kernel), rounds=1, iterations=1
+        _scale_run, args=(kernel,), rounds=1, iterations=1
     )
-    assert events == MAX_EVENTS
+    assert events == MAX_EVENTS  # the deployment saturates the budget
     _report(emit, f"kernel_{kernel}", benchmark, events, sim_seconds)
 
 
@@ -117,7 +97,6 @@ CHURN_RATES = [0, 1, 10]
 
 
 def _churn_run(kernel: str, moves_per_s: int):
-    previous_backend = set_default_backend("calendar")
     previous_kernel = set_default_medium_kernel(kernel)
     try:
         spec = get_scenario(
@@ -148,7 +127,6 @@ def _churn_run(kernel: str, moves_per_s: int):
         result = compiled.run(until=CHURN_HORIZON, max_events=10**9)
         return result.events_processed, compiled.sim.now
     finally:
-        set_default_backend(previous_backend)
         set_default_medium_kernel(previous_kernel)
 
 
@@ -185,7 +163,7 @@ def test_medium_density(benchmark, emit, radios, kernel):
     n_wifi = radios // 10
     events, sim_seconds = benchmark.pedantic(
         _scale_run,
-        args=("calendar", kernel),
+        args=(kernel,),
         kwargs={"n_zigbee": n_zigbee, "n_wifi": n_wifi,
                 "max_events": MAX_EVENTS_DENSITY},
         rounds=1,

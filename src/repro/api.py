@@ -90,12 +90,11 @@ def sweep(
     cache_dir: Optional[os.PathLike] = None,
     telemetry: bool = False,
     quiet: bool = False,
-    backend: Optional[str] = None,
 ) -> SweepRun:
     """Run a parameter grid x seed sweep (parallel, cached); see SweepRun."""
     engine = SweepEngine(
         jobs=jobs, cache=cache, cache_dir=cache_dir,
-        telemetry=telemetry, quiet=quiet, backend=backend,
+        telemetry=telemetry, quiet=quiet,
     )
     spec = SweepSpec(
         experiment=experiment,
@@ -115,7 +114,6 @@ def campaign(
     calibration: Optional[Calibration] = None,
     cache_dir: Optional[os.PathLike] = None,
     quiet: bool = True,
-    backend: Optional[str] = None,
 ) -> CampaignRun:
     """Run (or resume) a sharded, journaled campaign in ``directory``.
 
@@ -127,7 +125,7 @@ def campaign(
         spec = CampaignSpec(**spec)
     runner = CampaignRunner(
         directory, jobs=jobs, cache_dir=cache_dir,
-        calibration=calibration, quiet=quiet, backend=backend,
+        calibration=calibration, quiet=quiet,
     )
     return runner.run(spec, max_trials=max_trials)
 

@@ -52,7 +52,6 @@ def build_context(
     fading: Optional[FadingModel] = None,
     trace_kinds: Optional[Set[str]] = None,
     faults: Optional[FaultPlan] = None,
-    backend: Optional[str] = None,
     medium_kernel: Optional[str] = None,
 ) -> SimContext:
     """Create a fully wired :class:`SimContext`.
@@ -61,15 +60,12 @@ def build_context(
     always kept); pass ``None`` to store everything, or an empty set to store
     nothing.  ``faults`` is an optional :class:`~repro.faults.FaultPlan`
     whose injectors are seeded from the same stream family as everything
-    else; an inert plan leaves the context exactly fault-free.  ``backend``
-    selects the scheduler backend (see
-    :data:`repro.sim.engine.SCHEDULER_BACKENDS`); ``None`` uses the
-    process-wide default set by :func:`repro.sim.engine.set_default_backend`.
-    ``medium_kernel`` likewise selects the medium implementation (see
+    else; an inert plan leaves the context exactly fault-free.
+    ``medium_kernel`` selects the medium implementation (see
     :data:`repro.phy.medium.MEDIUM_KERNELS`); ``None`` uses the default set
     by :func:`repro.phy.medium.set_default_medium_kernel`.
     """
-    sim = Simulator(backend=backend)
+    sim = Simulator()
     streams = RandomStreams(seed=seed)
     trace = TraceRecorder(enabled_kinds=trace_kinds)
     channel = Channel(

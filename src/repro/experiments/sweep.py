@@ -66,7 +66,8 @@ from .topology import Calibration
 #: 3: entries carry an optional ``metrics`` telemetry snapshot.
 #: 4: scenario experiment added; dict-valued results coerce typed values.
 #: 5: results implement the ExperimentResult contract (seed field added).
-CACHE_SCHEMA = 5
+#: 6: event-capped scenario runs end at the last fired event, not the horizon.
+CACHE_SCHEMA = 6
 
 _LOG = get_logger("sweep")
 
@@ -219,7 +220,6 @@ def _execute_trial(
     seed: int,
     calibration: Optional[Calibration],
     telemetry: bool = False,
-    backend: Optional[str] = None,
 ) -> Tuple[Any, float, Optional[Dict[str, Any]]]:
     """Worker entry point: run one trial -> (result, elapsed, snapshot).
 
@@ -228,34 +228,20 @@ def _execute_trial(
     With ``telemetry`` the trial runs inside its own registry scope and the
     full snapshot (including the worker's spans) travels back to the
     parent, which splits the deterministic sections from the profiling.
-
-    ``backend`` pins the scheduler backend for this trial.  Worker
-    processes are fresh interpreters whose module default would ignore a
-    parent's :func:`repro.sim.engine.set_default_backend`, so the engine
-    resolves the parent's default and ships it here explicitly; the
-    previous default is restored afterwards so the serial in-process path
-    never leaks the override.
     """
-    from ..sim.engine import set_default_backend
-
-    previous = set_default_backend(backend) if backend is not None else None
     start = time.perf_counter()
-    try:
-        if telemetry:
-            registry = MetricsRegistry()
-            with telemetry_collect(registry):
-                result = run_experiment(
-                    experiment, seed=seed, calibration=calibration, **params
-                )
-            snapshot = registry.snapshot(spans=True)
-        else:
+    if telemetry:
+        registry = MetricsRegistry()
+        with telemetry_collect(registry):
             result = run_experiment(
                 experiment, seed=seed, calibration=calibration, **params
             )
-            snapshot = None
-    finally:
-        if previous is not None:
-            set_default_backend(previous)
+        snapshot = registry.snapshot(spans=True)
+    else:
+        result = run_experiment(
+            experiment, seed=seed, calibration=calibration, **params
+        )
+        snapshot = None
     return result, time.perf_counter() - start, snapshot
 
 
@@ -304,14 +290,6 @@ class SweepEngine:
         The engine logs periodic progress (trials done/total, cache hits,
         ETA) through the ``repro.sweep`` logger roughly every
         ``progress_interval`` seconds; ``quiet=True`` silences it.
-    backend:
-        Scheduler backend every trial runs on (``"heap"``/``"calendar"``).
-        ``None`` resolves the parent's current default at run time and ships
-        that to workers explicitly — worker processes are fresh interpreters,
-        so without this a parent's ``set_default_backend()`` would silently
-        not apply to pooled trials.  Backends are proven bitwise-identical,
-        so this is provenance (recorded in :class:`RunManifest`), not a
-        cache-key input.
     """
 
     def __init__(
@@ -323,7 +301,6 @@ class SweepEngine:
         telemetry: bool = False,
         quiet: bool = False,
         progress_interval: float = 5.0,
-        backend: Optional[str] = None,
     ):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -334,11 +311,6 @@ class SweepEngine:
         self.telemetry = bool(telemetry)
         self.quiet = bool(quiet)
         self.progress_interval = float(progress_interval)
-        if backend is not None:
-            from ..sim.engine import resolve_backend
-
-            resolve_backend(backend)  # validate the name eagerly
-        self.backend = backend
 
     # ------------------------------------------------------------------
     # Cache plumbing
@@ -500,13 +472,6 @@ class SweepEngine:
         """
         spec = get_experiment(experiment)
         jobs = self.jobs if jobs is None else max(1, int(jobs))
-        # Resolve the backend once per run: an explicit engine choice wins,
-        # otherwise capture the parent's *current* default so pooled workers
-        # (fresh interpreters with the module-level default) run the same
-        # scheduler the serial path would.
-        from ..sim.engine import DEFAULT_BACKEND as _current_default
-
-        backend = self.backend if self.backend is not None else _current_default
         tasks: List[Tuple[int, Dict[str, Any], int, str]] = []
         for index, (params, seed) in enumerate(pairs):
             trial_params = dict(params)
@@ -577,7 +542,7 @@ class SweepEngine:
         if pending and (jobs == 1 or len(pending) == 1):
             for idx, params, seed, key in pending:
                 result, elapsed, snapshot = _execute_trial(
-                    spec.name, params, seed, calibration, self.telemetry, backend
+                    spec.name, params, seed, calibration, self.telemetry
                 )
                 finish(TrialRecord(idx, spec.name, params, seed, key,
                                    result, elapsed, cached=False), snapshot)
@@ -587,7 +552,7 @@ class SweepEngine:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
                     pool.submit(_execute_trial, spec.name, params, seed,
-                                calibration, self.telemetry, backend):
+                                calibration, self.telemetry):
                         (idx, params, seed, key)
                     for idx, params, seed, key in pending
                 }

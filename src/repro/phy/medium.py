@@ -52,10 +52,9 @@ ZIGBEE_ONLY: FrozenSet[Technology] = frozenset((Technology.ZIGBEE,))
 # ----------------------------------------------------------------------
 # Medium kernels
 # ----------------------------------------------------------------------
-# Like the scheduler backends, the medium hot path has swappable
-# implementations behind one constructor: ``Medium(..., kernel="legacy")``
-# keeps the reference per-radio Python loops (the bitwise oracle), while
-# ``kernel="vector"`` dispatches to the struct-of-arrays kernel in
+# The medium hot path has swappable implementations behind one constructor:
+# ``Medium(..., kernel="legacy")`` keeps the reference per-radio Python loops
+# (the bitwise oracle), while ``kernel="vector"`` dispatches to the struct-of-arrays kernel in
 # :mod:`repro.phy.medium_fast`.  Both produce bit-identical traces; see
 # ``tests/test_medium_equivalence.py``.
 MEDIUM_KERNELS: Tuple[str, ...] = ("legacy", "vector")
@@ -124,9 +123,9 @@ class Medium:
 
     ``Medium(...)`` is a dispatching constructor: the ``kernel`` argument (or
     the process default, see :func:`set_default_medium_kernel`) selects the
-    implementation class, exactly like the scheduler's ``backend=``.  This
-    base class *is* the ``"legacy"`` kernel — straightforward per-radio
-    Python loops that serve as the bitwise oracle for faster kernels.
+    implementation class.  This base class *is* the ``"legacy"`` kernel —
+    straightforward per-radio Python loops that serve as the bitwise oracle
+    for faster kernels.
     """
 
     kernel_name = "legacy"

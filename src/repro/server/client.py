@@ -109,7 +109,6 @@ class Client:
         grid: Optional[Mapping[str, Sequence[Any]]] = None,
         seeds: Sequence[int] = (0,),
         priority: int = 1,
-        backend: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Submit a job; raises :class:`ServerError` on rejection.
 
@@ -125,7 +124,6 @@ class Client:
                 "seeds": [int(s) for s in seeds],
                 "priority": int(priority),
                 "client": self.client_name,
-                "backend": backend,
             },
         })
 
@@ -160,15 +158,19 @@ class Client:
                 (json.dumps({"op": "watch", "job_id": job_id}) + "\n")
                 .encode("utf-8")
             )
-            ack = _read_line(conn)
-            if not ack.get("ok", False):
-                raise ServerError(ack)
+            # The ack and the first frames can arrive in one chunk, so they
+            # share one buffer: reading the ack alone would drop the rest.
             buffer = b""
+            acked = False
             while True:
                 newline = buffer.find(b"\n")
                 if newline < 0:
                     chunk = conn.recv(65536)
                     if not chunk:
+                        if not acked:
+                            raise ConnectionError(
+                                "server closed the connection mid-response"
+                            )
                         return
                     buffer += chunk
                     continue
@@ -176,6 +178,11 @@ class Client:
                 if not raw.strip():
                     continue
                 frame = json.loads(raw.decode("utf-8"))
+                if not acked:
+                    if not frame.get("ok", False):
+                        raise ServerError(frame)
+                    acked = True
+                    continue
                 yield frame
                 if frame.get("type") == "end":
                     return

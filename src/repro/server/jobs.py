@@ -56,9 +56,7 @@ class JobSpec:
 
     ``params`` are base parameters applied to every trial; ``grid`` axes
     expand cartesian like a sweep's (so one submission can carry a whole
-    campaign-style study); ``seeds`` multiply every combination.  The
-    ``backend`` pin travels to worker trials exactly like the sweep
-    engine's (provenance, never cache-key input).
+    campaign-style study); ``seeds`` multiply every combination.
     """
 
     experiment: str = "scenario"
@@ -67,7 +65,6 @@ class JobSpec:
     seeds: Sequence[int] = (0,)
     priority: int = 1
     client: str = "anonymous"
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.priority < 0:
@@ -110,7 +107,6 @@ class JobSpec:
             "seeds": [int(s) for s in self.seeds],
             "priority": int(self.priority),
             "client": self.client,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -125,7 +121,6 @@ class JobSpec:
             seeds=tuple(int(s) for s in payload.get("seeds", (0,))),
             priority=int(payload.get("priority", 1)),
             client=str(payload.get("client", "anonymous")),
-            backend=payload.get("backend"),
         )
 
 

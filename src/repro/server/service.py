@@ -67,8 +67,6 @@ class ServerConfig:
     workers: int = 2
     queue_depth: int = 16
     cache_dir: Optional[os.PathLike] = None
-    #: Scheduler backend shipped to worker trials (None = process default).
-    backend: Optional[str] = None
     #: Seconds between telemetry frames pushed to ``watch`` streams.
     snapshot_interval: float = 0.5
     #: Seconds SIGTERM waits for in-flight jobs before journaling them
@@ -98,9 +96,7 @@ class JobServer:
 
     def __init__(self, config: ServerConfig):
         self.config = config
-        self.engine = SweepEngine(
-            cache_dir=config.cache_dir, backend=config.backend
-        )
+        self.engine = SweepEngine(cache_dir=config.cache_dir)
         self.queue = FairPriorityQueue(config.queue_depth)
         self.journal = ServerJournal(config.journal_path)
         self.records: Dict[str, JobRecord] = {}
@@ -275,9 +271,6 @@ class JobServer:
             pairs = spec.trials()
             keys = spec.trial_keys()
             record.total_trials = len(pairs)
-            from ..sim.engine import DEFAULT_BACKEND as _default_backend
-
-            backend = spec.backend or self.config.backend or _default_backend
             for (params, seed), key in zip(pairs, keys):
                 if record.job_id in self._cancel_requested:
                     self._cancel_requested.discard(record.job_id)
@@ -291,7 +284,7 @@ class JobServer:
                     continue
                 result, elapsed, _snapshot = await loop.run_in_executor(
                     self._get_pool(), _execute_trial,
-                    spec.experiment, params, seed, None, False, backend,
+                    spec.experiment, params, seed, None, False,
                 )
                 self.engine._cache_store(
                     key, spec.experiment, params, seed, result, elapsed

@@ -1,7 +1,8 @@
 """Discrete-event simulation engine.
 
-The engine is a deterministic priority queue of timestamped callbacks.  Two
-properties matter for reproducibility:
+The engine is a deterministic priority queue of timestamped callbacks, kept
+as a binary heap of ``(time, seq, event)`` entries.  Two properties matter
+for reproducibility:
 
 * **Stable ordering** — events scheduled for the same instant fire in the
   order they were scheduled (FIFO tie-break on a monotonically increasing
@@ -12,20 +13,6 @@ properties matter for reproducibility:
   threshold-triggered compaction rebuilds the queue when cancelled entries
   outnumber pending ones, so cancel-heavy workloads cannot grow the queue
   without bound.
-
-Two scheduler backends share this contract (and are proven bitwise-identical
-by ``tests/test_scheduler_equivalence.py``):
-
-* ``"heap"`` — the binary-heap implementation in this module.  It is the
-  readable oracle: every other backend must reproduce its firing order,
-  ``events_processed``, and trace digests exactly.
-* ``"calendar"`` — an array-based calendar queue (bucketed time wheel with an
-  overflow list) in :mod:`repro.sim.calendar`, with batched per-bucket
-  dispatch.  It is the throughput backend for dense scenarios.
-
-Select a backend per instance (``Simulator(backend="calendar")``) or flip the
-process-wide default with :func:`set_default_backend`, mirroring
-``repro.phy.rssi.set_default_capture_mode``.
 """
 
 from __future__ import annotations
@@ -33,58 +20,17 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-#: Scheduler backends selectable via ``Simulator(backend=...)``.
-SCHEDULER_BACKENDS = ("heap", "calendar")
+from typing import Any, Callable, List, Optional, Tuple
 
 #: Compaction never triggers below this many cancelled-but-queued entries, so
 #: small simulations never pay a rebuild.
 COMPACT_MIN_CANCELLED = 64
 
-_BACKEND_CLASSES: Dict[str, type] = {}
-
-#: Backend used when ``Simulator()`` is constructed without an explicit
-#: ``backend=``.  The calendar queue is the default (it is proven bitwise
-#: identical to the heap oracle by ``tests/test_scheduler_equivalence.py``);
-#: pass ``backend="heap"`` or call :func:`set_default_backend` to switch.
-DEFAULT_BACKEND = "calendar"
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the scheduler backend new :class:`Simulator` instances use.
-
-    Returns the previous default so callers can restore it (mirrors
-    ``set_default_capture_mode``).  Raises ``ValueError`` for unknown names.
-    """
-    global DEFAULT_BACKEND
-    resolve_backend(backend)  # validate
-    previous = DEFAULT_BACKEND
-    DEFAULT_BACKEND = backend
-    return previous
-
-
-def resolve_backend(backend: str) -> type:
-    """Map a backend name to its :class:`Simulator` subclass."""
-    impl = _BACKEND_CLASSES.get(backend)
-    if impl is None and backend == "calendar":
-        from . import calendar as _calendar  # noqa: F401  (registers itself)
-
-        impl = _BACKEND_CLASSES.get(backend)
-    if impl is None:
-        raise ValueError(
-            f"unknown scheduler backend {backend!r}; expected one of "
-            f"{SCHEDULER_BACKENDS}"
-        )
-    return impl
-
-
-def register_backend(name: str, impl: type) -> None:
-    _BACKEND_CLASSES[name] = impl
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
-    """Raised for invalid scheduling requests (e.g. scheduling in the past)."""
+    """Raised for invalid scheduling requests (in the past, or not finite)."""
 
 
 class Event:
@@ -140,33 +86,18 @@ class Event:
 
 
 class Simulator:
-    """Deterministic discrete-event simulator (binary-heap backend).
+    """Deterministic discrete-event simulator.
 
     Typical use::
 
-        sim = Simulator()                      # default backend
-        sim = Simulator(backend="calendar")    # explicit backend
+        sim = Simulator()
         sim.schedule(1.5, my_callback, arg1, arg2)
         sim.run(until=10.0)
 
     The clock (:attr:`now`) only moves inside :meth:`run` / :meth:`step`.
-    This class is also the **oracle** implementation: alternative backends
-    (see :data:`SCHEDULER_BACKENDS`) must match its behavior bit for bit.
     """
 
-    #: Name this implementation registers under.
-    backend_name = "heap"
-
-    def __new__(cls, backend: Optional[str] = None, **kwargs: Any) -> "Simulator":
-        # Extra kwargs (e.g. CalendarSimulator's wheel geometry) are consumed
-        # by the subclass __init__; __new__ only routes on the backend name.
-        if cls is Simulator:
-            impl = resolve_backend(backend or DEFAULT_BACKEND)
-            if impl is not cls:
-                return impl.__new__(impl, backend, **kwargs)
-        return super().__new__(cls)
-
-    def __init__(self, backend: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
@@ -192,8 +123,9 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0.0:
-            raise SimulationError(f"cannot schedule {delay} s in the past")
+        # One chained comparison rejects negative, infinite and NaN delays.
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"cannot schedule {delay} s from now")
         # Body of :meth:`schedule_at`, inlined: this is the hottest call in
         # the engine and the delegation showed up in scenario profiles.
         event = Event(self.now + delay, next(self._seq), callback, args, self)
@@ -206,9 +138,9 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if time < self.now:
+        if not self.now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule at t={time} before current time t={self.now}"
+                f"cannot schedule at t={time} from current time t={self.now}"
             )
         # ``args`` is already a fresh tuple from the *args packing — no copy.
         event = Event(time, next(self._seq), callback, args, self)
@@ -281,9 +213,11 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
 
-        When ``until`` is given, the clock is left exactly at ``until`` even if
-        the queue drained earlier, so utilization denominators are well
-        defined.
+        When ``until`` is given and every event up to it has fired, the clock
+        is left exactly at ``until`` even if the queue drained earlier, so
+        utilization denominators are well defined.  A run cut short by
+        ``max_events`` or :meth:`stop` leaves the clock at the last fired
+        event, so the events still due before ``until`` fire on time later.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
@@ -311,7 +245,9 @@ class Simulator:
                 fired += 1
                 event.callback(*event.args)
             if until is not None and self.now < until and not self._stopped:
-                self.now = until
+                head = self._prune_cancelled_head()
+                if head is None or head[0] > until:
+                    self.now = until
         finally:
             self._running = False
             self.wall_time += time.perf_counter() - wall_start
@@ -341,6 +277,3 @@ class Simulator:
         compaction keeps it bounded (see :meth:`_compact`).
         """
         return len(self._queue)
-
-
-register_backend("heap", Simulator)

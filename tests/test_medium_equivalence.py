@@ -3,8 +3,8 @@
 The struct-of-arrays kernel (``repro.phy.medium_fast``) must be **bitwise
 identical** to the legacy :class:`~repro.phy.medium.Medium` it accelerates:
 same trace digests, same event counts, same metrics — across seeds, library
-scenarios, and fault plans (modeled on ``tests/test_scheduler_equivalence.py``,
-which keeps the binary-heap engine as oracle the same way).
+scenarios, and fault plans (modeled on ``tests/test_rssi_equivalence.py``,
+which keeps the per-sample RSSI path as oracle the same way).
 
 Three layers of evidence:
 

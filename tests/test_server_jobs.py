@@ -52,7 +52,7 @@ class TestJobModel:
         spec = JobSpec(
             experiment="scenario", params={"scenario": "office"},
             grid={"duration": (0.1, 0.2)}, seeds=(3, 4),
-            priority=0, client="alice", backend="heap",
+            priority=0, client="alice",
         )
         assert JobSpec.from_wire(spec.to_wire()) == spec
         record = _record()
@@ -60,6 +60,17 @@ class TestJobModel:
         clone = JobRecord.from_wire(record.to_wire())
         assert clone.state == JobState.RUNNING
         assert clone.spec == record.spec
+
+    def test_legacy_backend_key_is_ignored(self):
+        # Older clients and journals sent a scheduler "backend" with every
+        # job; it is accepted and dropped.
+        record = _record()
+        wire = record.to_wire()
+        wire["spec"]["backend"] = "calendar"
+        assert JobSpec.from_wire(wire["spec"]) == record.spec
+        clone = JobRecord.from_wire(wire)
+        assert clone.spec == record.spec
+        assert "backend" not in clone.spec.to_wire()
 
     def test_legal_transitions(self):
         record = _record()

@@ -1,18 +1,15 @@
-"""Tests for the discrete-event engine.
-
-Every behavioral test runs against both scheduler backends (the heap oracle
-and the calendar queue) via the parametrized ``sim`` fixture — the two must
-be indistinguishable through the public API.
-"""
+"""Tests for the discrete-event engine."""
 
 import pytest
 
-from repro.sim.engine import SCHEDULER_BACKENDS, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 
 
-@pytest.fixture(params=SCHEDULER_BACKENDS)
-def sim(request):
-    return Simulator(backend=request.param)
+# The param only names the scheduler under test (the binary heap) in the
+# test ids, which stay as they were when a second scheduler ran these too.
+@pytest.fixture(params=["heap"])
+def sim():
+    return Simulator()
 
 
 def test_events_fire_in_time_order(sim):
@@ -142,17 +139,28 @@ def test_events_processed_counter(sim):
     assert sim.events_processed == 4
 
 
-def test_max_events_exhaustion_leaves_queue_and_resumes(sim):
+@pytest.mark.parametrize("until", [None, 60.0])
+def test_max_events_exhaustion_leaves_queue_and_resumes(sim, until):
     fired = []
     for i in range(6):
-        sim.schedule(float(i + 1), fired.append, i)
-    sim.run(max_events=4)
-    assert fired == [0, 1, 2, 3]
-    assert sim.now == 4.0  # clock rests at the last fired event
+        sim.schedule(float(i + 1), lambda i=i: fired.append((sim.now, i)))
+    sim.run(until=until, max_events=4)
+    assert [i for _, i in fired] == [0, 1, 2, 3]
+    # The clock rests at the last fired event, even with a later horizon:
+    # events 4 and 5 are still due before it.
+    assert sim.now == 4.0
     assert sim.peek() == 5.0
     assert sim.pending_count() == 2
-    sim.run()  # a second run drains the remainder
-    assert fired == [0, 1, 2, 3, 4, 5]
+    sim.run(until=until)  # a second run drains the remainder, on time
+    assert fired == [(float(i + 1), i) for i in range(6)]
+    assert sim.now == (6.0 if until is None else until)
+
+
+def test_max_events_parks_clock_when_nothing_is_due_before_until(sim):
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(9.0, lambda: None)
+    sim.run(until=5.0, max_events=1)
+    assert sim.now == 5.0  # the budget ran out, but so did the due events
 
 
 def test_max_events_counts_only_fired_not_cancelled(sim):
@@ -226,67 +234,70 @@ def test_reentrant_run_rejected(sim):
     assert len(errors) == 1
 
 
+def test_non_finite_times_rejected(sim):
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(SimulationError):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(bad, lambda: None)
+    assert sim.pending_count() == 0
+
+
 # ----------------------------------------------------------------------
-# Backend selection
+# Explicit firing orders
 # ----------------------------------------------------------------------
 
-def test_backend_selection_and_names():
-    from repro.sim.calendar import CalendarSimulator
-
-    assert Simulator().backend_name == "calendar"  # default since the flip
-    assert Simulator(backend="heap").backend_name == "heap"
-    calendar = Simulator(backend="calendar")
-    assert calendar.backend_name == "calendar"
-    assert isinstance(calendar, Simulator)
-    assert isinstance(calendar, CalendarSimulator)
-    with pytest.raises(ValueError):
-        Simulator(backend="fibonacci")
-
-
-def test_set_default_backend_round_trip():
-    from repro.sim.engine import set_default_backend
-
-    previous = set_default_backend("heap")
-    try:
-        assert previous == "calendar"
-        assert Simulator().backend_name == "heap"
-    finally:
-        set_default_backend(previous)
-    assert Simulator().backend_name == "calendar"
-    with pytest.raises(ValueError):
-        set_default_backend("fibonacci")
-
-
-def test_build_context_backend_parameter():
-    from repro.context import build_context
-
-    assert build_context(seed=0, trace_kinds=set()).sim.backend_name == "calendar"
-    ctx = build_context(seed=0, trace_kinds=set(), backend="heap")
-    assert ctx.sim.backend_name == "heap"
-
-
-def test_calendar_geometry_validation():
-    from repro.sim.calendar import CalendarSimulator
-
-    with pytest.raises(ValueError):
-        CalendarSimulator(nbuckets=100)  # not a power of two
-    with pytest.raises(ValueError):
-        CalendarSimulator(bucket_width=0.0)
-    # Tiny wheels exercise the overflow/migration path but stay correct.
-    sim = CalendarSimulator(nbuckets=4, bucket_width=1e-3)
-    order = []
-    for i in (9, 2, 7, 0, 4):
-        sim.schedule(i * 1e-3, order.append, i)
+def test_far_future_events_fire_in_time_then_fifo_order(sim):
+    fired = []
+    for i, t in enumerate([5.0, 0.1, 2.5, 0.1, 97.0, 2.5000001]):
+        sim.schedule(t, fired.append, i)
     sim.run()
-    assert order == [0, 2, 4, 7, 9]
+    assert fired == [1, 3, 2, 5, 0, 4]
 
 
-def test_calendar_rejects_non_finite_times():
-    sim = Simulator(backend="calendar")
-    with pytest.raises(SimulationError):
-        sim.schedule(float("inf"), lambda: None)
-    with pytest.raises(SimulationError):
-        sim.schedule(float("nan"), lambda: None)
+def test_callback_scheduling_before_queued_head_fires_first(sim):
+    fired = []
+
+    def wedge():
+        fired.append("wedge")
+        sim.schedule(1e-6, fired.append, "squeezed")
+
+    sim.schedule(0.05, wedge)
+    sim.schedule(0.3, fired.append, "tail")
+    sim.run()
+    assert fired == ["wedge", "squeezed", "tail"]
+
+
+def test_peek_inside_callback_keeps_dispatch_consistent(sim):
+    """peek() prunes cancelled heads; doing it from inside a callback must
+    not double-count or skip anything."""
+    fired = []
+    victims = []
+
+    def prober():
+        fired.append("prober")
+        for victim in victims:
+            victim.cancel()
+        fired.append(("peek", sim.peek()))
+
+    sim.schedule(0.01, prober)
+    victims.append(sim.schedule(0.0100001, fired.append, "dead1"))
+    victims.append(sim.schedule(0.0100002, fired.append, "dead2"))
+    sim.schedule(0.0100003, fired.append, "alive")
+    sim.run()
+    assert fired == ["prober", ("peek", 0.0100003), "alive"]
+    assert sim.pending_count() == 0
+
+
+def test_run_until_inside_same_time_run_resumes_in_order(sim):
+    fired = []
+    for i in range(10):
+        sim.schedule(0.01 + i * 1e-6, fired.append, i)
+    sim.run(until=0.010004)  # splits the run of closely spaced events
+    assert fired == [0, 1, 2, 3, 4]
+    assert sim.now == 0.010004
+    sim.run()
+    assert fired == list(range(10))
 
 
 # ----------------------------------------------------------------------
