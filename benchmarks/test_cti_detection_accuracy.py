@@ -7,6 +7,8 @@ technologies; 89.76% (+-2.14) identifying which Wi-Fi device transmits.
 import numpy as np
 
 from repro.experiments import (
+    CtiTrialConfig,
+    DeviceIdTrialConfig,
     format_table,
     run_cti_accuracy,
     run_device_identification,
@@ -17,9 +19,12 @@ from .conftest import scaled
 
 def test_cti_detection_accuracy(benchmark, emit):
     def run():
-        cti = run_cti_accuracy(n_traces=scaled(60, minimum=30), seed=0)
+        n_traces = scaled(60, minimum=30)
+        cti = run_cti_accuracy(CtiTrialConfig(n_traces=n_traces), seed=0)
         device_accs = [
-            run_device_identification(n_traces=scaled(60, minimum=30), seed=seed).accuracy
+            run_device_identification(
+                DeviceIdTrialConfig(n_traces=n_traces), seed=seed
+            ).accuracy
             for seed in range(scaled(4, minimum=2))
         ]
         return cti, device_accs

@@ -8,7 +8,7 @@ repeated signaling.
 """
 
 from repro.devices.energy import RX_CURRENT_MA, SUPPLY_VOLTAGE, tx_current_ma
-from repro.experiments import format_table, run_energy_trial
+from repro.experiments import EnergyTrialConfig, format_table, run_energy_trial
 from repro.mac.frames import zigbee_data_frame
 
 from .conftest import scaled
@@ -16,8 +16,12 @@ from .conftest import scaled
 
 def test_energy_overhead(benchmark, emit):
     result = benchmark.pedantic(
-        lambda: run_energy_trial(n_packets=10, payload_bytes=120,
-                                 n_bursts=scaled(8, minimum=4), seed=1),
+        lambda: run_energy_trial(
+            EnergyTrialConfig(
+                n_packets=10, payload_bytes=120, n_bursts=scaled(8, minimum=4)
+            ),
+            seed=1,
+        ),
         rounds=1, iterations=1,
     )
     # Cost of one interference-induced retransmission of a 120 B data packet.

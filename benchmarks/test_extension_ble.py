@@ -9,7 +9,7 @@ link keeps its delivery ratio.
 import numpy as np
 
 from repro.experiments import format_table
-from repro.experiments.ble_extension import run_ble_coexistence
+from repro.experiments.ble_extension import BleTrialConfig, run_ble_coexistence
 
 from .conftest import scaled
 
@@ -19,8 +19,12 @@ def test_extension_ble(benchmark, emit):
         duration = float(scaled(10, minimum=6))
         seeds = range(scaled(2, minimum=2))
         return {
-            afh: [run_ble_coexistence(afh_enabled=afh, duration=duration, seed=s)
-                  for s in seeds]
+            afh: [
+                run_ble_coexistence(
+                    BleTrialConfig(afh_enabled=afh, duration=duration), seed=s
+                )
+                for s in seeds
+            ]
             for afh in (False, True)
         }
 

@@ -9,7 +9,7 @@ ECC's (paper: ~6% lower on average).
 
 import numpy as np
 
-from repro.experiments import format_table, run_priority_experiment
+from repro.experiments import PriorityTrialConfig, format_table, run_priority_experiment
 
 from .conftest import scaled
 
@@ -24,11 +24,12 @@ def test_fig13_priority(benchmark, emit):
         for proportion in PROPORTIONS:
             for scheme, whitespace in VARIANTS:
                 label = scheme if whitespace is None else f"ecc-{int(whitespace * 1e3)}ms"
-                results[(proportion, label)] = run_priority_experiment(
-                    scheme, high_proportion=proportion,
+                config = PriorityTrialConfig(
+                    scheme=scheme, high_proportion=proportion,
                     total_duration=float(duration),
-                    ecc_whitespace=whitespace or 20e-3, seed=2,
+                    ecc_whitespace=whitespace or 20e-3,
                 )
+                results[(proportion, label)] = run_priority_experiment(config, seed=2)
         return results
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -4,7 +4,7 @@ Paper: with 10-packet bursts (~62.7 ms) and 30 ms steps, the Wi-Fi device
 lengthens the white space over ~5 iterations and converges around 70 ms.
 """
 
-from repro.experiments import format_series, run_learning_trial
+from repro.experiments import LearningTrialConfig, format_series, run_learning_trial
 
 from .conftest import scaled
 
@@ -12,8 +12,11 @@ from .conftest import scaled
 def test_fig7_learning_convergence(benchmark, emit):
     result = benchmark.pedantic(
         lambda: run_learning_trial(
-            n_packets=10, step=30e-3, location="A",
-            n_bursts=scaled(14, minimum=10), seed=1,
+            LearningTrialConfig(
+                n_packets=10, step=30e-3, location="A",
+                n_bursts=scaled(14, minimum=10),
+            ),
+            seed=1,
         ),
         rounds=1, iterations=1,
     )

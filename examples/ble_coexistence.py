@@ -10,14 +10,14 @@ granting ZigBee a permanent spectral white space.
 Run:  python examples/ble_coexistence.py
 """
 
-from repro.experiments.ble_extension import run_ble_coexistence
+from repro.experiments.ble_extension import BleTrialConfig, run_ble_coexistence
 
 
 def main() -> None:
     print("A fast BLE connection (7.5 ms events) next to a ~50%-duty ZigBee link\n")
     print("AFH    ble-success  early  late   excluded-channels  zigbee-delivery")
     for afh in (False, True):
-        r = run_ble_coexistence(afh_enabled=afh, duration=10.0, seed=1)
+        r = run_ble_coexistence(BleTrialConfig(afh_enabled=afh, duration=10.0), seed=1)
         print(f"{'on ' if afh else 'off'}    "
               f"{r.ble_success_rate:11.3f}  {r.ble_early_success_rate:.3f}  "
               f"{r.ble_late_success_rate:.3f}  {str(r.excluded_channels):17}  "

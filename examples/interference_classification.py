@@ -14,7 +14,7 @@ Run:  python examples/interference_classification.py
 import numpy as np
 
 from repro.core import CtiClassifier, InterfererClass, extract_features
-from repro.experiments import run_device_identification
+from repro.experiments import DeviceIdTrialConfig, run_device_identification
 from repro.experiments.cti_dataset import build_cti_dataset, collect_traces
 
 
@@ -47,7 +47,7 @@ def main() -> None:
               f"{f.under_noise_floor:.2f})  classified as {verdict}")
 
     print("\nIdentifying individual Wi-Fi transmitters (1 m / 3 m / 5 m)...")
-    device_id = run_device_identification(n_traces=60, seed=3)
+    device_id = run_device_identification(DeviceIdTrialConfig(n_traces=60), seed=3)
     print(f"k-means identification accuracy: {device_id.accuracy:.3f}  (paper: 0.8976)")
 
 

@@ -48,6 +48,7 @@ from .experiments import (
 )
 from .experiments.sweep import TrialRecord
 from .log import configure as configure_logging
+from .schemes import scheme_names
 
 
 def _print(title: str, rows, headers=("metric", "value")) -> None:
@@ -1178,9 +1179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coexist", parents=shared + [location_flags],
                        help="one coexistence run (Fig. 10/11 style)")
-    p.add_argument("--scheme",
-                   choices=("bicord", "ecc", "csma", "predictive", "slow-ctc"),
-                   default="bicord")
+    p.add_argument("--scheme", choices=scheme_names(), default="bicord")
     p.add_argument("--bursts", type=int, default=30)
     p.add_argument("--packets", type=int, default=5)
     p.add_argument("--payload", type=int, default=50)
@@ -1227,7 +1226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("priority", parents=shared,
                        help="prioritized Wi-Fi traffic (Fig. 13)")
-    p.add_argument("--scheme", choices=("bicord", "ecc"), default="bicord")
+    p.add_argument("--scheme", choices=scheme_names(honors_priority=True),
+                   default="bicord")
     p.add_argument("--proportion", type=float, default=0.3)
     p.add_argument("--duration", type=float, default=6.0)
     p.set_defaults(func=cmd_priority)
@@ -1257,9 +1257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--rates", default="0,0.1,0.25,0.5",
                    help="comma-separated fault rates in [0, 1]")
-    p.add_argument("--scheme",
-                   choices=("bicord", "ecc", "csma", "predictive", "slow-ctc"),
-                   default="bicord")
+    p.add_argument("--scheme", choices=scheme_names(), default="bicord")
     p.add_argument("--bursts", type=int, default=20)
     p.add_argument("--scenario", default=None, metavar="NAME",
                    help="fault-inject a library scenario instead of the "

@@ -22,7 +22,6 @@ from ..devices import ZigbeeDevice
 from ..mac.ble import BleConnection
 from ..phy.propagation import Position
 from ..traffic.generators import ZigbeeBurstSource
-from .compat import effective_seed, fold_legacy_kwargs
 from .result import ResultBase
 from .topology import Calibration
 
@@ -60,11 +59,10 @@ def run_ble_coexistence(
     config: Optional[BleTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> BleCoexistenceResult:
     """One ZigBee link + one BLE connection sharing the 2.4 GHz band."""
-    cfg = fold_legacy_kwargs("run_ble_coexistence", BleTrialConfig, config, legacy)
-    seed = effective_seed(seed)
+    cfg = config if config is not None else BleTrialConfig()
+    seed = 0 if seed is None else int(seed)
     afh_enabled = cfg.afh_enabled
     duration = cfg.duration
     burst_interval = cfg.burst_interval

@@ -32,7 +32,6 @@ from ..phy.propagation import Position
 from ..phy.rssi import RssiTrace
 from ..sim.process import Process
 from ..traffic.generators import WifiPacketSource
-from .compat import effective_seed, fold_legacy_kwargs
 from .result import ResultBase
 from .topology import Calibration
 
@@ -175,11 +174,10 @@ def run_cti_accuracy(
     config: Optional[CtiTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> CtiAccuracyResult:
     """Train/test the interferer classifier on a fresh synthetic campaign."""
-    cfg = fold_legacy_kwargs("run_cti_accuracy", CtiTrialConfig, config, legacy)
-    seed = effective_seed(seed)
+    cfg = config if config is not None else CtiTrialConfig()
+    seed = 0 if seed is None else int(seed)
     dataset = build_cti_dataset(n_traces=cfg.n_traces, seed=seed, calibration=calibration)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(dataset.features))
@@ -219,13 +217,10 @@ def run_device_identification(
     config: Optional[DeviceIdTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> DeviceIdResult:
     """Cluster Wi-Fi-transmitter fingerprints and score identification."""
-    cfg = fold_legacy_kwargs(
-        "run_device_identification", DeviceIdTrialConfig, config, legacy
-    )
-    seed = effective_seed(seed)
+    cfg = config if config is not None else DeviceIdTrialConfig()
+    seed = 0 if seed is None else int(seed)
     fingerprints: List[Fingerprint] = []
     truth: List[int] = []
     for device_idx, distance in enumerate(cfg.distances):

@@ -17,18 +17,12 @@ passed ad-hoc dicts around).  This module pins the contract down:
 The registry (:func:`repro.experiments.registry.register`) rejects result
 classes that do not satisfy the contract, so a new experiment cannot
 silently regress to an untyped result shape.
-
-Dict-style access to results (``result["prr"]``) was never documented but
-leaked into scripts; it keeps working through a :class:`DeprecationWarning`
-shim on the mixin and will be removed in a later release — use attribute
-access or ``metrics()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Any, Dict, KeysView, Protocol, runtime_checkable
+from typing import Any, Dict, Protocol, runtime_checkable
 
 from .. import serialization as _ser
 
@@ -132,29 +126,3 @@ class ResultBase:
             if isinstance(value, (bool, int, float)):
                 out[field.name] = float(value)
         return out
-
-    # ------------------------------------------------------------------
-    # Deprecated dict-style access (pre-protocol shapes)
-    # ------------------------------------------------------------------
-    def _warn_dict_access(self) -> None:
-        warnings.warn(
-            f"dict-style access to {type(self).__name__} is deprecated; use "
-            "attribute access or .metrics()",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def __getitem__(self, key: str) -> Any:
-        self._warn_dict_access()
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default: Any = None) -> Any:
-        self._warn_dict_access()
-        return getattr(self, key, default)
-
-    def keys(self) -> KeysView[str]:
-        self._warn_dict_access()
-        return self.to_dict().keys()

@@ -20,10 +20,9 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+from ..schemes import get_scheme
 from ..serialization import from_dict
-from .compat import effective_seed
 from .result import ResultBase
-from .runner import SCHEMES
 from .topology import Calibration
 
 #: Library scenarios a roaming trial may run (both expose the
@@ -59,10 +58,7 @@ class RoamingTrialConfig:
                 f"unknown roaming scenario {self.scenario!r}; "
                 f"expected one of {ROAMING_SCENARIOS}"
             )
-        if self.scheme not in SCHEMES:
-            raise ValueError(
-                f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
-            )
+        get_scheme(self.scheme)
         spec = self.resolve_spec()
         self.spec_fingerprint = spec.fingerprint()
 
@@ -140,7 +136,7 @@ def run_roaming_trial(
         cfg = from_dict(RoamingTrialConfig, config)
     else:
         cfg = config
-    seed = effective_seed(seed)
+    seed = 0 if seed is None else int(seed)
     compiled = compile_scenario(cfg.resolve_spec(), seed=seed, calibration=calibration)
     result = compiled.run(max_events=cfg.max_events)
     return RoamingResult(

@@ -7,27 +7,22 @@ they never poke at devices directly.
 
 All runners share the uniform signature ``run_x(config, seed, calibration)``
 so the experiment registry (:mod:`.registry`) and the sweep engine
-(:mod:`.sweep`) can drive any of them interchangeably.  The old bare-keyword
-call forms still work through deprecation shims (see :mod:`.compat`).
+(:mod:`.sweep`) can drive any of them interchangeably.
+
+:func:`run_coexistence` does not wire the office by hand: it compiles the
+``office`` library scenario (:func:`coexistence_spec`) like every other
+scenario run.  Which coordinator and node a scheme uses comes from the
+scheme table, :mod:`repro.schemes`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..baselines import (
-    CsmaNode,
-    EccCoordinator,
-    EccNode,
-    PredictiveNode,
-    SlowCtcCoordinator,
-    SlowCtcNode,
-)
 from ..core import (
     BicordConfig,
     BicordCoordinator,
@@ -37,20 +32,16 @@ from ..core import (
 )
 from ..faults import FaultPlan
 from ..mac.frames import zigbee_control_frame
+from ..schemes import get_scheme
 from ..sim.process import Process
 from ..traffic.generators import PriorityWifiSource, WifiPacketSource, ZigbeeBurstSource
-from .compat import effective_seed, fold_legacy_kwargs
 from .metrics import AirtimeProbe, CoexistenceResult, PrecisionRecall
 from .result import ResultBase
-from .topology import (
-    Calibration,
-    LOCATION_POWERS_DBM,
-    Office,
-    build_office,
-    location_powermap,
-)
+from .topology import Calibration, build_office, location_powermap
 
-SCHEMES = ("bicord", "ecc", "csma", "predictive", "slow-ctc")
+#: The ZigBee link of a coexistence run.  Its burst source draws from the
+#: ``traffic/zigbee-source`` stream, so the name is part of every result.
+COEXISTENCE_LINK = "zigbee-source"
 
 
 # ======================================================================
@@ -91,7 +82,6 @@ def run_signaling_trial(
     config: Optional[SignalingTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> SignalingTrialResult:
     """Measure signaling precision/recall at one (location, power, count).
 
@@ -101,11 +91,8 @@ def run_signaling_trial(
     white spaces are granted (we only measure detection quality, as in
     Sec. VIII-B).
     """
-    cfg = fold_legacy_kwargs(
-        "run_signaling_trial", SignalingTrialConfig, config, legacy,
-        positional_str_field="location",
-    )
-    seed = effective_seed(seed)
+    cfg = config if config is not None else SignalingTrialConfig()
+    seed = 0 if seed is None else int(seed)
     office = build_office(seed=seed, location=cfg.location, calibration=calibration)
     ctx = office.ctx
     registry = ctx.telemetry
@@ -208,45 +195,46 @@ class CoexistenceConfig:
     faults: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
+        get_scheme(self.scheme)
         if self.mobility not in ("none", "person", "device"):
             raise ValueError(f"unknown mobility {self.mobility!r}")
 
 
-def _attach_person_mobility(office: Office) -> None:
-    """A walking person perturbs the Wi-Fi receiver's CSI (Sec. VIII-F)."""
-    rng = office.ctx.streams.stream("mobility/person")
+def coexistence_spec(config: CoexistenceConfig):
+    """The office :class:`~repro.scenarios.ScenarioSpec` one coexistence run compiles."""
+    from ..scenarios import get_scenario  # lazy: scenarios imports experiments
 
-    def deviation(_now: float) -> float:
-        if rng.random() < 0.012:
-            return float(rng.uniform(0.3, 0.6))
-        return 0.0
-
-    office.wifi_receiver.csi.environment_deviation = deviation
-
-
-def _attach_device_mobility(office: Office) -> None:
-    """The ZigBee sender wanders within 1 m of its base (Sec. VIII-F)."""
-    base = office.zigbee_sender.position
-    rng = office.ctx.streams.stream("mobility/device")
-    radio = office.zigbee_sender.radio
-
-    def wander():
-        while True:
-            angle = float(rng.uniform(0.0, 2.0 * math.pi))
-            radius = float(rng.uniform(0.0, 1.0))
-            radio.move_to(base.moved(radius * math.cos(angle), radius * math.sin(angle)))
-            yield 0.1
-
-    Process(office.ctx.sim, wander(), name="device-mobility")
+    spec = get_scenario(
+        "office",
+        location=config.location,
+        scheme=config.scheme,
+        n_bursts=config.n_bursts,
+        burst_packets=config.burst_packets,
+        payload_bytes=config.payload_bytes,
+        burst_interval=config.burst_interval,
+        poisson=config.poisson,
+        mobility=config.mobility,
+    )
+    link = dataclasses.replace(
+        spec.zigbee[0],
+        name=COEXISTENCE_LINK,
+        signaling_power_dbm=config.signaling_power_dbm,
+    )
+    coordinator = dataclasses.replace(
+        spec.coordinator,
+        ecc_whitespace=config.ecc_whitespace,
+        ecc_period=config.ecc_period,
+        bicord=config.bicord_config,
+    )
+    return dataclasses.replace(
+        spec, grace=config.grace, zigbee=(link,), coordinator=coordinator
+    )
 
 
 def run_coexistence(
     config: Optional[CoexistenceConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> CoexistenceResult:
     """Run one coexistence scenario and report the paper's metrics.
 
@@ -254,7 +242,9 @@ def run_coexistence(
     ``seed``/``calibration`` fields (the registry always passes them
     explicitly so every experiment shares one seeding convention).
     """
-    config = fold_legacy_kwargs("run_coexistence", CoexistenceConfig, config, legacy)
+    from ..scenarios import compile_scenario  # lazy: scenarios imports experiments
+
+    config = config if config is not None else CoexistenceConfig()
     overrides = {}
     if seed is not None:
         overrides["seed"] = int(seed)
@@ -262,102 +252,35 @@ def run_coexistence(
         overrides["calibration"] = calibration
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    office = build_office(
-        seed=config.seed, location=config.location, calibration=config.calibration,
+    compiled = compile_scenario(
+        coexistence_spec(config),
+        seed=config.seed,
+        calibration=config.calibration,
         faults=config.faults,
     )
-    ctx = office.ctx
-    registry = ctx.telemetry
-    cal = office.calibration
-    WifiPacketSource(
-        ctx, office.wifi_sender.mac, "F",
-        payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval,
-    )
-    if config.mobility == "person":
-        _attach_person_mobility(office)
-    elif config.mobility == "device":
-        _attach_device_mobility(office)
-
-    coordinator = None
-    power = (
-        config.signaling_power_dbm
-        if config.signaling_power_dbm is not None
-        else LOCATION_POWERS_DBM[config.location]
-    )
-    if config.scheme == "bicord":
-        coordinator = BicordCoordinator(office.wifi_receiver, config=config.bicord_config)
-        node = BicordNode(
-            office.zigbee_sender, "ZR", config=config.bicord_config,
-            powermap=location_powermap(config.location, default=power),
-        )
-    elif config.scheme == "ecc":
-        coordinator = EccCoordinator(
-            office.wifi_receiver,
-            whitespace=config.ecc_whitespace,
-            period=config.ecc_period,
-        )
-        node = EccNode(office.zigbee_sender, "ZR")
-        coordinator.register(node)
-    elif config.scheme == "csma":
-        node = CsmaNode(office.zigbee_sender, "ZR")
-    elif config.scheme == "slow-ctc":
-        coordinator = SlowCtcCoordinator(office.wifi_receiver, config=config.bicord_config)
-        node = SlowCtcNode(
-            office.zigbee_sender, "ZR", coordinator, config=config.bicord_config
-        )
-    else:  # predictive
-        node = PredictiveNode(office.zigbee_sender, "ZR")
-
-    source = ZigbeeBurstSource(
-        ctx, node.offer_burst,
-        n_packets=config.burst_packets, payload_bytes=config.payload_bytes,
-        interval_mean=config.burst_interval, poisson=config.poisson,
-        max_bursts=config.n_bursts,
-    )
-    probe = AirtimeProbe(
-        wifi_radios=[office.wifi_sender.radio, office.wifi_receiver.radio],
-        zigbee_radios=[office.zigbee_sender.radio, office.zigbee_receiver.radio],
-    )
-    probe.start(0.0)
-    horizon = config.n_bursts * config.burst_interval
+    registry = compiled.ctx.telemetry
     with registry.span("coexist.sim"):
-        ctx.sim.run(until=horizon)
-        # Grace period: let in-flight packets finish (delays count, airtime too).
-        deadline = horizon + config.grace
-        while node.outstanding_packets and ctx.sim.now < deadline:
-            ctx.sim.run(until=min(ctx.sim.now + 50e-3, deadline))
-    duration = ctx.sim.now
-    snapshot = probe.snapshot(duration)
-
+        run = compiled.run()
+    link = run.links[COEXISTENCE_LINK]
     result = CoexistenceResult(
         scheme=config.scheme,
         location=config.location,
-        duration=duration,
-        utilization=snapshot,
-        zigbee_delays=list(node.packet_delays),
-        zigbee_packets_offered=source.bursts_generated * config.burst_packets,
-        zigbee_packets_delivered=node.packets_delivered,
-        zigbee_packets_dropped=getattr(node, "packets_dropped", 0),
-        zigbee_payload_bytes=node.delivered_payload_bytes,
-        burst_latencies=list(node.burst_latencies),
-        control_packets=getattr(node, "control_packets_sent", 0),
-        wifi_packets_delivered=office.wifi_sender.mac.data_delivered,
+        duration=run.duration,
+        utilization=run.utilization,
+        zigbee_delays=link.delays,
+        zigbee_packets_offered=link.offered,
+        zigbee_packets_delivered=link.delivered,
+        zigbee_packets_dropped=link.dropped,
+        zigbee_payload_bytes=link.payload_bytes,
+        burst_latencies=list(compiled.zigbee_links[COEXISTENCE_LINK].node.burst_latencies),
+        control_packets=link.control_packets,
+        whitespace_airtime=run.whitespace_airtime,
+        whitespaces_issued=run.whitespaces_issued,
+        wifi_packets_delivered=sum(wifi.delivered for wifi in run.wifi.values()),
+        extra=run.extra,
         seed=config.seed,
     )
-    if coordinator is not None:
-        result.whitespace_airtime = coordinator.whitespace_airtime
-        result.whitespaces_issued = getattr(
-            coordinator, "grants_issued", getattr(coordinator, "whitespaces_issued", 0)
-        )
-        if hasattr(coordinator, "stop"):
-            coordinator.stop()
-    if hasattr(node, "stop"):
-        node.stop()
-    if ctx.faults is not None:
-        result.extra.update(ctx.faults.counters())
-        registry.record_faults(ctx.faults)
     if registry.enabled:
-        registry.record_sim(ctx.sim)
         registry.counter("coexist.zigbee_offered").inc(result.zigbee_packets_offered)
         registry.counter("coexist.zigbee_delivered").inc(result.zigbee_packets_delivered)
         registry.counter("coexist.zigbee_dropped").inc(result.zigbee_packets_dropped)
@@ -366,10 +289,8 @@ def run_coexistence(
         # Granted vs used white-space time: the allocator's over-provision
         # (Fig. 9) — "used" is the ZigBee airtime that actually ran inside.
         registry.gauge("coexist.whitespace_granted_s").set_max(result.whitespace_airtime)
-        registry.gauge("coexist.zigbee_airtime_s").set_max(snapshot.zigbee_airtime)
-        registry.gauge("coexist.channel_utilization").set_max(
-            snapshot.channel_utilization
-        )
+        registry.gauge("coexist.zigbee_airtime_s").set_max(run.utilization.zigbee_airtime)
+        registry.gauge("coexist.channel_utilization").set_max(run.channel_utilization)
     return result
 
 
@@ -413,11 +334,10 @@ def run_learning_trial(
     config: Optional[LearningTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> LearningTrialResult:
     """Observe the white-space learning process for one traffic pattern."""
-    cfg = fold_legacy_kwargs("run_learning_trial", LearningTrialConfig, config, legacy)
-    seed = effective_seed(seed)
+    cfg = config if config is not None else LearningTrialConfig()
+    seed = 0 if seed is None else int(seed)
     bicord_config = BicordConfig()
     bicord_config.allocator.initial_whitespace = cfg.step
     office = build_office(seed=seed, location=cfg.location, calibration=calibration)
@@ -475,6 +395,9 @@ class PriorityTrialConfig:
     ecc_whitespace: float = 20e-3
     location: str = "A"
 
+    def __post_init__(self) -> None:
+        get_scheme(self.scheme, honors_priority=True)
+
 
 @dataclass
 class PriorityResult(ResultBase):
@@ -492,18 +415,16 @@ def run_priority_experiment(
     config: Optional[PriorityTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> PriorityResult:
     """Sec. VIII-G: Wi-Fi mixes video (high) and file (low) traffic.
 
     The coordinator ignores ZigBee requests while the Wi-Fi device is in a
     high-priority phase.
     """
-    cfg = fold_legacy_kwargs(
-        "run_priority_experiment", PriorityTrialConfig, config, legacy,
-        positional_str_field="scheme",
-    )
-    seed = effective_seed(seed)
+    from ..scenarios.spec import CoordinatorSpec  # lazy: scenarios imports experiments
+
+    cfg = config if config is not None else PriorityTrialConfig()
+    seed = 0 if seed is None else int(seed)
     office = build_office(seed=seed, location=cfg.location, calibration=calibration)
     ctx = office.ctx
     cal = office.calibration
@@ -516,19 +437,12 @@ def run_priority_experiment(
     def policy() -> bool:
         return source.current_priority == 0
 
-    if cfg.scheme == "bicord":
-        coordinator = BicordCoordinator(office.wifi_receiver, grant_policy=policy)
-        node = BicordNode(
-            office.zigbee_sender, "ZR", powermap=location_powermap(cfg.location)
-        )
-    elif cfg.scheme == "ecc":
-        coordinator = EccCoordinator(
-            office.wifi_receiver, whitespace=cfg.ecc_whitespace, grant_policy=policy
-        )
-        node = EccNode(office.zigbee_sender, "ZR")
-        coordinator.register(node)
-    else:
-        raise ValueError("priority experiment compares bicord and ecc")
+    scheme = get_scheme(cfg.scheme, honors_priority=True)
+    spec = CoordinatorSpec(scheme=cfg.scheme, ecc_whitespace=cfg.ecc_whitespace)
+    coordinator = scheme.coordinator(office.wifi_receiver, spec, policy)
+    node = scheme.node(
+        office.zigbee_sender, "ZR", coordinator, spec, location_powermap(cfg.location)
+    )
 
     ZigbeeBurstSource(
         ctx, node.offer_burst, n_packets=5, payload_bytes=50,
@@ -582,11 +496,10 @@ def run_energy_trial(
     config: Optional[EnergyTrialConfig] = None,
     seed: Optional[int] = None,
     calibration: Optional[Calibration] = None,
-    **legacy,
 ) -> EnergyResult:
     """Energy of delivering bursts under Wi-Fi (BiCord) vs a clear channel."""
-    cfg = fold_legacy_kwargs("run_energy_trial", EnergyTrialConfig, config, legacy)
-    seed = effective_seed(seed)
+    cfg = config if config is not None else EnergyTrialConfig()
+    seed = 0 if seed is None else int(seed)
 
     def one(with_wifi: bool) -> Tuple[float, int]:
         office = build_office(seed=seed, location="A", calibration=calibration)

@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from ..serialization import from_dict
-from .compat import effective_seed
 from .metrics import UtilizationSnapshot
 from .result import ResultBase
 from .topology import Calibration
@@ -240,6 +239,6 @@ def run_scenario_trial(
         cfg = from_dict(ScenarioTrialConfig, config)
     else:
         cfg = config
-    seed = effective_seed(seed)
+    seed = 0 if seed is None else int(seed)
     compiled = compile_scenario(cfg.resolve_spec(), seed=seed, calibration=calibration)
     return compiled.run(max_events=cfg.max_events)

@@ -67,7 +67,9 @@ from .topology import Calibration
 #: 4: scenario experiment added; dict-valued results coerce typed values.
 #: 5: results implement the ExperimentResult contract (seed field added).
 #: 6: event-capped scenario runs end at the last fired event, not the horizon.
-CACHE_SCHEMA = 6
+#: 7: coexistence/robustness trials compile a scenario, so their telemetry
+#:    snapshots carry the ``scenario.*`` instruments.
+CACHE_SCHEMA = 7
 
 _LOG = get_logger("sweep")
 

@@ -22,9 +22,6 @@ suffering >95% loss without coordination.
 
 from __future__ import annotations
 
-import os
-import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -120,28 +117,6 @@ class Office:
         return self.ctx.sim
 
 
-def _warn_if_example_caller() -> None:
-    """Deprecate hand-wiring from ``examples/``: library scenarios cover it.
-
-    Only fires when the direct caller lives under an ``examples`` tree —
-    runners, the scenario compiler, and tests keep calling silently.
-    """
-    frame = sys._getframe(2)
-    module = frame.f_globals.get("__name__", "")
-    filename = frame.f_globals.get("__file__", "") or ""
-    normalized = filename.replace(os.sep, "/")
-    if "examples" in module.split(".") or "/examples/" in normalized or (
-        normalized.startswith("examples/")
-    ):
-        warnings.warn(
-            "calling build_office() directly from an examples script is "
-            "deprecated: use repro.scenarios.get_scenario('office') (or "
-            "another library scenario) and compile_scenario() instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
 def build_office(
     seed: int = 0,
     location: str = "A",
@@ -158,7 +133,6 @@ def build_office(
     """
     if location not in LOCATIONS:
         raise ValueError(f"unknown location {location!r}; expected one of {sorted(LOCATIONS)}")
-    _warn_if_example_caller()
     cal = calibration or Calibration()
     ctx = cal.context(seed, trace_kinds=trace_kinds, faults=faults)
     sender = WifiDevice(

@@ -25,6 +25,22 @@ def get_logger(name: str = "") -> logging.Logger:
     return logging.getLogger(f"{_ROOT_NAME}.{name}" if name else _ROOT_NAME)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted.
+
+    Binding the stream at configure time would keep a reference to a
+    stream that may later be closed (a captured or redirected stderr), and
+    every record after that would fail.
+    """
+
+    def __init__(self) -> None:
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def configure(
     verbosity: int = 0,
     quiet: bool = False,
@@ -46,7 +62,9 @@ def configure(
     if not _configured or force:
         for handler in list(logger.handlers):
             logger.removeHandler(handler)
-        handler = logging.StreamHandler(stream if stream is not None else sys.stderr)
+        handler = (
+            logging.StreamHandler(stream) if stream is not None else _StderrHandler()
+        )
         handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
         logger.addHandler(handler)
         logger.propagate = False

@@ -26,15 +26,6 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, List, Optional
 
-from ..baselines import (
-    CsmaNode,
-    EccCoordinator,
-    EccNode,
-    PredictiveNode,
-    SlowCtcCoordinator,
-    SlowCtcNode,
-)
-from ..core import BicordCoordinator, BicordNode
 from ..devices import WifiDevice, ZigbeeDevice
 from ..experiments.metrics import AirtimeProbe
 from ..experiments.scenario import LinkResult, ScenarioResult, WifiLinkResult
@@ -52,6 +43,7 @@ from ..mobility import (
     make_ap_selection_policy,
 )
 from ..phy.propagation import Position
+from ..schemes import get_scheme
 from ..serialization import stable_hash
 from ..sim.process import Process
 from ..traffic.generators import PriorityWifiSource, WifiPacketSource, ZigbeeBurstSource
@@ -282,7 +274,7 @@ def compile_scenario(
     if plan is None and spec.fault_plan is not None:
         plan = get_fault_plan(spec.fault_plan)
 
-    scheme = spec.coordinator.scheme
+    scheme = get_scheme(spec.coordinator.scheme)
     observer_name = spec.observer_link()
     person_link = (
         (spec.mobility.link or observer_name)
@@ -315,7 +307,7 @@ def compile_scenario(
         for wl in spec.wifi:
             # CSI observation is only wired where something consumes it:
             # the BiCord coordinator's link, or a person-mobility link.
-            with_csi = (wl.name == observer_name and scheme == "bicord") or (
+            with_csi = (wl.name == observer_name and scheme.observes_csi) or (
                 wl.name == person_link
             )
             sender = WifiDevice(
@@ -398,51 +390,21 @@ def compile_scenario(
     # Coordinator + per-link protocol nodes
     # ------------------------------------------------------------------
     grant_policy: Optional[Callable[[], bool]] = None
-    if (
-        spec.coordinator.honor_priority
-        and priority_sources
-        and scheme in ("bicord", "ecc")
-    ):
+    if spec.coordinator.honor_priority and priority_sources and scheme.honors_priority:
         def grant_policy() -> bool:
             return all(source.current_priority == 0 for source in priority_sources)
 
-    observer = wifi_links[observer_name].receiver if observer_name else None
     coordinator = None
-    if scheme == "bicord":
-        coordinator = BicordCoordinator(
-            observer, config=spec.coordinator.bicord, grant_policy=grant_policy
-        )
-    elif scheme == "ecc":
-        coordinator = EccCoordinator(
-            observer,
-            whitespace=spec.coordinator.ecc_whitespace,
-            period=spec.coordinator.ecc_period,
-            grant_policy=grant_policy,
-        )
-    elif scheme == "slow-ctc":
-        coordinator = SlowCtcCoordinator(observer, config=spec.coordinator.bicord)
+    if scheme.coordinator is not None:
+        observer = wifi_links[observer_name].receiver
+        coordinator = scheme.coordinator(observer, spec.coordinator, grant_policy)
 
     for name, link in zigbee_links.items():
         zl = link.spec
-        if scheme == "bicord":
-            node = BicordNode(
-                link.sender, zl.receiver_name, config=spec.coordinator.bicord,
-                powermap=location_powermap(
-                    spec.location, default=zl.signaling_power_dbm
-                ),
-            )
-        elif scheme == "ecc":
-            node = EccNode(link.sender, zl.receiver_name)
-            coordinator.register(node)
-        elif scheme == "slow-ctc":
-            node = SlowCtcNode(
-                link.sender, zl.receiver_name, coordinator,
-                config=spec.coordinator.bicord,
-            )
-        elif scheme == "csma":
-            node = CsmaNode(link.sender, zl.receiver_name)
-        else:  # predictive
-            node = PredictiveNode(link.sender, zl.receiver_name)
+        node = scheme.node(
+            link.sender, zl.receiver_name, coordinator, spec.coordinator,
+            location_powermap(spec.location, default=zl.signaling_power_dbm),
+        )
         link.node = node
         link.source = ZigbeeBurstSource(
             ctx, node.offer_burst,

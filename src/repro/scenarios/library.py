@@ -22,6 +22,7 @@ import inspect
 from typing import Callable, Dict, Optional, Tuple
 
 from ..experiments.topology import LOCATIONS, ZIGBEE_RECEIVER_OFFSET
+from ..schemes import get_scheme
 from . import generators
 from .spec import (
     ApSpec,
@@ -290,10 +291,7 @@ def priority_streaming(
     total_duration: float = 6.0,
 ) -> ScenarioSpec:
     """Sec. VIII-G: Wi-Fi alternates video (high) and file (low) phases."""
-    if scheme not in ("bicord", "ecc"):
-        raise ValueError(
-            f"priority-streaming compares bicord and ecc, got {scheme!r}"
-        )
+    get_scheme(scheme, honors_priority=True)
     base = _pos("A")
     return ScenarioSpec(
         name="priority-streaming",

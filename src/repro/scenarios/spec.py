@@ -37,8 +37,8 @@ from typing import (
 )
 
 from ..core.config import BicordConfig
-from ..experiments.runner import SCHEMES
 from ..experiments.topology import LOCATIONS, Calibration
+from ..schemes import SCHEMES, scheme_names
 from ..serialization import stable_hash, to_dict
 
 MOBILITY_KINDS = ("none", "person", "device", "trajectory")
@@ -333,7 +333,8 @@ class ScenarioSpec:
         if self.coordinator.scheme not in SCHEMES:
             raise SpecError(
                 "coordinator.scheme",
-                f"unknown scheme {self.coordinator.scheme!r}; expected one of {SCHEMES}",
+                f"unknown scheme {self.coordinator.scheme!r}; "
+                f"expected one of {scheme_names()}",
             )
         if self.mobility.kind not in MOBILITY_KINDS:
             raise SpecError(
@@ -388,7 +389,7 @@ class ScenarioSpec:
                     f"must be in [0, 1], got {traffic.high_proportion}",
                 )
         observer = self.observer_link()
-        if self.coordinator.scheme in ("bicord", "ecc", "slow-ctc"):
+        if SCHEMES[self.coordinator.scheme].coordinator is not None:
             if observer is None:
                 raise SpecError(
                     "coordinator.on",

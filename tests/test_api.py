@@ -46,19 +46,6 @@ def test_scheme_less_results_fall_back_to_neutral_identity():
     assert result.seed == 2  # real field, set by the runner
 
 
-def test_dict_access_shim_warns_and_proxies():
-    result = api.run("learning", n_bursts=3, seed=0)
-    with pytest.warns(DeprecationWarning, match="dict-style"):
-        assert result["iterations"] == result.iterations
-    with pytest.warns(DeprecationWarning):
-        assert result.get("missing", 42) == 42
-    with pytest.warns(DeprecationWarning):
-        assert "iterations" in result.keys()
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(KeyError):
-            result["not_a_field"]
-
-
 def test_registry_rejects_contract_violations():
     from repro.experiments import ExperimentSpec, register
 

@@ -1,4 +1,4 @@
-"""Experiment registry: uniform contract, lookups, deprecation shims."""
+"""Experiment registry: uniform contract and lookups."""
 
 import dataclasses
 
@@ -17,7 +17,6 @@ from repro.experiments import (
     resolve_config,
     run_experiment,
     run_learning_trial,
-    run_priority_experiment,
     run_signaling_trial,
 )
 from repro.serialization import canonical_dumps
@@ -107,29 +106,8 @@ def test_run_experiment_energy_and_ble_types():
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims (old keyword forms keep working)
+# Runners take config objects only
 # ----------------------------------------------------------------------
-def test_legacy_keyword_form_warns_and_matches_new_form():
-    with pytest.warns(DeprecationWarning, match="run_learning_trial"):
-        legacy = run_learning_trial(n_packets=4, n_bursts=4, seed=5)
-    fresh = run_experiment("learning", n_packets=4, n_bursts=4, seed=5)
-    assert canonical_dumps(legacy) == canonical_dumps(fresh)
-
-
-def test_legacy_positional_scheme_string_warns():
-    with pytest.warns(DeprecationWarning, match="positionally"):
-        with pytest.raises(ValueError, match="bicord and ecc"):
-            run_priority_experiment("csma", total_duration=1.0)
-
-
 def test_legacy_unknown_keyword_still_rejected():
     with pytest.raises(TypeError, match="unexpected keyword"):
         run_signaling_trial(locaton="A")  # typo: not silently accepted
-
-
-def test_mixing_config_and_legacy_kwargs_overrides_fields():
-    with pytest.warns(DeprecationWarning):
-        result = run_learning_trial(
-            LearningTrialConfig(n_packets=9, n_bursts=4), seed=2, n_packets=4
-        )
-    assert result.n_packets == 4

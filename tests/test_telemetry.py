@@ -391,3 +391,19 @@ def test_log_configure_levels():
     text = stream.getvalue()
     assert "info-hidden" not in text and "warn-visible" in text
     configure_logging(force=True)  # restore defaults for other tests
+
+
+def test_log_handler_follows_stderr_after_capture(monkeypatch):
+    import io
+    import sys
+
+    capture = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", capture)
+    configure_logging(force=True)  # configured while stderr is captured
+    capture.close()  # the capture ends, as after an in-process CLI test
+    restored = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", restored)
+    get_logger("probe").warning("after-capture")
+    text = restored.getvalue()
+    assert "after-capture" in text
+    assert "Logging error" not in text
