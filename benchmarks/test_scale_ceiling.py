@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.phy.medium import set_default_medium_kernel
+from repro.phy.medium_fast import VectorMedium
 from repro.phy.propagation import Position
 from repro.scenarios import compile_scenario, get_scenario
 from repro.sim.process import Process
@@ -44,17 +44,19 @@ DENSITIES = [50, 200, 800]
 MAX_EVENTS_DENSITY = scaled(1500)
 
 
+def _compile_grid(kernel: str, n_zigbee: int, n_wifi: int):
+    """Compile the grid; the caller has forced ``kernel`` with ``force_kernel``."""
+    spec = get_scenario("grid", n_zigbee_links=n_zigbee, n_wifi_pairs=n_wifi)
+    compiled = compile_scenario(spec, seed=7, trace_kinds=set())
+    assert isinstance(compiled.ctx.medium, VectorMedium) == (kernel == "vector")
+    return compiled
+
+
 def _scale_run(kernel: str, n_zigbee=N_ZIGBEE_LINKS, n_wifi=N_WIFI_PAIRS,
                max_events=MAX_EVENTS):
-    previous_kernel = set_default_medium_kernel(kernel)
-    try:
-        spec = get_scenario("grid", n_zigbee_links=n_zigbee, n_wifi_pairs=n_wifi)
-        compiled = compile_scenario(spec, seed=7, trace_kinds=set())
-        assert compiled.ctx.medium.kernel_name == kernel
-        result = compiled.run(max_events=max_events)
-        return result.events_processed, compiled.sim.now
-    finally:
-        set_default_medium_kernel(previous_kernel)
+    compiled = _compile_grid(kernel, n_zigbee, n_wifi)
+    result = compiled.run(max_events=max_events)
+    return result.events_processed, compiled.sim.now
 
 
 def _report(emit, variant, benchmark, events, sim_seconds,
@@ -70,7 +72,7 @@ def _report(emit, variant, benchmark, events, sim_seconds,
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_scale_ceiling_kernel(benchmark, emit, kernel):
+def test_scale_ceiling_kernel(benchmark, emit, force_kernel, kernel):
     """Both medium kernels at full density.
 
     These two rows are the like-for-like pair behind the vectorized kernel's
@@ -78,6 +80,7 @@ def test_scale_ceiling_kernel(benchmark, emit, kernel):
     differing only in the Medium implementation.  The regression gate
     (``check_throughput_regression.py``) divides them.
     """
+    force_kernel(kernel)
     events, sim_seconds = benchmark.pedantic(
         _scale_run, args=(kernel,), rounds=1, iterations=1
     )
@@ -97,42 +100,34 @@ CHURN_RATES = [0, 1, 10]
 
 
 def _churn_run(kernel: str, moves_per_s: int):
-    previous_kernel = set_default_medium_kernel(kernel)
-    try:
-        spec = get_scenario(
-            "grid", n_zigbee_links=CHURN_ZIGBEE, n_wifi_pairs=CHURN_WIFI
-        )
-        compiled = compile_scenario(spec, seed=7, trace_kinds=set())
-        assert compiled.ctx.medium.kernel_name == kernel
-        movers = [
-            link.sender.radio for link in compiled.zigbee_links.values()
-        ][: max(4, CHURN_ZIGBEE // 4)]
-        if moves_per_s:
-            medium = compiled.ctx.medium
+    compiled = _compile_grid(kernel, CHURN_ZIGBEE, CHURN_WIFI)
+    movers = [
+        link.sender.radio for link in compiled.zigbee_links.values()
+    ][: max(4, CHURN_ZIGBEE // 4)]
+    if moves_per_s:
+        medium = compiled.ctx.medium
 
-            def churn():
-                step = 0
-                while True:
-                    yield 1.0 / moves_per_s
-                    step += 1
-                    dx = 0.5 if step % 2 else -0.5
-                    medium.move_many(
-                        (radio, Position(radio.position.x + dx, radio.position.y))
-                        for radio in movers
-                    )
+        def churn():
+            step = 0
+            while True:
+                yield 1.0 / moves_per_s
+                step += 1
+                dx = 0.5 if step % 2 else -0.5
+                medium.move_many(
+                    (radio, Position(radio.position.x + dx, radio.position.y))
+                    for radio in movers
+                )
 
-            Process(compiled.sim, churn(), name="churn")
-        # A huge cap keeps run() on the capped path (no grace drain) while
-        # the sim horizon, not the budget, ends the run.
-        result = compiled.run(until=CHURN_HORIZON, max_events=10**9)
-        return result.events_processed, compiled.sim.now
-    finally:
-        set_default_medium_kernel(previous_kernel)
+        Process(compiled.sim, churn(), name="churn")
+    # A huge cap keeps run() on the capped path (no grace drain) while
+    # the sim horizon, not the budget, ends the run.
+    result = compiled.run(until=CHURN_HORIZON, max_events=10**9)
+    return result.events_processed, compiled.sim.now
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("moves", CHURN_RATES)
-def test_mobility_churn(benchmark, emit, moves, kernel):
+def test_mobility_churn(benchmark, emit, force_kernel, moves, kernel):
     """Events/s under batched topology churn (0/1/10 moves per sim second).
 
     The 0-row is the static control; the 10-row is the roaming regime.  The
@@ -140,6 +135,7 @@ def test_mobility_churn(benchmark, emit, moves, kernel):
     (epoch bump + lazy row rebuilds), and the vector/legacy ratio at 10
     moves/s is gated >= 1.5x by ``check_throughput_regression.py``.
     """
+    force_kernel(kernel)
     events, sim_seconds = benchmark.pedantic(
         _churn_run, args=(kernel, moves), rounds=1, iterations=1
     )
@@ -150,7 +146,7 @@ def test_mobility_churn(benchmark, emit, moves, kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("radios", DENSITIES)
-def test_medium_density(benchmark, emit, radios, kernel):
+def test_medium_density(benchmark, emit, force_kernel, radios, kernel):
     """Events/s vs radio count, per kernel (the scaling curve itself).
 
     The legacy kernel's broadcast is O(radios) python work per transmission,
@@ -161,6 +157,7 @@ def test_medium_density(benchmark, emit, radios, kernel):
     """
     n_zigbee = radios * 2 // 5
     n_wifi = radios // 10
+    force_kernel(kernel)
     events, sim_seconds = benchmark.pedantic(
         _scale_run,
         args=(kernel,),

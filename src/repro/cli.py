@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from . import telemetry
 from .experiments import (
@@ -164,6 +165,20 @@ def _parse_param(option: str) -> Dict[str, List[Any]]:
     return {key.strip(): [_parse_scalar(v) for v in values.split(",") if v != ""]}
 
 
+def _parse_assignments(
+    options: Optional[Sequence[str]], flag: str
+) -> Optional[Dict[str, Any]]:
+    """Repeated ``KEY=VALUE`` options -> {key: scalar}; None after printing an error."""
+    params: Dict[str, Any] = {}
+    for option in options or []:
+        if "=" not in option:
+            print(f"error: {flag} expects KEY=VALUE, got {option!r}", file=sys.stderr)
+            return None
+        key, _, value = option.partition("=")
+        params[key.strip()] = _parse_scalar(value)
+    return params
+
+
 def _expand_range_values(values: List[Any]) -> List[Any]:
     """Expand 'A:B' items into the half-open int range A..B-1.
 
@@ -228,6 +243,17 @@ def _load_fault_plan(path: str):
 
     with open(path, "r", encoding="utf-8") as handle:
         return loads(FaultPlan, handle.read())
+
+
+def _experiment_table() -> str:
+    rows = []
+    for name in experiment_names():
+        spec = get_experiment(name)
+        rows.append([name, spec.description, ", ".join(spec.param_names())])
+    return format_table(
+        ["experiment", "description", "parameters"], rows,
+        title="registered experiments",
+    )
 
 
 def _scenario_table() -> str:
@@ -338,13 +364,9 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         print("error: scenario name required for 'describe' and 'run'",
               file=sys.stderr)
         return 2
-    params: Dict[str, Any] = {}
-    for option in args.set or []:
-        if "=" not in option:
-            print(f"error: --set expects KEY=VALUE, got {option!r}", file=sys.stderr)
-            return 2
-        key, _, value = option.partition("=")
-        params[key.strip()] = _parse_scalar(value)
+    params = _parse_assignments(args.set, "--set")
+    if params is None:
+        return 2
     if args.action == "describe":
         from .experiments import ScenarioTrialConfig
         from .serialization import dumps
@@ -369,14 +391,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_list(args: argparse.Namespace) -> int:
-    rows = []
-    for name in experiment_names():
-        spec = get_experiment(name)
-        rows.append([name, spec.description, ", ".join(spec.param_names())])
-    print(format_table(
-        ["experiment", "description", "parameters"], rows,
-        title="registered experiments",
-    ))
+    print(_experiment_table())
     print()
     print(_scenario_table())
     return 0
@@ -700,11 +715,7 @@ def cmd_ble(args: argparse.Namespace) -> int:
 def cmd_robustness(args: argparse.Namespace) -> int:
     from .experiments import robustness_curve
 
-    rates = [float(r) for r in args.rates.split(",") if r != ""]
-    for rate in rates:
-        if not 0.0 <= rate <= 1.0:
-            print(f"error: rates must be in [0, 1], got {rate}", file=sys.stderr)
-            return 2
+    rates = args.rates
     base = {
         "scheme": args.scheme,
         "location": args.location,
@@ -751,8 +762,7 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 def cmd_roaming(args: argparse.Namespace) -> int:
     from .experiments import roaming_curve
 
-    speeds = [float(s) for s in args.speeds.split(",") if s != ""]
-    n_aps = [int(n) for n in args.aps.split(",") if n != ""]
+    speeds, n_aps = args.speeds, args.aps
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not speeds or not n_aps or not schemes:
         print("error: --speeds, --aps and --schemes must be non-empty",
@@ -804,13 +814,7 @@ def cmd_roaming(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.list:
-        rows = []
-        for name in experiment_names():
-            spec = get_experiment(name)
-            rows.append([name, spec.description,
-                         ", ".join(spec.param_names())])
-        print(format_table(["experiment", "description", "parameters"], rows,
-                           title="registered experiments"))
+        print(_experiment_table())
         return 0
     if args.clear_cache:
         engine = _make_engine(args)
@@ -966,22 +970,12 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print("error: campaign gen requires --generator NAME",
                   file=sys.stderr)
             return 2
-        fixed: Dict[str, Any] = {}
-        for option in args.gen_param or []:
-            if "=" not in option:
-                print(f"error: --gen-param expects KEY=VALUE, got {option!r}",
-                      file=sys.stderr)
-                return 2
-            key, _, value = option.partition("=")
-            fixed[key.strip()] = _parse_scalar(value)
-        base: Dict[str, Any] = {}
-        for option in args.base or []:
-            if "=" not in option:
-                print(f"error: --base expects KEY=VALUE, got {option!r}",
-                      file=sys.stderr)
-                return 2
-            key, _, value = option.partition("=")
-            base[key.strip()] = _parse_scalar(value)
+        fixed = _parse_assignments(args.gen_param, "--gen-param")
+        if fixed is None:
+            return 2
+        base = _parse_assignments(args.base, "--base")
+        if base is None:
+            return 2
         try:
             spec = campaign_from_generator(
                 name=args.name,
@@ -1006,7 +1000,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.action == "run":
         grid: Dict[str, List[Any]] = {}
         scenario_grid: Dict[str, List[Any]] = {}
-        base: Dict[str, Any] = {}
         try:
             for option in args.param or []:
                 for key, values in _parse_param(option).items():
@@ -1017,13 +1010,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         except argparse.ArgumentTypeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        for option in args.base or []:
-            if "=" not in option:
-                print(f"error: --base expects KEY=VALUE, got {option!r}",
-                      file=sys.stderr)
-                return 2
-            key, _, value = option.partition("=")
-            base[key.strip()] = _parse_scalar(value)
+        base = _parse_assignments(args.base, "--base")
+        if base is None:
+            return 2
         try:
             spec = CampaignSpec(
                 name=args.name,
@@ -1137,6 +1126,28 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _comma_list(
+    cast: Callable[[str], Any], valid: Callable[[Any], bool], requirement: str
+) -> Callable[[str], List[Any]]:
+    """argparse ``type=`` for a comma-separated list of ``cast`` items passing ``valid``."""
+
+    def parse(text: str) -> List[Any]:
+        values = []
+        for item in text.split(","):
+            if item == "":
+                continue
+            try:
+                value = cast(item)
+            except ValueError:
+                value = None
+            if value is None or not valid(value):
+                raise argparse.ArgumentTypeError(f"{requirement}, got {item!r}")
+            values.append(value)
+        return values
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1256,6 +1267,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("detection", "control", "cts", "timers", "all"),
                    default="all")
     p.add_argument("--rates", default="0,0.1,0.25,0.5",
+                   type=_comma_list(float, lambda r: 0.0 <= r <= 1.0,
+                                    "rates must be in [0, 1]"),
                    help="comma-separated fault rates in [0, 1]")
     p.add_argument("--scheme", choices=scheme_names(), default="bicord")
     p.add_argument("--bursts", type=int, default=20)
@@ -1276,8 +1289,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("vehicular-corridor", "campus-roaming"),
                    default="vehicular-corridor")
     p.add_argument("--speeds", default="1.5,5,15",
+                   type=_comma_list(float, lambda v: 0.0 < v < math.inf,
+                                    "speeds must be finite and > 0 m/s"),
                    help="comma-separated client speeds in m/s")
     p.add_argument("--aps", default="2,4",
+                   type=_comma_list(int, lambda n: n >= 2,
+                                    "there must be at least 2 APs"),
                    help="comma-separated AP counts (>= 2)")
     p.add_argument("--schemes", default="bicord,csma",
                    help="comma-separated coordination schemes")

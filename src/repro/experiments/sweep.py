@@ -69,7 +69,9 @@ from .topology import Calibration
 #: 6: event-capped scenario runs end at the last fired event, not the horizon.
 #: 7: coexistence/robustness trials compile a scenario, so their telemetry
 #:    snapshots carry the ``scenario.*`` instruments.
-CACHE_SCHEMA = 7
+#: 8: the medium kernel follows the radio count, so small scenarios' telemetry
+#:    no longer carries the vector-only ``medium.*`` counters.
+CACHE_SCHEMA = 8
 
 _LOG = get_logger("sweep")
 

@@ -85,7 +85,7 @@ class Calibration:
         )
 
     def context(
-        self, seed: int, trace_kinds=frozenset(), faults=None, medium_kernel=None
+        self, seed: int, trace_kinds=frozenset(), faults=None, n_radios: int = 0
     ) -> SimContext:
         return build_context(
             seed=seed,
@@ -96,7 +96,7 @@ class Calibration:
             ),
             trace_kinds=set(trace_kinds) if trace_kinds is not None else None,
             faults=faults,
-            medium_kernel=medium_kernel,
+            n_radios=n_radios,
         )
 
 
@@ -124,17 +124,20 @@ def build_office(
     trace_kinds=frozenset(),
     zigbee_receiver_pos: Optional[Position] = None,
     faults=None,
+    n_radios: int = 0,
 ) -> Office:
     """Assemble the Fig. 6 office: E, F, and a ZigBee pair at ``location``.
 
     ``faults`` is an optional :class:`~repro.faults.FaultPlan`; its seeded
     injectors land in ``office.ctx.faults`` where the CSI observer,
-    coordinator, and node pick them up automatically.
+    coordinator, and node pick them up automatically.  ``n_radios`` is the
+    caller's total radio count, passed on to pick the medium (see
+    :func:`repro.context.build_context`).
     """
     if location not in LOCATIONS:
         raise ValueError(f"unknown location {location!r}; expected one of {sorted(LOCATIONS)}")
     cal = calibration or Calibration()
-    ctx = cal.context(seed, trace_kinds=trace_kinds, faults=faults)
+    ctx = cal.context(seed, trace_kinds=trace_kinds, faults=faults, n_radios=n_radios)
     sender = WifiDevice(
         ctx, "E", WIFI_SENDER_POS, channel=cal.wifi_channel,
         tx_power_dbm=cal.wifi_tx_power_dbm, data_rate_mbps=cal.wifi_rate_mbps,

@@ -15,13 +15,7 @@ from .modulation import (
     zigbee_frame_duration,
 )
 from .propagation import Channel, FadingModel, PathLossModel, Position
-from .rssi import (
-    CAPTURE_MODES,
-    DEFAULT_CAPTURE_MODE,
-    RssiSampler,
-    RssiTrace,
-    set_default_capture_mode,
-)
+from .rssi import CAPTURE_MODES, RssiSampler, RssiTrace
 from .spectrum import (
     BLE_CHANNELS,
     MICROWAVE_BAND,
@@ -61,8 +55,6 @@ __all__ = [
     "RssiSampler",
     "RssiTrace",
     "CAPTURE_MODES",
-    "DEFAULT_CAPTURE_MODE",
-    "set_default_capture_mode",
     "BLE_CHANNELS",
     "MICROWAVE_BAND",
     "WIFI_CHANNELS",

@@ -49,50 +49,6 @@ WIFI_ONLY: FrozenSet[Technology] = frozenset((Technology.WIFI,))
 ZIGBEE_ONLY: FrozenSet[Technology] = frozenset((Technology.ZIGBEE,))
 
 
-# ----------------------------------------------------------------------
-# Medium kernels
-# ----------------------------------------------------------------------
-# The medium hot path has swappable implementations behind one constructor:
-# ``Medium(..., kernel="legacy")`` keeps the reference per-radio Python loops
-# (the bitwise oracle), while ``kernel="vector"`` dispatches to the struct-of-arrays kernel in
-# :mod:`repro.phy.medium_fast`.  Both produce bit-identical traces; see
-# ``tests/test_medium_equivalence.py``.
-MEDIUM_KERNELS: Tuple[str, ...] = ("legacy", "vector")
-
-#: Kernel used when ``Medium(...)`` is called without ``kernel=``.
-DEFAULT_MEDIUM_KERNEL = "vector"
-
-_KERNEL_CLASSES: Dict[str, type] = {}
-
-
-def register_medium_kernel(name: str, cls: type) -> None:
-    """Register a :class:`Medium` subclass under a kernel name."""
-    _KERNEL_CLASSES[name] = cls
-
-
-def set_default_medium_kernel(name: str) -> str:
-    """Set the process-wide default kernel; returns the previous default."""
-    global DEFAULT_MEDIUM_KERNEL
-    resolve_medium_kernel(name)  # validate eagerly
-    previous = DEFAULT_MEDIUM_KERNEL
-    DEFAULT_MEDIUM_KERNEL = name
-    return previous
-
-
-def resolve_medium_kernel(name: Optional[str] = None) -> type:
-    """The :class:`Medium` subclass implementing ``name`` (default kernel if None)."""
-    if name is None:
-        name = DEFAULT_MEDIUM_KERNEL
-    if name == "vector" and "vector" not in _KERNEL_CLASSES:
-        from . import medium_fast  # noqa: F401  (registers on import)
-    try:
-        return _KERNEL_CLASSES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown medium kernel {name!r}; expected one of {MEDIUM_KERNELS}"
-        ) from None
-
-
 @dataclass(slots=True)
 class Transmission:
     """One frame (or noise burst) on the air."""
@@ -121,33 +77,19 @@ class Transmission:
 class Medium:
     """Shared channel connecting all radios of a scenario.
 
-    ``Medium(...)`` is a dispatching constructor: the ``kernel`` argument (or
-    the process default, see :func:`set_default_medium_kernel`) selects the
-    implementation class.  This base class *is* the ``"legacy"`` kernel —
-    straightforward per-radio Python loops that serve as the bitwise oracle
-    for faster kernels.
+    This class keeps straightforward per-radio Python loops; it is the
+    medium of small deployments and the bitwise oracle of
+    :class:`~repro.phy.medium_fast.VectorMedium`, the struct-of-arrays kernel
+    for dense ones.  :func:`repro.context.build_context` picks between the
+    two from the radio count; both produce bit-identical traces (see
+    ``tests/test_medium_equivalence.py``).
     """
-
-    kernel_name = "legacy"
-
-    def __new__(
-        cls,
-        sim: Simulator,
-        channel: Channel,
-        trace: Optional[TraceRecorder] = None,
-        kernel: Optional[str] = None,
-        telemetry: Optional[_telemetry.MetricsRegistry] = None,
-    ):
-        if cls is Medium:
-            cls = resolve_medium_kernel(kernel)
-        return super().__new__(cls)
 
     def __init__(
         self,
         sim: Simulator,
         channel: Channel,
         trace: Optional[TraceRecorder] = None,
-        kernel: Optional[str] = None,
         telemetry: Optional[_telemetry.MetricsRegistry] = None,
     ):
         self.sim = sim
@@ -156,14 +98,6 @@ class Medium:
         registry = telemetry if telemetry is not None else _telemetry.NULL
         self.telemetry = registry
         self._broadcasts = registry.counter("medium.broadcasts")
-        self._vector_links = registry.counter("medium.vector_links")
-        self._masked_radios = registry.counter("medium.masked_radios")
-        self._accumulator_resyncs = registry.counter("medium.accumulator_resyncs")
-        # Link-state rows rebuilt after a position-epoch advance.  The legacy
-        # kernel keeps no per-source rows, so it never increments this; the
-        # vector kernel counts every row rebuild, making topology-churn cost
-        # visible (see ``move_many``).
-        self._link_rows_rebuilt = registry.counter("medium.link_rows_rebuilt")
         self.radios: List[Any] = []
         # Name-indexed view of ``radios`` (O(1) lookup and duplicate check);
         # the list is kept for deterministic ordered iteration.
@@ -518,6 +452,3 @@ class Medium:
         transmissions instead of scanning the active set.
         """
         return self._tech_active[technology] > 0
-
-
-register_medium_kernel("legacy", Medium)

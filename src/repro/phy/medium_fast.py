@@ -1,4 +1,4 @@
-"""Struct-of-arrays medium kernel (``Medium(kernel="vector")``).
+"""Struct-of-arrays medium kernel for dense deployments.
 
 The legacy :class:`~repro.phy.medium.Medium` runs a Python ``for radio in
 self.radios`` loop on every transmission start — per-link stream lookups,
@@ -45,12 +45,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..sim.units import dbm_to_mw, linear_to_db
-from .medium import (
-    Medium,
-    Technology,
-    Transmission,
-    register_medium_kernel,
-)
+from .medium import Medium, Technology, Transmission
 from .spectrum import overlap_fraction, overlap_profile
 
 #: Pre-drawn fading samples kept per link.  Each refill is one
@@ -152,12 +147,22 @@ class _Accum:
 
 
 class VectorMedium(Medium):
-    """The ``"vector"`` kernel: struct-of-arrays medium hot path."""
+    """Struct-of-arrays medium hot path, bit-identical to :class:`Medium`.
 
-    kernel_name = "vector"
+    :func:`repro.context.build_context` builds it for deployments of at
+    least :data:`repro.context.VECTOR_MEDIUM_MIN_RADIOS` radios.
+    """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        registry = self.telemetry
+        self._vector_links = registry.counter("medium.vector_links")
+        self._masked_radios = registry.counter("medium.masked_radios")
+        self._accumulator_resyncs = registry.counter("medium.accumulator_resyncs")
+        # Link-state rows rebuilt after a position-epoch advance, making
+        # topology-churn cost visible (see ``move_many``).  The legacy kernel
+        # keeps no per-source rows, so it has no such counter.
+        self._link_rows_rebuilt = registry.counter("medium.link_rows_rebuilt")
         self._index_of: Dict[str, int] = {}
         self._noise_mw = np.zeros(0)
         self._band_low = np.zeros(0)
@@ -724,6 +729,3 @@ class VectorMedium(Medium):
             self._acc_value(self._cca_wifi, j),
             self._acc_value(self._cca_other, j),
         )
-
-
-register_medium_kernel("vector", VectorMedium)

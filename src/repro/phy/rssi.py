@@ -6,7 +6,7 @@ time-domain features of the trace.
 
 Two capture implementations produce bitwise-identical traces:
 
-* **segment** (default) — the in-band energy at a radio is piecewise-constant
+* **segment** (production) — the in-band energy at a radio is piecewise-constant
   between transmission start/end events, so the sampler registers as a
   :meth:`~repro.phy.medium.Medium.add_energy_observer`, records one
   (time, energy) breakpoint per medium state change, and synthesizes the
@@ -14,10 +14,10 @@ Two capture implementations produce bitwise-identical traces:
   vectorized quantization.  A capture costs **one** simulator event plus one
   energy query per medium transition, instead of one event and one
   full-medium query per sample.
-* **per_sample** (legacy) — one simulator event per sample, each reading the
-  energy and drawing measurement noise scalar-by-scalar.  Kept behind the
-  ``mode`` flag as the reference implementation for equivalence regression
-  tests.
+* **per_sample** (reference) — one simulator event per sample, each reading
+  the energy and drawing measurement noise scalar-by-scalar.  Only
+  ``tests/test_rssi_equivalence.py`` selects it, through ``mode``, as the
+  oracle the segment path is compared against.
 
 Equivalence notes: sample instants are the *accumulated* floating-point sums
 the per-sample path produces (``t += period`` per event, not
@@ -48,21 +48,6 @@ if TYPE_CHECKING:  # imported lazily to avoid package-init cycles
 #: Valid values of :class:`RssiSampler`'s ``mode``.
 CAPTURE_MODES = ("segment", "per_sample")
 
-#: Capture implementation used by samplers constructed without an explicit
-#: ``mode``.  Flip to ``"per_sample"`` (e.g. via :func:`set_default_capture_mode`)
-#: to run whole experiments on the legacy path.
-DEFAULT_CAPTURE_MODE = "segment"
-
-
-def set_default_capture_mode(mode: str) -> str:
-    """Set :data:`DEFAULT_CAPTURE_MODE`; returns the previous value."""
-    global DEFAULT_CAPTURE_MODE
-    if mode not in CAPTURE_MODES:
-        raise ValueError(f"unknown capture mode {mode!r}; expected one of {CAPTURE_MODES}")
-    previous = DEFAULT_CAPTURE_MODE
-    DEFAULT_CAPTURE_MODE = mode
-    return previous
-
 
 @dataclass
 class RssiTrace:
@@ -90,16 +75,16 @@ class RssiSampler:
         streams: RandomStreams,
         measurement_noise_db: float = 1.0,
         quantize: bool = True,
-        mode: Optional[str] = None,
+        mode: str = "segment",
         telemetry: Optional[_telemetry.MetricsRegistry] = None,
     ):
-        if mode is not None and mode not in CAPTURE_MODES:
+        if mode not in CAPTURE_MODES:
             raise ValueError(f"unknown capture mode {mode!r}; expected one of {CAPTURE_MODES}")
         self.radio = radio
         self.sim = sim
         self.measurement_noise_db = measurement_noise_db
         self.quantize = quantize
-        self.mode = mode  # None -> DEFAULT_CAPTURE_MODE at capture time
+        self.mode = mode
         self._rng = streams.stream(f"rssi/{radio.name}")
         self._active = False
         registry = telemetry if telemetry is not None else _telemetry.NULL
@@ -132,8 +117,7 @@ class RssiSampler:
         self._active = True
         self._captures_counter.inc()
         self._samples_counter.inc(n_samples)
-        mode = self.mode if self.mode is not None else DEFAULT_CAPTURE_MODE
-        if mode == "per_sample":
+        if self.mode == "per_sample":
             self._capture_per_sample(n_samples, rate_hz, on_done)
         else:
             self._capture_segment(n_samples, rate_hz, on_done)

@@ -284,6 +284,9 @@ def compile_scenario(
 
     wifi_links: Dict[str, _WifiLinkRuntime] = {}
     zigbee_links: Dict[str, _ZigbeeLinkRuntime] = {}
+    # Every link is a sender/receiver pair and every AP one radio; the
+    # context picks its medium kernel from this count.
+    n_radios = 2 * (len(spec.wifi) + len(spec.zigbee)) + len(spec.aps)
 
     if spec.backend == "office":
         office = build_office(
@@ -293,6 +296,7 @@ def compile_scenario(
             trace_kinds=trace_kinds,
             zigbee_receiver_pos=Position(*spec.zigbee[0].receiver_pos),
             faults=plan,
+            n_radios=n_radios,
         )
         ctx = office.ctx
         wl = spec.wifi[0]
@@ -303,7 +307,7 @@ def compile_scenario(
         )
         extra_zigbee = spec.zigbee[1:]
     else:
-        ctx = cal.context(seed, trace_kinds=trace_kinds, faults=plan)
+        ctx = cal.context(seed, trace_kinds=trace_kinds, faults=plan, n_radios=n_radios)
         for wl in spec.wifi:
             # CSI observation is only wired where something consumes it:
             # the BiCord coordinator's link, or a person-mobility link.

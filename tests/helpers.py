@@ -7,6 +7,11 @@ controlled distances.
 
 from __future__ import annotations
 
+import sys
+
+import pytest
+
+import repro.context
 from repro.context import SimContext, build_context
 from repro.devices import WifiDevice, ZigbeeDevice
 from repro.phy.propagation import FadingModel, PathLossModel, Position
@@ -33,3 +38,24 @@ def zigbee_pair(ctx: SimContext, sender_pos=None, receiver_pos=None, tx_power_db
     )
     receiver = ZigbeeDevice(ctx, "ZR", receiver_pos or Position(4.0, 1.0))
     return sender, receiver
+
+
+#: ``VECTOR_MEDIUM_MIN_RADIOS`` values that make every context use one kernel.
+_KERNEL_THRESHOLDS = {"legacy": sys.maxsize, "vector": 0}
+
+
+@pytest.fixture
+def force_kernel(monkeypatch):
+    """``force_kernel("legacy" | "vector")``: contexts built afterwards use that medium.
+
+    Patches the radio-count threshold :func:`repro.context.build_context`
+    picks the medium by, so the equivalence tests and kernel benchmarks can
+    run one workload on both kernels; the patch ends with the test.
+    """
+
+    def force(kernel: str) -> None:
+        monkeypatch.setattr(
+            repro.context, "VECTOR_MEDIUM_MIN_RADIOS", _KERNEL_THRESHOLDS[kernel]
+        )
+
+    return force

@@ -204,3 +204,27 @@ def test_scenario_run_unknown_param_errors(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "warp" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["robustness", "--rates", "0,abc"], "rates must be in [0, 1]"),
+    (["robustness", "--rates", "0,1.5"], "rates must be in [0, 1]"),
+    (["roaming", "--speeds", "1,x"], "speeds must be finite and > 0"),
+    (["roaming", "--speeds", "0"], "speeds must be finite and > 0"),
+    (["roaming", "--aps", "2,x"], "at least 2 APs"),
+    (["roaming", "--aps", "1"], "at least 2 APs"),
+])
+def test_malformed_comma_lists_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert message in err
+
+
+def test_comma_lists_parse_to_numbers():
+    args = build_parser().parse_args(["roaming", "--speeds", "1.5,5", "--aps", "2,4"])
+    assert args.speeds == [1.5, 5.0] and args.aps == [2, 4]
+    args = build_parser().parse_args(["robustness"])
+    assert args.rates == [0.0, 0.1, 0.25, 0.5]

@@ -1,6 +1,9 @@
 """Tests for the SimContext factory."""
 
 from repro import SimContext, build_context
+from repro.context import VECTOR_MEDIUM_MIN_RADIOS
+from repro.phy.medium import Medium
+from repro.phy.medium_fast import VectorMedium
 from repro.phy.propagation import FadingModel, PathLossModel
 
 
@@ -38,3 +41,11 @@ def test_now_tracks_simulator():
     ctx.sim.schedule(1.0, lambda: None)
     ctx.sim.run()
     assert ctx.now == 1.0
+
+
+def test_medium_follows_the_radio_count():
+    assert type(build_context(seed=1).medium) is Medium
+    below = build_context(seed=1, n_radios=VECTOR_MEDIUM_MIN_RADIOS - 1)
+    assert type(below.medium) is Medium
+    at = build_context(seed=1, n_radios=VECTOR_MEDIUM_MIN_RADIOS)
+    assert type(at.medium) is VectorMedium

@@ -22,7 +22,7 @@ Three layers of evidence:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.context import build_context
@@ -31,7 +31,8 @@ from repro.devices.interferers import Emitter
 from repro.experiments.scenario import ScenarioTrialConfig, run_scenario_trial
 from repro.mac.ble import BleConnection
 from repro.mac.frames import Frame, FrameType
-from repro.phy.medium import Technology, set_default_medium_kernel
+from repro.phy.medium import Technology
+from repro.phy.medium_fast import VectorMedium
 from repro.phy.propagation import FadingModel, Position
 from repro.phy.spectrum import ble_channel, wifi_channel, zigbee_channel
 
@@ -45,23 +46,20 @@ FAULT_PLANS = ["inert", "lossy-control"]
 KERNELS = ["legacy", "vector"]
 
 
-def _run_with_kernel(kernel, scenario, params, fault_plan, seed):
-    previous = set_default_medium_kernel(kernel)
-    try:
-        cfg = ScenarioTrialConfig(
-            scenario=scenario, params=params, duration=0.3, fault_plan=fault_plan
-        )
-        return run_scenario_trial(cfg, seed=seed)
-    finally:
-        set_default_medium_kernel(previous)
+def _run_with_kernel(force_kernel, kernel, scenario, params, fault_plan, seed):
+    force_kernel(kernel)
+    cfg = ScenarioTrialConfig(
+        scenario=scenario, params=params, duration=0.3, fault_plan=fault_plan
+    )
+    return run_scenario_trial(cfg, seed=seed)
 
 
 @pytest.mark.parametrize("fault_plan", FAULT_PLANS)
 @pytest.mark.parametrize("scenario,params", SCENARIOS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_scenario_bitwise_equivalence(scenario, params, fault_plan, seed):
-    legacy = _run_with_kernel("legacy", scenario, params, fault_plan, seed)
-    vector = _run_with_kernel("vector", scenario, params, fault_plan, seed)
+def test_scenario_bitwise_equivalence(force_kernel, scenario, params, fault_plan, seed):
+    legacy = _run_with_kernel(force_kernel, "legacy", scenario, params, fault_plan, seed)
+    vector = _run_with_kernel(force_kernel, "vector", scenario, params, fault_plan, seed)
     assert vector.trace_digest == legacy.trace_digest
     assert vector.events_processed == legacy.events_processed
     assert vector.summary() == legacy.summary()
@@ -84,12 +82,12 @@ TRAJECTORY_PARAMS = {
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_trajectory_roaming_bitwise_equivalence(seed):
+def test_trajectory_roaming_bitwise_equivalence(force_kernel, seed):
     legacy = _run_with_kernel(
-        "legacy", "vehicular-corridor", TRAJECTORY_PARAMS, None, seed
+        force_kernel, "legacy", "vehicular-corridor", TRAJECTORY_PARAMS, None, seed
     )
     vector = _run_with_kernel(
-        "vector", "vehicular-corridor", TRAJECTORY_PARAMS, None, seed
+        force_kernel, "vector", "vehicular-corridor", TRAJECTORY_PARAMS, None, seed
     )
     assert vector.trace_digest == legacy.trace_digest
     assert vector.events_processed == legacy.events_processed
@@ -102,11 +100,13 @@ def test_trajectory_roaming_bitwise_equivalence(seed):
 # Targeted adversarial cases, run through both kernels and diffed on the
 # full trace (every record, every field — floats compare bitwise).
 # ----------------------------------------------------------------------
-def _dual_run(builder, seed=3, **ctx_kwargs):
+def _dual_run(force_kernel, builder, seed=3, **ctx_kwargs):
     """Run ``builder(ctx)`` under both kernels; return {kernel: observables}."""
     out = {}
     for kernel in KERNELS:
-        ctx = build_context(seed=seed, medium_kernel=kernel, **ctx_kwargs)
+        force_kernel(kernel)
+        ctx = build_context(seed=seed, **ctx_kwargs)
+        assert isinstance(ctx.medium, VectorMedium) == (kernel == "vector")
         extra = builder(ctx)
         out[kernel] = (
             [(r.time, r.kind, r.fields) for r in ctx.trace.records],
@@ -132,7 +132,7 @@ def _zigbee_frame(src, dst, seq):
     )
 
 
-def test_mid_run_mobility_equivalence():
+def test_mid_run_mobility_equivalence(force_kernel):
     """Moving a radio mid-run invalidates the link matrix identically."""
 
     def scenario(ctx):
@@ -158,11 +158,11 @@ def test_mid_run_mobility_equivalence():
         ctx.sim.run(until=45e-3)
         return powers
 
-    out = _dual_run(scenario, fading=FadingModel(2.0, 2.5))
+    out = _dual_run(force_kernel, scenario, fading=FadingModel(2.0, 2.5))
     assert out["vector"] == out["legacy"]
 
 
-def test_ble_retune_during_foreign_transmission():
+def test_ble_retune_during_foreign_transmission(force_kernel):
     """BLE hops while a wide Wi-Fi emission is in flight; captured powers and
     AFH statistics must match the legacy per-pair recomputation exactly."""
 
@@ -184,11 +184,11 @@ def test_ble_retune_during_foreign_transmission():
         return (ble.events, ble.event_successes, ble.event_failures,
                 ble.exclusions, ble.excluded_channels())
 
-    out = _dual_run(scenario, fading=FadingModel(2.0, 2.5))
+    out = _dual_run(force_kernel, scenario, fading=FadingModel(2.0, 2.5))
     assert out["vector"] == out["legacy"]
 
 
-def test_radio_attached_mid_transmission():
+def test_radio_attached_mid_transmission(force_kernel):
     """A radio attached while a transmission is on the air sees the same
     (lazily computed) powers as the legacy dict fallback."""
 
@@ -220,7 +220,7 @@ def test_radio_attached_mid_transmission():
         ctx.sim.run(until=10e-3)
         return readings
 
-    out = _dual_run(scenario, fading=FadingModel(2.0, 2.5))
+    out = _dual_run(force_kernel, scenario, fading=FadingModel(2.0, 2.5))
     assert out["vector"] == out["legacy"]
     assert len(out["vector"][2]) == 3
 
@@ -270,11 +270,15 @@ def _oracle_interference(medium, radio, exclude=(), wanted=None):
     return total
 
 
-@settings(max_examples=30, deadline=None)
+# ``force_kernel`` sets the same threshold for every example, so sharing the
+# function-scoped fixture across examples is safe.
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ops=_OPS, seed=st.integers(min_value=0, max_value=9))
-def test_accumulators_match_bruteforce_oracle(ops, seed):
-    ctx = build_context(seed=seed, medium_kernel="vector",
-                        fading=FadingModel(2.0, 2.5), trace_kinds=set())
+def test_accumulators_match_bruteforce_oracle(force_kernel, ops, seed):
+    force_kernel("vector")
+    ctx = build_context(seed=seed, fading=FadingModel(2.0, 2.5), trace_kinds=set())
+    assert isinstance(ctx.medium, VectorMedium)
     medium = ctx.medium
     radios = [
         _attach_radio(ctx, f"r{i}", Position(1.5 * i, 0.7 * (i % 3)), band, tech)

@@ -170,8 +170,9 @@ def test_waypoint_rounding_stabilizes_fingerprint():
 # Medium: batched moves and rebuild telemetry
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kernel", ["legacy", "vector"])
-def test_move_many_advances_epoch_once(kernel):
-    ctx = build_context(seed=0, medium_kernel=kernel)
+def test_move_many_advances_epoch_once(force_kernel, kernel):
+    force_kernel(kernel)
+    ctx = build_context(seed=0)
     radios = []
     for i in range(4):
         radio = Radio(
@@ -192,10 +193,11 @@ def test_move_many_advances_epoch_once(kernel):
     assert ctx.channel.position_epoch == epoch + 1
 
 
-def test_link_rows_rebuilt_counter_counts_vector_rebuilds():
+def test_link_rows_rebuilt_counter_counts_vector_rebuilds(force_kernel):
+    force_kernel("vector")
     registry = telemetry.MetricsRegistry()
     with telemetry.collect(registry):
-        ctx = build_context(seed=0, medium_kernel="vector")
+        ctx = build_context(seed=0)
         a = Radio(name="a", position=Position(0, 0), band=zigbee_channel(24),
                   technology=Technology.ZIGBEE, sim=ctx.sim,
                   streams=ctx.streams, trace=ctx.trace)
@@ -217,10 +219,11 @@ def test_link_rows_rebuilt_counter_counts_vector_rebuilds():
         assert counter.value == 1  # cached row reused: no further rebuilds
 
 
-def test_link_rows_rebuilt_counter_silent_on_legacy():
+def test_link_rows_rebuilt_counter_silent_on_legacy(force_kernel):
+    force_kernel("legacy")
     registry = telemetry.MetricsRegistry()
     with telemetry.collect(registry):
-        ctx = build_context(seed=0, medium_kernel="legacy")
+        ctx = build_context(seed=0)
         a = Radio(name="a", position=Position(0, 0), band=zigbee_channel(24),
                   technology=Technology.ZIGBEE, sim=ctx.sim,
                   streams=ctx.streams, trace=ctx.trace)

@@ -25,13 +25,7 @@ from repro.core.cti import RssiFeatures, _runs, extract_features
 from repro.devices import WifiDevice, ZigbeeDevice
 from repro.faults import FaultPlan
 from repro.phy.propagation import FadingModel, PathLossModel, Position
-from repro.phy.rssi import (
-    CAPTURE_MODES,
-    DEFAULT_CAPTURE_MODE,
-    RssiSampler,
-    RssiTrace,
-    set_default_capture_mode,
-)
+from repro.phy.rssi import RssiSampler, RssiTrace
 from repro.traffic import WifiPacketSource
 
 from .helpers import deterministic_context
@@ -125,16 +119,9 @@ def test_equivalence_without_quantization():
 
 
 def test_default_capture_mode_flag():
-    assert DEFAULT_CAPTURE_MODE in CAPTURE_MODES
-    previous = set_default_capture_mode("per_sample")
-    try:
-        assert previous == "segment"
-        with pytest.raises(ValueError):
-            set_default_capture_mode("bogus")
-    finally:
-        set_default_capture_mode(previous)
     ctx = deterministic_context()
     dev = ZigbeeDevice(ctx, "Z", Position(0, 0))
+    assert dev.rssi.mode == "segment"  # production capture
     with pytest.raises(ValueError):
         RssiSampler(dev.radio, ctx.sim, ctx.streams, mode="bogus")
 

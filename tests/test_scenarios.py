@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.context import VECTOR_MEDIUM_MIN_RADIOS
 from repro.experiments import run_experiment
 from repro.experiments.sweep import SweepEngine, trial_key
 from repro.scenarios import (
@@ -24,6 +25,8 @@ from repro.scenarios import (
     scenario_names,
     spec_from_dict,
 )
+from repro.phy.medium import Medium
+from repro.phy.medium_fast import VectorMedium
 from repro.serialization import canonical_dumps, to_dict
 from repro.telemetry import build_manifest
 
@@ -145,6 +148,26 @@ def test_compile_validates_spec():
     bad = dataclasses.replace(FAST, duration=-1.0)
     with pytest.raises(SpecError, match="duration"):
         compile_scenario(bad, seed=0)
+
+
+def test_compiler_picks_the_medium_from_the_radio_count():
+    assert type(compile_scenario(get_scenario("office"), seed=0).ctx.medium) is Medium
+    # The grid places two radios per ZigBee link and two per Wi-Fi pair.
+    links = VECTOR_MEDIUM_MIN_RADIOS // 2 - 1
+    below = compile_scenario(grid(n_zigbee_links=links - 1, n_wifi_pairs=1), seed=0)
+    at = compile_scenario(grid(n_zigbee_links=links, n_wifi_pairs=1), seed=0)
+    assert len(below.ctx.medium.radios) == VECTOR_MEDIUM_MIN_RADIOS - 2
+    assert type(below.ctx.medium) is Medium
+    assert len(at.ctx.medium.radios) == VECTOR_MEDIUM_MIN_RADIOS
+    assert type(at.ctx.medium) is VectorMedium
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_library_scenarios_pick_the_medium_they_attach(name):
+    medium = compile_scenario(get_scenario(name), seed=0).ctx.medium
+    assert isinstance(medium, VectorMedium) == (
+        len(medium.radios) >= VECTOR_MEDIUM_MIN_RADIOS
+    )
 
 
 # ----------------------------------------------------------------------
