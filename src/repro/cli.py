@@ -21,10 +21,16 @@ Examples::
 
 Every subcommand dispatches through the experiment registry
 (:mod:`repro.experiments.registry`) and prints a small table of the metrics
-the paper reports for that scenario.  ``sweep`` fans a parameter grid out
-across worker processes and memoizes finished trials on disk
-(``~/.cache/bicord/sweeps`` or ``$BICORD_SWEEP_CACHE``); re-running the
-same sweep re-executes nothing.
+the paper reports for that scenario.  The per-experiment subcommands
+(``coexist``, ``signaling``, ``learning``, ``cti``, ``priority``,
+``energy``, ``ble`` and ``scenario run``) are one table,
+:data:`EXPERIMENT_COMMANDS`, and share one run path: their trials go
+through the sweep engine for seeds ``seed..seed+N-1``, whether N is 1 or
+more, so ``--jobs``, ``--metrics-out`` and the on-disk trial cache
+(``~/.cache/bicord/sweeps`` or ``$BICORD_SWEEP_CACHE``; ``--cache-dir``,
+``--no-cache``) mean the same thing on each of them.  ``sweep`` fans a
+whole parameter grid out across worker processes; re-running the same
+sweep re-executes nothing.
 """
 
 from __future__ import annotations
@@ -33,23 +39,28 @@ import argparse
 import dataclasses
 import math
 import sys
-import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import telemetry
 from .experiments import (
     CoexistenceConfig,
+    ScenarioTrialConfig,
     SweepEngine,
-    aggregate,
-    default_cache_dir,
     experiment_names,
     format_table,
     get_experiment,
-    run_experiment,
 )
 from .experiments.sweep import TrialRecord
 from .log import configure as configure_logging
+from .mobility import ap_selection_policy_names
+from .scenarios import get_scenario_entry, scenario_names
 from .schemes import scheme_names
+from .serialization import dumps, loads, to_dict
+
+
+class CommandError(Exception):
+    """Input a subcommand cannot use; ``main`` prints it and exits 2."""
 
 
 def _print(title: str, rows, headers=("metric", "value")) -> None:
@@ -84,7 +95,6 @@ def _sweep_stats_line(run) -> str:
 def _emit_telemetry(
     args: argparse.Namespace,
     experiment: str,
-    registry: Optional[telemetry.MetricsRegistry] = None,
     snapshot: Optional[Dict[str, Any]] = None,
     config: Any = None,
     seeds: Sequence[int] = (),
@@ -102,12 +112,8 @@ def _emit_telemetry(
         faults=faults, wall_time_s=wall_time, metrics=headline, extra=extra,
         scenario=scenario, scenario_fingerprint=scenario_fingerprint,
     )
-    lines = telemetry.export(
-        args.metrics_out, registry=registry, manifest=manifest, snapshot=snapshot,
-    )
-    snap = snapshot if snapshot is not None else (
-        registry.snapshot(spans=True) if registry is not None else {}
-    )
+    lines = telemetry.export(args.metrics_out, manifest=manifest, snapshot=snapshot)
+    snap = snapshot or {}
     rows: List[List[Any]] = []
     for name, value in snap.get("counters", {}).items():
         rows.append([name, "counter", float(value)])
@@ -120,24 +126,6 @@ def _emit_telemetry(
     if rows:
         _print("telemetry", rows, headers=("metric", "kind", "value"))
     print(f"telemetry: manifest + {lines} metric line(s) -> {args.metrics_out}")
-
-
-def _result_metrics(result: Any) -> Dict[str, float]:
-    """Flat numeric view of any registered result (for sweep tables)."""
-    metrics_fn = getattr(result, "metrics", None)
-    if callable(metrics_fn):  # the ExperimentResult contract
-        return dict(metrics_fn())
-    if hasattr(result, "summary"):
-        return dict(result.summary())
-    metrics: Dict[str, float] = {}
-    if hasattr(result, "pr"):  # signaling trials: surface precision/recall
-        metrics["precision"] = result.pr.precision
-        metrics["recall"] = result.pr.recall
-    for field in dataclasses.fields(result):
-        value = getattr(result, field.name)
-        if isinstance(value, (bool, int, float)):
-            metrics[field.name] = float(value)
-    return metrics
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -158,22 +146,17 @@ def _parse_scalar(text: str) -> Any:
 
 def _parse_param(option: str) -> Dict[str, List[Any]]:
     if "=" not in option:
-        raise argparse.ArgumentTypeError(
-            f"--param expects KEY=VALUE[,VALUE...], got {option!r}"
-        )
+        raise CommandError(f"--param expects KEY=VALUE[,VALUE...], got {option!r}")
     key, _, values = option.partition("=")
     return {key.strip(): [_parse_scalar(v) for v in values.split(",") if v != ""]}
 
 
-def _parse_assignments(
-    options: Optional[Sequence[str]], flag: str
-) -> Optional[Dict[str, Any]]:
-    """Repeated ``KEY=VALUE`` options -> {key: scalar}; None after printing an error."""
+def _parse_assignments(options: Optional[Sequence[str]], flag: str) -> Dict[str, Any]:
+    """Repeated ``KEY=VALUE`` options -> {key: scalar}."""
     params: Dict[str, Any] = {}
     for option in options or []:
         if "=" not in option:
-            print(f"error: {flag} expects KEY=VALUE, got {option!r}", file=sys.stderr)
-            return None
+            raise CommandError(f"{flag} expects KEY=VALUE, got {option!r}")
         key, _, value = option.partition("=")
         params[key.strip()] = _parse_scalar(value)
     return params
@@ -200,51 +183,6 @@ def _expand_range_values(values: List[Any]) -> List[Any]:
     return out
 
 
-def _run_seed_averaged(
-    args: argparse.Namespace,
-    experiment: str,
-    params: Dict[str, Any],
-    title: str,
-) -> int:
-    """Shared multi-seed path: sweep-engine run, mean table, telemetry.
-
-    Every single-trial subcommand funnels through here when ``--seeds N``
-    exceeds 1, so seed averaging, ``--jobs`` parallelism, caching, and
-    ``--metrics-out`` behave identically across the whole CLI.
-    """
-    run = _make_engine(args).run_trials(
-        experiment, [params], seeds=_seed_range(args)
-    )
-    per_trial = [_result_metrics(result) for result in run.results]
-    headline = {
-        name: _mean([m.get(name, 0.0) for m in per_trial])
-        for name in per_trial[0]
-    }
-    _print(
-        f"{title} (mean over {args.seeds} seeds)",
-        [[name, value] for name, value in headline.items()],
-    )
-    print(_sweep_stats_line(run))
-    if args.metrics_out:
-        _emit_telemetry(
-            args, experiment, snapshot=run.telemetry, config=params,
-            seeds=_seed_range(args), wall_time=run.elapsed, headline=headline,
-        )
-    return 0
-
-
-# ----------------------------------------------------------------------
-# Subcommands
-# ----------------------------------------------------------------------
-def _load_fault_plan(path: str):
-    """Load a FaultPlan from a JSON file of field overrides."""
-    from .faults import FaultPlan
-    from .serialization import loads
-
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(FaultPlan, handle.read())
-
-
 def _experiment_table() -> str:
     rows = []
     for name in experiment_names():
@@ -257,8 +195,6 @@ def _experiment_table() -> str:
 
 
 def _scenario_table() -> str:
-    from .scenarios import get_scenario_entry, scenario_names
-
     rows = []
     for name in scenario_names():
         entry = get_scenario_entry(name)
@@ -269,57 +205,42 @@ def _scenario_table() -> str:
     )
 
 
-def _run_scenario(
-    args: argparse.Namespace,
-    name: str,
-    params: Dict[str, Any],
-    duration: Optional[float] = None,
-    max_events: Optional[int] = None,
-    fault_plan: Optional[str] = None,
-) -> int:
-    """Run one library scenario (single seed or seed-averaged via sweep)."""
-    from .experiments import ScenarioTrialConfig
+# ----------------------------------------------------------------------
+# Experiment subcommands: one table, one run path
+# ----------------------------------------------------------------------
+@dataclass
+class Plan:
+    """The trials an experiment subcommand runs, for each of its seeds.
 
-    try:
-        cfg = ScenarioTrialConfig(
-            scenario=name, params=params, duration=duration,
-            max_events=max_events, fault_plan=fault_plan,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    if getattr(args, "seeds", 1) > 1:
-        from .serialization import to_dict
+    The first trial names the run in the telemetry manifest, and its
+    params are the manifest's ``config`` unless ``manifest`` (further
+    :func:`repro.telemetry.build_manifest` fields) overrides it.
+    """
 
-        run = _make_engine(args).run_trials(
-            "scenario", [to_dict(cfg)], seeds=_seed_range(args)
-        )
-        results = run.results
-        headline = {
-            key: _mean([r.summary()[key] for r in results])
-            for key in results[0].summary()
-        }
-        _print(
-            f"scenario: {cfg.scenario} (mean over {args.seeds} seeds)",
-            [[key, value] for key, value in headline.items()],
-        )
-        print(_sweep_stats_line(run))
-        if args.metrics_out:
-            _emit_telemetry(
-                args, "scenario", snapshot=run.telemetry, config=cfg,
-                seeds=_seed_range(args), wall_time=run.elapsed, headline=headline,
-                scenario=cfg.scenario, scenario_fingerprint=cfg.spec_fingerprint,
-            )
-        return 0
-    registry = telemetry.MetricsRegistry() if args.metrics_out else None
-    wall_start = time.perf_counter()
-    result = run_experiment("scenario", config=cfg, seed=args.seed, telemetry=registry)
-    wall_time = time.perf_counter() - wall_start
-    _print(
-        f"scenario: {result.scenario} ({result.scheme}, seed {args.seed})",
-        [[key, value] for key, value in result.summary().items()],
-    )
+    title: str
+    trials: List[Tuple[str, Dict[str, Any]]]
+    seed: int
+    calibration: Any = None
+    manifest: Dict[str, Any] = field(default_factory=dict)
+
+
+Rows = List[Tuple[str, float]]
+
+
+def _print_injected_faults(result) -> None:
+    injected = {k: v for k, v in result.extra.items() if k.startswith("fault_")}
+    if injected:
+        print("injected faults: " + ", ".join(
+            f"{name[len('fault_'):]}={int(count)}" for name, count in sorted(injected.items())
+        ))
+
+
+def _print_trajectory(result) -> None:
+    trajectory = ", ".join(f"{g * 1e3:.0f}" for g in result.trajectory[:20])
+    print(f"trajectory (ms): {trajectory}")
+
+
+def _print_scenario_links(result) -> None:
     link_rows = [
         [link.name, float(link.offered), float(link.delivered),
          link.delivery_ratio, link.mean_delay * 1e3, float(link.control_packets)]
@@ -347,84 +268,163 @@ def _run_scenario(
             headers=("handoffs", "pingpongs", "scans", "gap (ms)"),
         )
     print(f"spec fingerprint: {result.spec_fingerprint}")
-    if registry is not None:
+
+
+#: Registered experiment -> (one result -> labelled rows, which the table
+#: averages over the seeds; printer of a single-seed run's breakdown).
+REPORTS: Dict[str, Tuple[Callable[[Any], Rows], Optional[Callable[[Any], None]]]] = {
+    "coexistence": (lambda r: [
+        ("channel utilization", r.channel_utilization),
+        ("zigbee utilization", r.zigbee_utilization),
+        ("wifi utilization", r.wifi_utilization),
+        ("mean zigbee delay (ms)", r.mean_delay * 1e3),
+        ("p95 zigbee delay (ms)", r.p95_delay * 1e3),
+        ("zigbee throughput (kbps)", r.zigbee_throughput_bps / 1e3),
+        ("delivery ratio", r.delivery_ratio),
+        ("control packets", r.control_packets),
+        ("white spaces issued", r.whitespaces_issued),
+    ], _print_injected_faults),
+    "signaling": (lambda r: [
+        ("precision", r.pr.precision),
+        ("recall", r.pr.recall),
+        ("true positives", r.pr.true_positives),
+        ("false positives", r.pr.false_positives),
+        ("wifi PRR during trial", r.wifi_prr),
+    ], None),
+    "learning": (lambda r: [
+        ("converged", r.converged),
+        ("iterations", r.iterations),
+        ("final white space (ms)", r.final_whitespace * 1e3),
+        ("burst airtime (ms)", r.burst_airtime * 1e3),
+    ], _print_trajectory),
+    "cti": (lambda r: [
+        ("wifi detection accuracy (paper 0.9639)", r.wifi_detection_accuracy),
+        ("multiclass accuracy", r.multiclass_accuracy),
+    ], None),
+    "device-id": (lambda r: [
+        ("device identification (paper 0.8976)", r.accuracy),
+    ], None),
+    "priority": (lambda r: [
+        ("channel utilization", r.utilization),
+        ("zigbee utilization", r.zigbee_utilization),
+        ("low-priority wifi delay (ms)", r.low_priority_wifi_delay * 1e3),
+        ("high-priority wifi delay (ms)", r.high_priority_wifi_delay * 1e3),
+        ("zigbee mean delay (ms)", r.zigbee_mean_delay * 1e3),
+    ], None),
+    "energy": (lambda r: [
+        ("bicord under wifi (mJ)", r.bicord_mj),
+        ("clear channel (mJ)", r.clear_channel_mj),
+        ("overhead (%)", r.overhead_fraction * 100.0),
+        ("control packets", r.control_packets),
+    ], None),
+    "ble": (lambda r: [
+        ("ble event success rate", r.ble_success_rate),
+        ("ble late-window success", r.ble_late_success_rate),
+        ("excluded channels", len(r.excluded_channels)),
+        ("zigbee delivery ratio", r.zigbee_delivery_ratio),
+        ("zigbee mean delay (ms)", r.zigbee_mean_delay * 1e3),
+    ], None),
+    "scenario": (lambda r: list(r.summary().items()), _print_scenario_links),
+}
+
+
+def _run_plan(args: argparse.Namespace, plan: Plan) -> int:
+    """Run a plan's trials through the sweep engine and report them.
+
+    One path for every seed count: the table holds each labelled row's
+    mean over the seeds, and a single-seed run adds each experiment's
+    breakdown.
+    """
+    engine = _make_engine(args)
+    seeds = range(plan.seed, plan.seed + args.seeds)
+    runs = [
+        engine.run_trials(experiment, [params], seeds=seeds, calibration=plan.calibration)
+        for experiment, params in plan.trials
+    ]
+    per_seed = [
+        [row for run in runs for row in REPORTS[run.experiment][0](run.results[index])]
+        for index in range(len(seeds))
+    ]
+    title = plan.title
+    if len(seeds) > 1:
+        title += f" (mean over {len(seeds)} seeds)"
+    _print(title, [
+        [label, _mean([rows[index][1] for rows in per_seed])]
+        for index, (label, _) in enumerate(per_seed[0])
+    ])
+    for run in runs:
+        detail = REPORTS[run.experiment][1]
+        if detail is not None and len(seeds) == 1:
+            detail(run.results[0])
+    for run in runs:
+        print(_sweep_stats_line(run))
+    if args.metrics_out:
+        headline: Dict[str, float] = {}
+        for run in runs:
+            per_trial = [result.metrics() for result in run.results]
+            headline.update(
+                {name: _mean([m[name] for m in per_trial]) for name in per_trial[0]}
+            )
+        experiment, params = plan.trials[0]
         _emit_telemetry(
-            args, "scenario", registry=registry, config=cfg,
-            seeds=(args.seed,), wall_time=wall_time, headline=result.summary(),
-            scenario=result.scenario, scenario_fingerprint=result.spec_fingerprint,
+            args, experiment,
+            snapshot=telemetry.merge_snapshots([run.telemetry for run in runs]),
+            seeds=seeds, calibration=plan.calibration,
+            wall_time=sum(run.elapsed for run in runs), headline=headline,
+            **{"config": params, **plan.manifest},
         )
     return 0
 
 
-def cmd_scenario(args: argparse.Namespace) -> int:
-    if args.action == "list":
-        print(_scenario_table())
-        return 0
-    if not args.name:
-        print("error: scenario name required for 'describe' and 'run'",
-              file=sys.stderr)
-        return 2
-    params = _parse_assignments(args.set, "--set")
-    if params is None:
-        return 2
-    if args.action == "describe":
-        from .experiments import ScenarioTrialConfig
-        from .serialization import dumps
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """Run one :data:`EXPERIMENT_COMMANDS` subcommand."""
+    plan = args.plan(args)
+    return 0 if plan is None else _run_plan(args, plan)
 
-        try:
-            cfg = ScenarioTrialConfig(
-                scenario=args.name, params=params,
-                duration=args.duration, fault_plan=args.fault_plan,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            message = exc.args[0] if exc.args else exc
-            print(f"error: {message}", file=sys.stderr)
-            return 2
-        spec = cfg.resolve_spec()
-        print(dumps(spec))
-        print(f"fingerprint: {spec.fingerprint()}")
-        return 0
-    return _run_scenario(
-        args, args.name, params, duration=args.duration,
-        max_events=args.max_events, fault_plan=args.fault_plan,
+
+def _load_fault_plan(path: str):
+    """Load a FaultPlan from a JSON file of field overrides."""
+    from .faults import FaultPlan
+
+    with open(path, "r", encoding="utf-8") as handle:
+        return loads(FaultPlan, handle.read())
+
+
+def _scenario_config(name: str, params: Dict[str, Any], **overrides: Any):
+    """A library scenario trial; CommandError when the scenario does not resolve."""
+    try:
+        return ScenarioTrialConfig(scenario=name, params=params, **overrides)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CommandError(*exc.args) from None
+
+
+def _scenario_plan(args: argparse.Namespace, cfg: ScenarioTrialConfig) -> Plan:
+    return Plan(
+        f"scenario: {cfg.scenario} ({cfg.resolve_spec().coordinator.scheme})",
+        [("scenario", to_dict(cfg))], args.seed,
+        manifest=dict(scenario=cfg.scenario, scenario_fingerprint=cfg.spec_fingerprint),
     )
 
 
-def cmd_list(args: argparse.Namespace) -> int:
-    print(_experiment_table())
-    print()
-    print(_scenario_table())
-    return 0
-
-
-def cmd_coexist(args: argparse.Namespace) -> int:
+def _coexist_plan(args: argparse.Namespace) -> Optional[Plan]:
     if args.scenario:
-        from .scenarios import get_scenario_entry
-
         try:
             entry = get_scenario_entry(args.scenario)
         except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+            raise CommandError(*exc.args) from None
         if args.faults:
-            print("error: --faults (a FaultPlan file) does not combine with "
-                  "--scenario; use `repro scenario run --fault-plan NAME`",
-                  file=sys.stderr)
-            return 2
+            raise CommandError(
+                "--faults (a FaultPlan file) does not combine with "
+                "--scenario; use `repro scenario run --fault-plan NAME`"
+            )
         # Forward only the coexist knobs the scenario factory understands.
         params = {
-            key: value
-            for key, value in (
-                ("scheme", args.scheme),
-                ("location", args.location),
-                ("mobility", args.mobility),
-            )
+            key: getattr(args, key)
+            for key in ("scheme", "location", "mobility")
             if key in entry.param_names
         }
-        return _run_scenario(args, entry.name, params)
+        return _scenario_plan(args, _scenario_config(entry.name, params))
     if args.config:
-        from .serialization import loads
-
         with open(args.config, "r", encoding="utf-8") as handle:
             config = loads(CoexistenceConfig, handle.read())
         if args.faults:
@@ -444,271 +444,186 @@ def cmd_coexist(args: argparse.Namespace) -> int:
             faults=_load_fault_plan(args.faults) if args.faults else None,
         )
     if args.dump_config:
-        from .serialization import dumps
-
         print(dumps(config))
-        return 0
-    if args.seeds > 1:
-        from .serialization import to_dict
-
-        params = to_dict(config)
-        params.pop("seed")
-        calibration = config.calibration
-        params.pop("calibration")
-        run = _make_engine(args).run_trials(
-            "coexistence", [params], seeds=_seed_range(args), calibration=calibration,
-        )
-        agg = aggregate(run.results)
-        _print(
-            f"coexistence: {config.scheme} at location {config.location} "
-            f"(mean over {args.seeds} seeds)",
-            [[key, value] for key, value in agg.items()],
-        )
-        print(_sweep_stats_line(run))
-        if args.metrics_out:
-            _emit_telemetry(
-                args, "coexistence", snapshot=run.telemetry, config=config,
-                seeds=_seed_range(args), calibration=calibration,
-                faults=config.faults, wall_time=run.elapsed, headline=agg,
-            )
-        return 0
-    registry = telemetry.MetricsRegistry() if args.metrics_out else None
-    wall_start = time.perf_counter()
-    result = run_experiment("coexistence", config=config, telemetry=registry)
-    wall_time = time.perf_counter() - wall_start
-    _print(
+        return None
+    # The config's own seed leads the seeds, so a replayed --config file
+    # runs the trial it was dumped from.
+    params = to_dict(config)
+    del params["seed"], params["calibration"]
+    return Plan(
         f"coexistence: {config.scheme} at location {config.location}",
-        [
-            ["channel utilization", result.channel_utilization],
-            ["zigbee utilization", result.zigbee_utilization],
-            ["wifi utilization", result.wifi_utilization],
-            ["mean zigbee delay (ms)", result.mean_delay * 1e3],
-            ["p95 zigbee delay (ms)", result.p95_delay * 1e3],
-            ["zigbee throughput (kbps)", result.zigbee_throughput_bps / 1e3],
-            ["delivery ratio", result.delivery_ratio],
-            ["control packets", float(result.control_packets)],
-            ["white spaces issued", float(result.whitespaces_issued)],
-        ],
+        [("coexistence", params)], config.seed, calibration=config.calibration,
+        manifest=dict(config=config, faults=config.faults),
     )
-    injected = {k: v for k, v in result.extra.items() if k.startswith("fault_")}
-    if injected:
-        print("injected faults: " + ", ".join(
-            f"{name[len('fault_'):]}={int(count)}" for name, count in sorted(injected.items())
-        ))
-    if registry is not None:
-        _emit_telemetry(
-            args, "coexistence", registry=registry, config=config,
-            seeds=(config.seed,), calibration=config.calibration,
-            faults=config.faults, wall_time=wall_time,
-            headline=result.summary(),
-        )
-    return 0
 
 
-def cmd_signaling(args: argparse.Namespace) -> int:
-    params = dict(
-        location=args.location,
-        power_dbm=args.power,
-        n_control_packets=args.packets,
-        n_salvos=args.salvos,
-    )
-    if args.seeds > 1:
-        run = _make_engine(args).run_trials(
-            "signaling", [params], seeds=_seed_range(args)
-        )
-        trials = run.results
-        headline = {
-            "precision": _mean([t.pr.precision for t in trials]),
-            "recall": _mean([t.pr.recall for t in trials]),
-            "false_positives": _mean([float(t.pr.false_positives) for t in trials]),
-            "wifi_prr": _mean([t.wifi_prr for t in trials]),
-        }
-        _print(
+Flag = Tuple[Tuple[str, ...], Dict[str, Any]]
+
+
+def _flag(*names: str, **options: Any) -> Flag:
+    """One ``add_argument(*names, **options)`` call, as a table cell."""
+    return names, options
+
+
+_LOCATION = _flag("--location", choices="ABCD", default="A")
+
+
+@dataclass(frozen=True)
+class ExperimentCommand:
+    """One per-experiment subcommand: its help, its flags and its plan.
+
+    ``plan`` turns the parsed arguments into a :class:`Plan`, or answers
+    by itself and returns ``None`` (as ``coexist --dump-config`` does).
+    """
+
+    help: str
+    flags: Tuple[Flag, ...]
+    plan: Callable[[argparse.Namespace], Optional[Plan]]
+
+
+EXPERIMENT_COMMANDS: Dict[str, ExperimentCommand] = {
+    "coexist": ExperimentCommand(
+        "one coexistence run (Fig. 10/11 style)",
+        (
+            _LOCATION,
+            _flag("--scheme", choices=scheme_names(), default="bicord"),
+            _flag("--bursts", type=int, default=30),
+            _flag("--packets", type=int, default=5),
+            _flag("--payload", type=int, default=50),
+            _flag("--interval", type=float, default=0.2,
+                  help="mean burst interval in seconds"),
+            _flag("--periodic", action="store_true",
+                  help="fixed intervals instead of Poisson"),
+            _flag("--ecc-whitespace", type=float, default=20.0,
+                  help="ECC white space in ms"),
+            _flag("--mobility", choices=("none", "person", "device"),
+                  default="none"),
+            _flag("--config", metavar="FILE",
+                  help="load the full CoexistenceConfig from a JSON file "
+                       "(overrides the other options)"),
+            _flag("--faults", metavar="FILE",
+                  help="JSON file of FaultPlan fields to inject "
+                       "(e.g. {\"detection_fn_rate\": 0.2})"),
+            _flag("--dump-config", action="store_true",
+                  help="print the effective config as JSON and exit"),
+            _flag("--scenario", default=None, metavar="NAME",
+                  help="run a library scenario instead of the standard "
+                       "office workload (forwards scheme/location/mobility "
+                       "when the scenario accepts them)"),
+        ),
+        _coexist_plan,
+    ),
+    "signaling": ExperimentCommand(
+        "precision/recall trial (Tables I-II)",
+        (
+            _LOCATION,
+            _flag("--power", type=float, default=0.0),
+            _flag("--packets", type=int, default=4),
+            _flag("--salvos", type=int, default=100),
+        ),
+        lambda args: Plan(
             f"signaling: location {args.location}, {args.power:+.0f} dBm, "
-            f"{args.packets} control packets (mean over {args.seeds} seeds)",
-            [
-                ["precision", headline["precision"]],
-                ["recall", headline["recall"]],
-                ["false positives", headline["false_positives"]],
-                ["wifi PRR during trial", headline["wifi_prr"]],
-            ],
-        )
-        print(_sweep_stats_line(run))
-        if args.metrics_out:
-            _emit_telemetry(
-                args, "signaling", snapshot=run.telemetry, config=params,
-                seeds=_seed_range(args), wall_time=run.elapsed, headline=headline,
-            )
-        return 0
-    registry = telemetry.MetricsRegistry() if args.metrics_out else None
-    wall_start = time.perf_counter()
-    result = run_experiment("signaling", seed=args.seed, telemetry=registry, **params)
-    wall_time = time.perf_counter() - wall_start
-    _print(
-        f"signaling: location {args.location}, {args.power:+.0f} dBm, "
-        f"{args.packets} control packets",
-        [
-            ["precision", result.pr.precision],
-            ["recall", result.pr.recall],
-            ["true positives", float(result.pr.true_positives)],
-            ["false positives", float(result.pr.false_positives)],
-            ["wifi PRR during trial", result.wifi_prr],
-        ],
-    )
-    if registry is not None:
-        _emit_telemetry(
-            args, "signaling", registry=registry, config=params,
-            seeds=(args.seed,), wall_time=wall_time,
-            headline={
-                "precision": result.pr.precision,
-                "recall": result.pr.recall,
-                "false_positives": float(result.pr.false_positives),
-                "wifi_prr": result.wifi_prr,
-            },
-        )
-    return 0
-
-
-def cmd_learning(args: argparse.Namespace) -> int:
-    params = dict(
-        n_packets=args.packets,
-        step=args.step * 1e-3,
-        location=args.location,
-        n_bursts=args.bursts,
-    )
-    if args.seeds > 1:
-        return _run_seed_averaged(
-            args, "learning", params,
+            f"{args.packets} control packets",
+            [("signaling", dict(location=args.location, power_dbm=args.power,
+                                n_control_packets=args.packets,
+                                n_salvos=args.salvos))],
+            args.seed,
+        ),
+    ),
+    "learning": ExperimentCommand(
+        "white-space learning (Figs. 7-9)",
+        (
+            _LOCATION,
+            _flag("--packets", type=int, default=10),
+            _flag("--step", type=float, default=30.0, help="initial step in ms"),
+            _flag("--bursts", type=int, default=14),
+        ),
+        lambda args: Plan(
             f"white-space learning: {args.packets}-packet bursts, "
             f"{args.step:.0f} ms step",
-        )
-    registry = telemetry.MetricsRegistry() if args.metrics_out else None
-    wall_start = time.perf_counter()
-    result = run_experiment("learning", seed=args.seed, telemetry=registry, **params)
-    wall_time = time.perf_counter() - wall_start
-    _print(
-        f"white-space learning: {args.packets}-packet bursts, {args.step:.0f} ms step",
-        [
-            ["converged", float(result.converged)],
-            ["iterations", float(result.iterations)],
-            ["final white space (ms)", result.final_whitespace * 1e3],
-            ["burst airtime (ms)", result.burst_airtime * 1e3],
-        ],
-    )
-    trajectory = ", ".join(f"{g * 1e3:.0f}" for g in result.trajectory[:20])
-    print(f"trajectory (ms): {trajectory}")
-    if registry is not None:
-        _emit_telemetry(
-            args, "learning", registry=registry, config=params,
-            seeds=(args.seed,), wall_time=wall_time,
-            headline=_result_metrics(result),
-        )
-    return 0
-
-
-def cmd_cti(args: argparse.Namespace) -> int:
-    if args.seeds > 1:
-        engine = _make_engine(args)
-        seeds = _seed_range(args)
-        cti_run = engine.run_trials("cti", [{"n_traces": args.traces}], seeds=seeds)
-        dev_run = engine.run_trials(
-            "device-id", [{"n_traces": args.traces}], seeds=seeds
-        )
-        _print(
-            f"CTI detection (mean over {args.seeds} seeds)",
-            [
-                ["wifi detection accuracy (paper 0.9639)",
-                 _mean([r.wifi_detection_accuracy for r in cti_run.results])],
-                ["multiclass accuracy",
-                 _mean([r.multiclass_accuracy for r in cti_run.results])],
-                ["device identification (paper 0.8976)",
-                 _mean([r.accuracy for r in dev_run.results])],
-            ],
-        )
-        print(_sweep_stats_line(cti_run))
-        print(_sweep_stats_line(dev_run))
-        return 0
-    cti = run_experiment("cti", seed=args.seed, n_traces=args.traces)
-    device = run_experiment("device-id", seed=args.seed, n_traces=args.traces)
-    _print(
-        "CTI detection",
-        [
-            ["wifi detection accuracy (paper 0.9639)", cti.wifi_detection_accuracy],
-            ["multiclass accuracy", cti.multiclass_accuracy],
-            ["device identification (paper 0.8976)", device.accuracy],
-        ],
-    )
-    return 0
-
-
-def cmd_priority(args: argparse.Namespace) -> int:
-    if args.seeds > 1:
-        return _run_seed_averaged(
-            args, "priority",
-            {"scheme": args.scheme, "high_proportion": args.proportion,
-             "total_duration": args.duration},
+            [("learning", dict(n_packets=args.packets, step=args.step * 1e-3,
+                               location=args.location, n_bursts=args.bursts))],
+            args.seed,
+        ),
+    ),
+    "cti": ExperimentCommand(
+        "CTI detection accuracy (Sec. VII-A)",
+        (_flag("--traces", type=int, default=60),),
+        lambda args: Plan(
+            "CTI detection",
+            [("cti", {"n_traces": args.traces}),
+             ("device-id", {"n_traces": args.traces})],
+            args.seed,
+        ),
+    ),
+    "priority": ExperimentCommand(
+        "prioritized Wi-Fi traffic (Fig. 13)",
+        (
+            _flag("--scheme", choices=scheme_names(honors_priority=True),
+                  default="bicord"),
+            _flag("--proportion", type=float, default=0.3),
+            _flag("--duration", type=float, default=6.0),
+        ),
+        lambda args: Plan(
             f"priority traffic: {args.scheme}, "
             f"high-priority share {args.proportion}",
-        )
-    result = run_experiment(
-        "priority",
-        seed=args.seed,
-        scheme=args.scheme,
-        high_proportion=args.proportion,
-        total_duration=args.duration,
-    )
-    _print(
-        f"priority traffic: {args.scheme}, high-priority share {args.proportion}",
-        [
-            ["channel utilization", result.utilization],
-            ["zigbee utilization", result.zigbee_utilization],
-            ["low-priority wifi delay (ms)", result.low_priority_wifi_delay * 1e3],
-            ["high-priority wifi delay (ms)", result.high_priority_wifi_delay * 1e3],
-            ["zigbee mean delay (ms)", result.zigbee_mean_delay * 1e3],
-        ],
-    )
-    return 0
-
-
-def cmd_energy(args: argparse.Namespace) -> int:
-    if args.seeds > 1:
-        return _run_seed_averaged(
-            args, "energy", {"n_bursts": args.bursts},
+            [("priority", {"scheme": args.scheme,
+                           "high_proportion": args.proportion,
+                           "total_duration": args.duration})],
+            args.seed,
+        ),
+    ),
+    "energy": ExperimentCommand(
+        "energy overhead (Sec. VII-B)",
+        (_flag("--bursts", type=int, default=8),),
+        lambda args: Plan(
             "energy overhead (paper: 10-21%)",
-        )
-    result = run_experiment("energy", seed=args.seed, n_bursts=args.bursts)
-    _print(
-        "energy overhead (paper: 10-21%)",
-        [
-            ["bicord under wifi (mJ)", result.bicord_mj],
-            ["clear channel (mJ)", result.clear_channel_mj],
-            ["overhead (%)", result.overhead_fraction * 100.0],
-            ["control packets", float(result.control_packets)],
-        ],
+            [("energy", {"n_bursts": args.bursts})],
+            args.seed,
+        ),
+    ),
+    "ble": ExperimentCommand(
+        "ZigBee/BLE extension (Sec. VII-D)",
+        (
+            _flag("--duration", type=float, default=10.0),
+            _flag("--afh", dest="afh", action="store_true", default=True),
+            _flag("--no-afh", dest="afh", action="store_false"),
+        ),
+        lambda args: Plan(
+            f"ZigBee/BLE coexistence (AFH {'on' if args.afh else 'off'})",
+            [("ble", {"afh_enabled": args.afh, "duration": args.duration})],
+            args.seed,
+        ),
+    ),
+}
+
+
+# ----------------------------------------------------------------------
+# Other subcommands
+# ----------------------------------------------------------------------
+def cmd_scenario(args: argparse.Namespace) -> int:
+    if args.action == "list":
+        print(_scenario_table())
+        return 0
+    if not args.name:
+        raise CommandError("scenario name required for 'describe' and 'run'")
+    cfg = _scenario_config(
+        args.name, _parse_assignments(args.set, "--set"),
+        duration=args.duration, max_events=args.max_events,
+        fault_plan=args.fault_plan,
     )
+    if args.action == "run":
+        return _run_plan(args, _scenario_plan(args, cfg))
+    spec = cfg.resolve_spec()
+    print(dumps(spec))
+    print(f"fingerprint: {spec.fingerprint()}")
     return 0
 
 
-def cmd_ble(args: argparse.Namespace) -> int:
-    if args.seeds > 1:
-        return _run_seed_averaged(
-            args, "ble",
-            {"afh_enabled": args.afh, "duration": args.duration},
-            f"ZigBee/BLE coexistence (AFH {'on' if args.afh else 'off'})",
-        )
-    result = run_experiment(
-        "ble", seed=args.seed, afh_enabled=args.afh, duration=args.duration
-    )
-    _print(
-        f"ZigBee/BLE coexistence (AFH {'on' if args.afh else 'off'})",
-        [
-            ["ble event success rate", result.ble_success_rate],
-            ["ble late-window success", result.ble_late_success_rate],
-            ["excluded channels", float(len(result.excluded_channels))],
-            ["zigbee delivery ratio", result.zigbee_delivery_ratio],
-            ["zigbee mean delay (ms)", result.zigbee_mean_delay * 1e3],
-        ],
-    )
+def cmd_list(args: argparse.Namespace) -> int:
+    print(_experiment_table())
+    print()
+    print(_scenario_table())
     return 0
 
 
@@ -762,12 +677,9 @@ def cmd_robustness(args: argparse.Namespace) -> int:
 def cmd_roaming(args: argparse.Namespace) -> int:
     from .experiments import roaming_curve
 
-    speeds, n_aps = args.speeds, args.aps
-    schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+    speeds, n_aps, schemes = args.speeds, args.aps, args.schemes
     if not speeds or not n_aps or not schemes:
-        print("error: --speeds, --aps and --schemes must be non-empty",
-              file=sys.stderr)
-        return 2
+        raise CommandError("--speeds, --aps and --schemes must be non-empty")
     base: Dict[str, Any] = {"scenario": args.scenario, "policy": args.policy}
     if args.duration is not None:
         base["duration"] = args.duration
@@ -823,30 +735,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not args.experiment:
             return 0
     if not args.experiment:
-        print("error: --experiment is required (or use --list / --clear-cache)",
-              file=sys.stderr)
-        return 2
+        raise CommandError("--experiment is required (or use --list / --clear-cache)")
     try:
         spec = get_experiment(args.experiment)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+        raise CommandError(*exc.args) from None
 
     grid: Dict[str, List[Any]] = {}
-    try:
-        for option in args.param or []:
-            grid.update(_parse_param(option))
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for option in args.param or []:
+        grid.update(_parse_param(option))
     unknown = sorted(set(grid) - set(spec.param_names()))
     if unknown:
-        print(
-            f"error: unknown parameter(s) {unknown} for experiment "
-            f"{spec.name!r}; valid: {sorted(spec.param_names())}",
-            file=sys.stderr,
+        raise CommandError(
+            f"unknown parameter(s) {unknown} for experiment "
+            f"{spec.name!r}; valid: {sorted(spec.param_names())}"
         )
-        return 2
 
     def progress(record: TrialRecord, done: int, total: int) -> None:
         if args.quiet:
@@ -867,8 +770,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             seeds=tuple(_seed_range(args)),
         ))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(*exc.args) from None
 
     # One row per grid combination, metrics averaged over seeds.
     varying = [name for name in grid if len(grid[name]) > 1]
@@ -878,12 +780,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         combos.setdefault(key, []).append(record)
     metric_names: List[str] = []
     for records in combos.values():
-        for name in _result_metrics(records[0].result):
+        for name in records[0].result.metrics():
             if name not in metric_names and name not in varying:
                 metric_names.append(name)
     rows = []
     for key, records in combos.items():
-        per_trial = [_result_metrics(r.result) for r in records]
+        per_trial = [r.result.metrics() for r in records]
         rows.append(list(key) + [
             _mean([m.get(name, 0.0) for m in per_trial]) for name in metric_names
         ])
@@ -926,8 +828,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             status = runner.status()
             still_cached, journaled = runner.verify_cache()
         except CampaignError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise CommandError(*exc.args) from None
         rows = [
             ["trials", float(status.total)],
             ["done", float(status.done)],
@@ -953,8 +854,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         try:
             summaries = runner.report(batch=args.batch)
         except CampaignError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise CommandError(*exc.args) from None
         spec = runner.load_spec()
         kind = "batch means" if args.batch else "per-trial"
         print(f"campaign report: {spec.name} "
@@ -967,15 +867,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         from .experiments.campaign import campaign_from_generator
 
         if not args.generator:
-            print("error: campaign gen requires --generator NAME",
-                  file=sys.stderr)
-            return 2
-        fixed = _parse_assignments(args.gen_param, "--gen-param")
-        if fixed is None:
-            return 2
-        base = _parse_assignments(args.base, "--base")
-        if base is None:
-            return 2
+            raise CommandError("campaign gen requires --generator NAME")
         try:
             spec = campaign_from_generator(
                 name=args.name,
@@ -983,16 +875,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 count=args.count,
                 axis=args.axis,
                 start=args.start,
-                params=fixed,
-                base=base,
+                params=_parse_assignments(args.gen_param, "--gen-param"),
+                base=_parse_assignments(args.base, "--base"),
                 seeds=tuple(_seed_range(args)),
                 shards=args.shards,
                 compare_by=args.compare_by,
             )
         except (KeyError, ValueError) as exc:
-            message = exc.args[0] if exc.args else exc
-            print(f"error: {message}", file=sys.stderr)
-            return 2
+            raise CommandError(*exc.args) from None
         return _run_campaign(args, runner, spec)
 
     # run / resume
@@ -1000,34 +890,25 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.action == "run":
         grid: Dict[str, List[Any]] = {}
         scenario_grid: Dict[str, List[Any]] = {}
-        try:
-            for option in args.param or []:
-                for key, values in _parse_param(option).items():
-                    grid[key] = _expand_range_values(values)
-            for option in args.scenario_param or []:
-                for key, values in _parse_param(option).items():
-                    scenario_grid[key] = _expand_range_values(values)
-        except argparse.ArgumentTypeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        base = _parse_assignments(args.base, "--base")
-        if base is None:
-            return 2
+        for option in args.param or []:
+            for key, values in _parse_param(option).items():
+                grid[key] = _expand_range_values(values)
+        for option in args.scenario_param or []:
+            for key, values in _parse_param(option).items():
+                scenario_grid[key] = _expand_range_values(values)
         try:
             spec = CampaignSpec(
                 name=args.name,
                 experiment=args.experiment,
                 grid=grid,
-                base=base,
+                base=_parse_assignments(args.base, "--base"),
                 scenario_grid=scenario_grid,
                 seeds=tuple(_seed_range(args)),
                 shards=args.shards,
                 compare_by=args.compare_by,
             )
         except (KeyError, ValueError) as exc:
-            message = exc.args[0] if exc.args else exc
-            print(f"error: {message}", file=sys.stderr)
-            return 2
+            raise CommandError(*exc.args) from None
 
     return _run_campaign(args, runner, spec)
 
@@ -1050,8 +931,7 @@ def _run_campaign(args: argparse.Namespace, runner, spec) -> int:
               f"--dir {args.dir}", file=sys.stderr)
         return 3
     except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise CommandError(*exc.args) from None
 
     print(
         f"campaign {run.spec.name}: {run.completed}/{run.total} trials done "
@@ -1106,10 +986,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"queue depth {config.queue_depth})",
                 flush=True,
             )
-        try:
-            await server._shutdown.wait()
-        finally:
-            await server._drain()
+        await server.wait_drained()
 
     try:
         asyncio.run(run())
@@ -1150,6 +1027,19 @@ def _comma_list(
     return parse
 
 
+def _one_of(names: Sequence[str], what: str) -> Callable[[str], str]:
+    """argparse ``type=`` for one registered name; the error lists them all."""
+
+    def parse(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {text!r}; valid: {', '.join(names)}"
+            )
+        return text
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli", description="BiCord reproduction scenarios"
@@ -1185,84 +1075,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = [seed_flags, exec_flags, telemetry_flags]
 
-    location_flags = argparse.ArgumentParser(add_help=False)
-    location_flags.add_argument("--location", choices="ABCD", default="A")
-
-    p = sub.add_parser("coexist", parents=shared + [location_flags],
-                       help="one coexistence run (Fig. 10/11 style)")
-    p.add_argument("--scheme", choices=scheme_names(), default="bicord")
-    p.add_argument("--bursts", type=int, default=30)
-    p.add_argument("--packets", type=int, default=5)
-    p.add_argument("--payload", type=int, default=50)
-    p.add_argument("--interval", type=float, default=0.2,
-                   help="mean burst interval in seconds")
-    p.add_argument("--periodic", action="store_true",
-                   help="fixed intervals instead of Poisson")
-    p.add_argument("--ecc-whitespace", type=float, default=20.0,
-                   help="ECC white space in ms")
-    p.add_argument("--mobility", choices=("none", "person", "device"),
-                   default="none")
-    p.add_argument("--config", metavar="FILE",
-                   help="load the full CoexistenceConfig from a JSON file "
-                        "(overrides the other options)")
-    p.add_argument("--faults", metavar="FILE",
-                   help="JSON file of FaultPlan fields to inject "
-                        "(e.g. {\"detection_fn_rate\": 0.2})")
-    p.add_argument("--dump-config", action="store_true",
-                   help="print the effective config as JSON and exit")
-    p.add_argument("--scenario", default=None, metavar="NAME",
-                   help="run a library scenario instead of the standard "
-                        "office workload (forwards scheme/location/mobility "
-                        "when the scenario accepts them)")
-    p.set_defaults(func=cmd_coexist)
-
-    p = sub.add_parser("signaling", parents=shared + [location_flags],
-                       help="precision/recall trial (Tables I-II)")
-    p.add_argument("--power", type=float, default=0.0)
-    p.add_argument("--packets", type=int, default=4)
-    p.add_argument("--salvos", type=int, default=100)
-    p.set_defaults(func=cmd_signaling)
-
-    p = sub.add_parser("learning", parents=shared + [location_flags],
-                       help="white-space learning (Figs. 7-9)")
-    p.add_argument("--packets", type=int, default=10)
-    p.add_argument("--step", type=float, default=30.0, help="initial step in ms")
-    p.add_argument("--bursts", type=int, default=14)
-    p.set_defaults(func=cmd_learning)
-
-    p = sub.add_parser("cti", parents=shared,
-                       help="CTI detection accuracy (Sec. VII-A)")
-    p.add_argument("--traces", type=int, default=60)
-    p.set_defaults(func=cmd_cti)
-
-    p = sub.add_parser("priority", parents=shared,
-                       help="prioritized Wi-Fi traffic (Fig. 13)")
-    p.add_argument("--scheme", choices=scheme_names(honors_priority=True),
-                   default="bicord")
-    p.add_argument("--proportion", type=float, default=0.3)
-    p.add_argument("--duration", type=float, default=6.0)
-    p.set_defaults(func=cmd_priority)
-
-    p = sub.add_parser("energy", parents=shared,
-                       help="energy overhead (Sec. VII-B)")
-    p.add_argument("--bursts", type=int, default=8)
-    p.set_defaults(func=cmd_energy)
-
-    p = sub.add_parser("ble", parents=shared,
-                       help="ZigBee/BLE extension (Sec. VII-D)")
-    p.add_argument("--duration", type=float, default=10.0)
-    p.add_argument("--afh", dest="afh", action="store_true", default=True)
-    p.add_argument("--no-afh", dest="afh", action="store_false")
-    p.set_defaults(func=cmd_ble)
+    for name, command in EXPERIMENT_COMMANDS.items():
+        p = sub.add_parser(name, parents=shared, help=command.help)
+        for names, options in command.flags:
+            p.add_argument(*names, **options)
+        p.set_defaults(func=cmd_experiment, plan=command.plan)
 
     p = sub.add_parser(
         "robustness",
-        parents=shared + [location_flags],
+        parents=shared,
         help="PRR/latency degradation under injected coordination faults",
         description="Sweep one fault dimension over a grid of rates and "
                     "report the degradation curve (rate 0 = fault-free "
                     "control point).",
     )
+    p.add_argument(*_LOCATION[0], **_LOCATION[1])
     p.add_argument("--dimension",
                    choices=("detection", "control", "cts", "timers", "all"),
                    default="all")
@@ -1273,6 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=scheme_names(), default="bicord")
     p.add_argument("--bursts", type=int, default=20)
     p.add_argument("--scenario", default=None, metavar="NAME",
+                   type=_one_of(scenario_names(), "scenario"),
                    help="fault-inject a library scenario instead of the "
                         "standard coexistence workload")
     p.set_defaults(func=cmd_robustness)
@@ -1297,8 +1125,12 @@ def build_parser() -> argparse.ArgumentParser:
                                     "there must be at least 2 APs"),
                    help="comma-separated AP counts (>= 2)")
     p.add_argument("--schemes", default="bicord,csma",
+                   type=_comma_list(str.strip, lambda s: s in scheme_names(),
+                                    "schemes must be among "
+                                    + ", ".join(scheme_names())),
                    help="comma-separated coordination schemes")
     p.add_argument("--policy", default="strongest-rssi",
+                   type=_one_of(ap_selection_policy_names(), "AP-selection policy"),
                    help="AP-selection policy (strongest-rssi, sticky)")
     p.add_argument("--duration", type=float, default=None,
                    help="override the scenario duration in seconds")
@@ -1444,7 +1276,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         verbosity=getattr(args, "verbose", 0),
         quiet=getattr(args, "quiet", False),
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

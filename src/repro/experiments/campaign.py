@@ -31,7 +31,6 @@ Layout of a campaign directory::
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -523,7 +522,7 @@ class CampaignRunner:
             # result — the journal line is the *second* persistence step,
             # so its existence implies the cache entry's.
             trial = by_position[record.index]
-            journal.append_trial(trial, record, _metrics_of(record.result))
+            journal.append_trial(trial, record, record.result.metrics())
             if progress is not None:
                 progress(trial, record, n_done, n_total)
 
@@ -711,17 +710,3 @@ class CampaignRunner:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(report_tmp, self.report_path)
-
-
-def _metrics_of(result: Any) -> Dict[str, float]:
-    """A result's flat metrics; tolerant of pre-contract shapes."""
-    metrics = getattr(result, "metrics", None)
-    if callable(metrics):
-        return {name: float(value) for name, value in metrics().items()}
-    if dataclasses.is_dataclass(result):
-        return {
-            f.name: float(getattr(result, f.name))
-            for f in dataclasses.fields(result)
-            if isinstance(getattr(result, f.name), (bool, int, float))
-        }
-    return {}

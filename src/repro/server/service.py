@@ -119,8 +119,12 @@ class JobServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def serve(self) -> None:
-        """Run until drained: ``start`` + wait for SIGTERM/shutdown."""
+        """Run until drained: ``start`` + :meth:`wait_drained`."""
         await self.start()
+        await self.wait_drained()
+
+    async def wait_drained(self) -> None:
+        """Wait for SIGTERM/shutdown, then drain (also if cancelled first)."""
         try:
             await self._shutdown.wait()
         finally:
@@ -513,7 +517,7 @@ class JobServer:
                 "seed": seed,
                 "key": key,
                 "elapsed": elapsed,
-                "metrics": _metrics_of(result),
+                "metrics": result.metrics(),
             })
         return ok(
             job_id=record.job_id, experiment=record.spec.experiment,
@@ -612,10 +616,3 @@ def _counter_of(job_id: str) -> int:
         return int(job_id.split("-", 1)[0].lstrip("j"))
     except ValueError:
         return 0
-
-
-def _metrics_of(result: Any) -> Dict[str, float]:
-    """A result's flat numeric metrics (shared with the campaign runner)."""
-    from ..experiments.campaign import _metrics_of as impl
-
-    return impl(result)

@@ -1,3 +1,17 @@
 """Fixtures shared by every test module."""
 
+import pytest
+
 from .helpers import force_kernel  # noqa: F401  (registers the fixture)
+
+
+@pytest.fixture(autouse=True)
+def _isolated_sweep_cache(monkeypatch, tmp_path_factory):
+    """Point the default sweep cache at a fresh per-test directory.
+
+    CLI runs and sweeps memoize trials under ``$BICORD_SWEEP_CACHE`` (else
+    ``~/.cache/bicord/sweeps``); the suite must neither read stale entries
+    from nor write into the user's cache.  The directory is not the test's
+    own ``tmp_path``, so tests asserting on that stay unaffected.
+    """
+    monkeypatch.setenv("BICORD_SWEEP_CACHE", str(tmp_path_factory.mktemp("sweeps")))

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import run_experiment
 
 
 def test_parser_requires_subcommand():
@@ -213,6 +216,9 @@ def test_scenario_run_unknown_param_errors(capsys):
     (["roaming", "--speeds", "0"], "speeds must be finite and > 0"),
     (["roaming", "--aps", "2,x"], "at least 2 APs"),
     (["roaming", "--aps", "1"], "at least 2 APs"),
+    (["roaming", "--schemes", "bicord,bogus"], "schemes must be among bicord, "),
+    (["roaming", "--policy", "bogus"], "valid: sticky, strongest-rssi"),
+    (["robustness", "--scenario", "bogus"], "unknown scenario 'bogus'; valid: "),
 ])
 def test_malformed_comma_lists_are_usage_errors(argv, message, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -228,3 +234,60 @@ def test_comma_lists_parse_to_numbers():
     assert args.speeds == [1.5, 5.0] and args.aps == [2, 4]
     args = build_parser().parse_args(["robustness"])
     assert args.rates == [0.0, 0.1, 0.25, 0.5]
+
+
+# ----------------------------------------------------------------------
+# One run path for every experiment subcommand
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("argv,experiment", [
+    (["coexist", "--bursts", "3"], "coexistence"),
+    (["signaling", "--salvos", "5"], "signaling"),
+    (["learning", "--packets", "3", "--bursts", "3"], "learning"),
+    (["cti", "--traces", "4"], "cti"),
+    (["priority", "--duration", "1"], "priority"),
+    (["energy", "--bursts", "2"], "energy"),
+    (["ble", "--duration", "1"], "ble"),
+    (["scenario", "run", "grid", "--set", "n_zigbee_links=2",
+      "--set", "max_bursts=3", "--duration", "1.5", "--max-events", "1500"],
+     "scenario"),
+])
+def test_every_experiment_subcommand_writes_a_manifest(argv, experiment, tmp_path, capsys):
+    path = tmp_path / "metrics.jsonl"
+    code = main(argv + ["--seed", "2", "--metrics-out", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "1 trials: 1 executed, 0 cached" in out
+    manifest = json.loads(path.read_text().splitlines()[0])
+    assert manifest["type"] == "manifest"
+    assert manifest["experiment"] == experiment
+    assert manifest["seeds"] == [2]
+
+
+@pytest.mark.parametrize("argv,experiment,params", [
+    (["coexist", "--scheme", "ecc", "--bursts", "4"], "coexistence",
+     {"scheme": "ecc", "n_bursts": 4}),
+    (["learning", "--packets", "3", "--bursts", "4"], "learning",
+     {"n_packets": 3, "n_bursts": 4, "step": 30.0 * 1e-3}),
+])
+def test_single_seed_cli_numbers_equal_a_direct_run(argv, experiment, params,
+                                                     tmp_path, capsys):
+    path = tmp_path / "metrics.jsonl"
+    assert main(argv + ["--seed", "7", "--metrics-out", str(path)]) == 0
+    capsys.readouterr()
+    manifest = json.loads(path.read_text().splitlines()[0])
+    assert manifest["metrics"] == run_experiment(experiment, seed=7, **params).metrics()
+
+
+def test_single_seed_runs_are_served_from_the_trial_cache(tmp_path, capsys):
+    argv = ["learning", "--packets", "3", "--bursts", "3", "--seed", "4",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    second = capsys.readouterr().out
+    assert "1 trials: 1 executed, 0 cached" in first
+    assert "1 trials: 0 executed, 1 cached" in second
+    # The cached result prints the same table and trajectory.
+    assert first.split("1 trials:")[0] == second.split("1 trials:")[0]
+    assert main(argv + ["--no-cache"]) == 0
+    assert "1 trials: 1 executed, 0 cached" in capsys.readouterr().out
