@@ -9,36 +9,37 @@ deliveries still ride the white-space path.  The extension is mildly useful
 free win the sketch implies.
 """
 
+import dataclasses
+
 import numpy as np
 
-from repro.core import BicordConfig, BicordCoordinator, BicordNode
-from repro.experiments import build_office, format_table, location_powermap
-from repro.traffic import WifiPacketSource, ZigbeeBurstSource
+from repro.core import BicordConfig
+from repro.experiments import format_table
+from repro.scenarios import compile_scenario, get_scenario
 
 from .conftest import scaled
 
 
 def _run(piggyback: bool, seed: int):
-    office = build_office(seed=seed, location="A")
-    cal = office.calibration
-    WifiPacketSource(office.ctx, office.wifi_sender.mac, "F",
-                     payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval)
     config = BicordConfig()
     config.signaling.piggyback_data = piggyback
-    BicordCoordinator(office.wifi_receiver, config=config)
-    node = BicordNode(office.zigbee_sender, "ZR", config=config,
-                      powermap=location_powermap("A"))
     n_bursts = scaled(15, minimum=8)
-    ZigbeeBurstSource(office.ctx, node.offer_burst, n_packets=5, payload_bytes=50,
-                      interval_mean=0.2, poisson=False, max_bursts=n_bursts)
-    office.sim.run(until=n_bursts * 0.2 + 1.0)
+    spec = get_scenario("office", n_bursts=n_bursts, poisson=False)
+    spec = dataclasses.replace(
+        spec,
+        duration=n_bursts * 0.2 + 1.0,
+        grace=0.0,
+        coordinator=dataclasses.replace(spec.coordinator, bicord=config),
+    )
+    office = compile_scenario(spec, seed=seed)
+    link = office.run().links["zigbee"]
     return {
-        "delivered": node.packets_delivered,
+        "delivered": link.delivered,
         "offered": n_bursts * 5,
-        "piggyback_deliveries": node.piggyback_deliveries,
-        "control_packets": node.control_packets_sent,
-        "mean_delay_ms": float(np.mean(node.packet_delays)) * 1e3,
-        "energy_mj": office.zigbee_sender.energy.total_mj,
+        "piggyback_deliveries": office.zigbee_links["zigbee"].node.piggyback_deliveries,
+        "control_packets": link.control_packets,
+        "mean_delay_ms": float(np.mean(link.delays)) * 1e3,
+        "energy_mj": office.device("ZS").energy.total_mj,
     }
 
 

@@ -9,36 +9,27 @@ energy on doomed attempts, and BiCord pays a fraction of a mJ per
 *delivered* packet.
 """
 
+import dataclasses
+
 import numpy as np
 
-from repro.baselines import CsmaNode, PredictiveNode
-from repro.core import BicordCoordinator, BicordNode
-from repro.experiments import build_office, format_table, location_powermap
-from repro.traffic import WifiPacketSource, ZigbeeBurstSource
+from repro.experiments import format_table
+from repro.scenarios import compile_scenario, get_scenario
 
 from .conftest import scaled
 
 
 def _run(scheme: str, seed: int):
-    office = build_office(seed=seed, location="A")
-    cal = office.calibration
-    WifiPacketSource(office.ctx, office.wifi_sender.mac, "F",
-                     payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval)
-    if scheme == "bicord":
-        BicordCoordinator(office.wifi_receiver)
-        node = BicordNode(office.zigbee_sender, "ZR", powermap=location_powermap("A"))
-    elif scheme == "predictive":
-        node = PredictiveNode(office.zigbee_sender, "ZR")
-    else:
-        node = CsmaNode(office.zigbee_sender, "ZR")
     n_bursts = scaled(8, minimum=4)
-    ZigbeeBurstSource(office.ctx, node.offer_burst, n_packets=10, payload_bytes=120,
-                      interval_mean=0.3, poisson=False, max_bursts=n_bursts)
-    office.ctx.sim.run(until=n_bursts * 0.3 + 0.5)
-    if hasattr(node, "stop"):
-        node.stop()
-    meter = office.zigbee_sender.energy
-    delivered = node.packets_delivered
+    spec = get_scenario(
+        "office", scheme=scheme, n_bursts=n_bursts, burst_packets=10,
+        payload_bytes=120, burst_interval=0.3, poisson=False,
+    )
+    office = compile_scenario(
+        dataclasses.replace(spec, duration=n_bursts * 0.3 + 0.5, grace=0.0), seed=seed
+    )
+    delivered = office.run().links["zigbee"].delivered
+    meter = office.device("ZS").energy
     return {
         "delivered": delivered,
         "offered": n_bursts * 10,

@@ -28,39 +28,25 @@ def test_motivation_slow_ctc(benchmark, emit):
             CoexistenceConfig(scheme="ecc", ecc_whitespace=30e-3,
                               n_bursts=n_bursts, seed=3)
         )
-        # Sweep the CTC latency by monkey-constructing through the runner's
-        # scheme plus per-run default (110 ms) and custom builds.
-        from repro.baselines import SlowCtcCoordinator, SlowCtcNode
-        from repro.experiments.metrics import AirtimeProbe, CoexistenceResult
-        from repro.experiments.topology import build_office
-        from repro.traffic import WifiPacketSource, ZigbeeBurstSource
+        # Sweep the CTC latency: compile the slow-ctc coexistence run and
+        # set the node's request latency before it starts.
+        from repro.experiments.metrics import CoexistenceResult
+        from repro.experiments.runner import COEXISTENCE_LINK, coexistence_spec
+        from repro.scenarios import compile_scenario
 
+        spec = coexistence_spec(CoexistenceConfig(scheme="slow-ctc", n_bursts=n_bursts))
         for latency in LATENCIES:
-            office = build_office(seed=3, location="A")
-            cal = office.calibration
-            WifiPacketSource(office.ctx, office.wifi_sender.mac, "F",
-                             payload_bytes=cal.wifi_payload_bytes,
-                             interval=cal.wifi_interval)
-            coordinator = SlowCtcCoordinator(office.wifi_receiver)
-            node = SlowCtcNode(office.zigbee_sender, "ZR", coordinator,
-                               ctc_latency=latency)
-            source = ZigbeeBurstSource(
-                office.ctx, node.offer_burst, n_packets=5, payload_bytes=50,
-                interval_mean=0.2, poisson=True, max_bursts=n_bursts,
-            )
-            probe = AirtimeProbe(
-                [office.wifi_sender.radio, office.wifi_receiver.radio],
-                [office.zigbee_sender.radio, office.zigbee_receiver.radio],
-            )
-            probe.start(0.0)
-            office.ctx.sim.run(until=n_bursts * 0.2 + 2.0)
+            office = compile_scenario(spec, seed=3)
+            office.zigbee_links[COEXISTENCE_LINK].node.ctc_latency = latency
+            run = office.run()
+            link = run.links[COEXISTENCE_LINK]
             results[f"ctc-{latency * 1e3:.0f}ms"] = CoexistenceResult(
-                scheme="slow-ctc", location="A", duration=office.ctx.sim.now,
-                utilization=probe.snapshot(office.ctx.sim.now),
-                zigbee_delays=list(node.packet_delays),
-                zigbee_packets_offered=source.bursts_generated * 5,
-                zigbee_packets_delivered=node.packets_delivered,
-                zigbee_payload_bytes=node.delivered_payload_bytes,
+                scheme="slow-ctc", location="A", duration=run.duration,
+                utilization=run.utilization,
+                zigbee_delays=link.delays,
+                zigbee_packets_offered=link.offered,
+                zigbee_packets_delivered=link.delivered,
+                zigbee_payload_bytes=link.payload_bytes,
             )
         return results
 

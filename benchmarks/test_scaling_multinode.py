@@ -9,70 +9,50 @@ is still delivered, delays grow sub-linearly (nodes share white spaces),
 and the aggregate ZigBee utilization rises with offered load.
 """
 
+import dataclasses
+
 import numpy as np
 
-from repro.core import BicordCoordinator, BicordNode
-from repro.devices import ZigbeeDevice
-from repro.experiments import build_office, format_table, location_powermap
-from repro.phy.propagation import Position
-from repro.traffic import WifiPacketSource, ZigbeeBurstSource
+from repro.experiments import format_table
+from repro.scenarios import compile_scenario, get_scenario
 
 from .conftest import scaled
 
 POPULATIONS = (1, 2, 4)
 
 
-def _run(n_nodes: int, seed: int):
-    office = build_office(seed=seed, location="A")
-    cal = office.calibration
-    WifiPacketSource(office.ctx, office.wifi_sender.mac, "F",
-                     payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval)
-    coordinator = BicordCoordinator(office.wifi_receiver)
-    nodes = []
-    sources = []
-    base = office.zigbee_sender.position
-    n_bursts = scaled(10, minimum=6)
-    for i in range(n_nodes):
-        if i == 0:
-            device = office.zigbee_sender
-            receiver = "ZR"
-        else:
-            device = ZigbeeDevice(
-                office.ctx, f"ZS{i}", base.moved(-0.3 * i, 0.25 * i),
-                channel=cal.zigbee_channel, tx_power_dbm=cal.zigbee_data_power_dbm,
-            )
-            rx = ZigbeeDevice(
-                office.ctx, f"ZR{i}", base.moved(1.0 - 0.2 * i, 0.7 + 0.2 * i),
-                channel=cal.zigbee_channel,
-            )
-            receiver = rx.name
-        node = BicordNode(device, receiver, powermap=location_powermap("A"))
-        source = ZigbeeBurstSource(
-            office.ctx, node.offer_burst, n_packets=5, payload_bytes=50,
-            interval_mean=0.25 * n_nodes,  # keep aggregate offered load fixed
-            poisson=True, max_bursts=n_bursts, name=f"src{i}",
-            start_delay=0.05 * i,
+def _spec(n_nodes: int, n_bursts: int):
+    """The office with ``n_nodes`` ZigBee links around location A."""
+    # Keep the aggregate offered load fixed as the population grows.
+    spec = get_scenario("office", n_bursts=n_bursts, burst_interval=0.25 * n_nodes)
+    first = dataclasses.replace(spec.zigbee[0], name="src0")
+    x, y = first.sender_pos
+    links = [first] + [
+        dataclasses.replace(
+            first, name=f"src{i}", sender=f"ZS{i}", receiver=f"ZR{i}",
+            sender_pos=(x - 0.3 * i, y + 0.25 * i),
+            receiver_pos=(x + 1.0 - 0.2 * i, y + 0.7 + 0.2 * i),
+            traffic=dataclasses.replace(first.traffic, start_delay=0.05 * i),
         )
-        sources.append(source)
-        nodes.append(node)
-    horizon = n_bursts * 0.25 * n_nodes + 1.5
-    office.ctx.sim.run(until=horizon)
+        for i in range(1, n_nodes)
+    ]
     # Grace: drain whatever is still queued (Poisson tails can place the
     # last bursts right at the horizon).
-    deadline = horizon + 3.0
-    while any(n.outstanding_packets for n in nodes) and office.ctx.sim.now < deadline:
-        office.ctx.sim.run(until=office.ctx.sim.now + 0.2)
-    coordinator.stop()
-    delivered = sum(n.packets_delivered for n in nodes)
-    offered = sum(s.bursts_generated for s in sources) * 5
-    delays = [d for n in nodes for d in n.packet_delays]
+    return dataclasses.replace(
+        spec, zigbee=tuple(links), duration=n_bursts * 0.25 * n_nodes + 1.5, grace=3.0
+    )
+
+
+def _run(n_nodes: int, seed: int):
+    result = compile_scenario(_spec(n_nodes, scaled(10, minimum=6)), seed=seed).run()
+    delays = [d for link in result.links.values() for d in link.delays]
     return {
-        "delivered": delivered,
-        "offered": offered,
+        "delivered": result.packets_delivered,
+        "offered": result.packets_offered,
         "mean_delay_ms": float(np.mean(delays)) * 1e3 if delays else 0.0,
         "p95_delay_ms": float(np.percentile(delays, 95)) * 1e3 if delays else 0.0,
-        "grants": coordinator.grants_issued,
-        "whitespace_s": coordinator.whitespace_airtime,
+        "grants": result.whitespaces_issued,
+        "whitespace_s": result.whitespace_airtime,
     }
 
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Quickstart: BiCord vs no coordination in the paper's office.
 
-Builds the Fig. 6 office (Wi-Fi sender E and receiver F 3 m apart, a ZigBee
-pair at location A), saturates the channel with the paper's Wi-Fi workload
-(100 B every 1 ms at 1 Mbps), and delivers ZigBee bursts two ways:
+Compiles the Fig. 6 office (Wi-Fi sender E and receiver F 3 m apart, a
+ZigBee pair at location A) from the scenario library, saturates the
+channel with the paper's Wi-Fi workload (100 B every 1 ms at 1 Mbps), and
+delivers ZigBee bursts two ways:
 
 1. plain 802.15.4 CSMA/CA — starves under Wi-Fi (the paper's motivation);
 2. BiCord — the node signals its needs, the Wi-Fi device grants adaptive
@@ -14,54 +15,30 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.baselines import CsmaNode
-from repro.core import BicordCoordinator, BicordNode
-from repro.experiments import build_office, location_powermap
-from repro.traffic import WifiPacketSource, ZigbeeBurstSource
+from repro.scenarios import compile_scenario, get_scenario
 
 
 def run(scheme: str, seed: int = 42) -> None:
-    office = build_office(seed=seed, location="A")
-    ctx = office.ctx
-    cal = office.calibration
-
-    # The interfering Wi-Fi link: 100 B every 1 ms, essentially saturating
-    # the channel at 1 Mbps.
-    WifiPacketSource(
-        ctx, office.wifi_sender.mac, "F",
-        payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval,
-    )
-
-    if scheme == "bicord":
-        coordinator = BicordCoordinator(office.wifi_receiver)
-        node = BicordNode(office.zigbee_sender, "ZR", powermap=location_powermap("A"))
-    else:
-        coordinator = None
-        node = CsmaNode(office.zigbee_sender, "ZR")
-
     # ZigBee bursts: 5 packets of 50 B, Poisson-spaced at 200 ms on average.
-    source = ZigbeeBurstSource(
-        ctx, node.offer_burst, n_packets=5, payload_bytes=50,
-        interval_mean=0.2, poisson=True, max_bursts=25,
-    )
+    spec = get_scenario("office", scheme=scheme, n_bursts=25)
+    compiled = compile_scenario(spec, seed=seed)
+    result = compiled.run()
 
-    ctx.sim.run(until=6.0)
-
-    offered = source.bursts_generated * 5
-    delays = node.packet_delays
+    link = result.links["zigbee"]
     print(f"--- {scheme} ---")
-    print(f"  packets delivered : {node.packets_delivered}/{offered}")
-    if delays:
-        print(f"  mean delay        : {np.mean(delays) * 1e3:7.1f} ms")
-        print(f"  95th pct delay    : {np.percentile(delays, 95) * 1e3:7.1f} ms")
+    print(f"  packets delivered : {link.delivered}/{link.offered}")
+    if link.delays:
+        print(f"  mean delay        : {np.mean(link.delays) * 1e3:7.1f} ms")
+        print(f"  95th pct delay    : {np.percentile(link.delays, 95) * 1e3:7.1f} ms")
+    coordinator = compiled.coordinator
     if coordinator is not None:
         print(f"  white spaces      : {coordinator.grants_issued} "
               f"({coordinator.whitespace_airtime * 1e3:.0f} ms reserved)")
         print(f"  converged grant   : {coordinator.current_whitespace * 1e3:.1f} ms")
-        print(f"  control packets   : {node.control_packets_sent}")
-    wifi = office.wifi_sender.mac
-    print(f"  Wi-Fi delivered   : {wifi.data_delivered} frames "
-          f"(PRR {wifi.data_delivered / max(wifi.data_sent, 1):.3f})")
+        print(f"  control packets   : {link.control_packets}")
+    wifi = result.wifi["wifi"]
+    print(f"  Wi-Fi delivered   : {wifi.delivered} frames "
+          f"(PRR {wifi.delivered / max(wifi.sent, 1):.3f})")
 
 
 if __name__ == "__main__":

@@ -12,46 +12,46 @@ Renders a full coexistence run as terminal figures:
 Run:  python examples/whitespace_anatomy.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from repro.analysis import analyze_trace
-from repro.core import BicordCoordinator, BicordNode
-from repro.experiments import build_office, location_powermap
 from repro.experiments.figures import histogram, sparkline, timeline
 from repro.mac.frames import FrameType
-from repro.traffic import WifiPacketSource, ZigbeeBurstSource
+from repro.scenarios import compile_scenario, get_scenario
+
+TRACE = {"medium.tx_start"}
 
 
 def main() -> None:
-    office = build_office(seed=11, location="A", trace_kinds={"medium.tx_start"})
-    cal = office.calibration
-    WifiPacketSource(office.ctx, office.wifi_sender.mac, "F",
-                     payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval)
-    coordinator = BicordCoordinator(office.wifi_receiver)
-    node = BicordNode(office.zigbee_sender, "ZR", powermap=location_powermap("A"))
+    spec = get_scenario(
+        "office", n_bursts=14, burst_packets=10, burst_interval=0.25, poisson=False
+    )
+    office = compile_scenario(spec, seed=11, trace_kinds=TRACE)
+    coordinator = office.coordinator
 
     whitespaces = []
 
     def on_sent(frame):
         if frame.frame_type is FrameType.CTS and frame.meta.get("bicord"):
-            now = office.ctx.sim.now
+            now = office.sim.now
             whitespaces.append((now, now + frame.meta["nav_duration"]))
 
-    office.wifi_receiver.mac.sent_listeners.append(on_sent)
-    ZigbeeBurstSource(office.ctx, node.offer_burst, n_packets=10, payload_bytes=50,
-                      interval_mean=0.25, poisson=False, max_bursts=14)
-    horizon = 4.0
-    office.ctx.sim.run(until=horizon)
+    office.device("F").mac.sent_listeners.append(on_sent)
+    result = office.run(until=4.0)
+    link = result.links["zigbee"]
 
     print("=== the channel without coordination ===")
     exchange_need = 4.5e-3
-    # Measure the *natural* gaps on a separate, uncoordinated run (the run
-    # above contains BiCord's own white spaces, which are exactly the gaps
-    # coordination creates).
-    plain = build_office(seed=11, location="A", trace_kinds={"medium.tx_start"})
-    WifiPacketSource(plain.ctx, plain.wifi_sender.mac, "F",
-                     payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval)
-    plain.ctx.sim.run(until=2.0)
+    # Measure the *natural* gaps on a separate run of the Wi-Fi link alone,
+    # with no coordinator (the run above contains BiCord's own white
+    # spaces, which are exactly the gaps coordination creates).
+    wifi_only = dataclasses.replace(
+        get_scenario("office", scheme="csma"), zigbee=(), duration=2.0, grace=0.0
+    )
+    plain = compile_scenario(wifi_only, seed=11, trace_kinds=TRACE)
+    plain.run()
     stats = analyze_trace(plain.ctx.trace, 0.1, 2.0, need=exchange_need)
     print(f"natural Wi-Fi idle gaps: {stats.n_gaps} gaps, median "
           f"{stats.median * 1e3:.2f} ms, p90 {stats.p90 * 1e3:.2f} ms")
@@ -68,10 +68,10 @@ def main() -> None:
     print(timeline(whitespaces, 0.0, 2.0, width=78))
 
     print("\n=== ZigBee per-packet delay ===")
-    delays_ms = [d * 1e3 for d in node.packet_delays]
+    delays_ms = [d * 1e3 for d in link.delays]
     print(histogram(delays_ms, n_bins=8, width=30))
-    print(f"\ndelivered {node.packets_delivered} packets, mean delay "
-          f"{np.mean(delays_ms):.1f} ms, {node.control_packets_sent} control packets")
+    print(f"\ndelivered {link.delivered} packets, mean delay "
+          f"{np.mean(delays_ms):.1f} ms, {link.control_packets} control packets")
 
 
 if __name__ == "__main__":

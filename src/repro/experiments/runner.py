@@ -1,18 +1,16 @@
 """Experiment runners: one function per evaluation scenario of the paper.
 
-Each runner assembles the Fig. 6 office from :mod:`.topology`, wires the
-scheme under test (BiCord or a baseline), drives the paper's workload, and
-returns structured results.  Benchmarks and examples call these functions;
-they never poke at devices directly.
+Every runner compiles the ``office`` library scenario (the Fig. 6 office)
+through :func:`~repro.scenarios.compile_scenario`, attaches what only it
+needs before the run (the signaling runner's salvo driver and CSI
+detector), and reads its results through the compiled scenario's handles
+afterwards.  Which coordinator and node a scheme uses comes from the
+scheme table, :mod:`repro.schemes`, so a new scheme reaches every runner
+that takes a ``scheme``.
 
 All runners share the uniform signature ``run_x(config, seed, calibration)``
 so the experiment registry (:mod:`.registry`) and the sweep engine
 (:mod:`.sweep`) can drive any of them interchangeably.
-
-:func:`run_coexistence` does not wire the office by hand: it compiles the
-``office`` library scenario (:func:`coexistence_spec`) like every other
-scenario run.  Which coordinator and node a scheme uses comes from the
-scheme table, :mod:`repro.schemes`.
 """
 
 from __future__ import annotations
@@ -23,25 +21,41 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core import (
-    BicordConfig,
-    BicordCoordinator,
-    BicordNode,
-    DetectorConfig,
-    ZigbeeSignalDetector,
-)
+from ..core import BicordConfig, DetectorConfig, ZigbeeSignalDetector
 from ..faults import FaultPlan
-from ..mac.frames import zigbee_control_frame
+from ..mac.frames import zigbee_ack_frame, zigbee_control_frame, zigbee_data_frame
+from ..phy.csi import CsiObserver
 from ..schemes import get_scheme
 from ..sim.process import Process
-from ..traffic.generators import PriorityWifiSource, WifiPacketSource, ZigbeeBurstSource
-from .metrics import AirtimeProbe, CoexistenceResult, PrecisionRecall
+from .metrics import CoexistenceResult, PrecisionRecall
 from .result import ResultBase
-from .topology import Calibration, build_office, location_powermap
+from .topology import Calibration
 
-#: The ZigBee link of a coexistence run.  Its burst source draws from the
+#: The ZigBee link of every office run.  Its burst source draws from the
 #: ``traffic/zigbee-source`` stream, so the name is part of every result.
 COEXISTENCE_LINK = "zigbee-source"
+#: The priority runner's Wi-Fi link; its phase shuffle draws from the
+#: ``traffic/wifi-priority-source`` stream.
+PRIORITY_LINK = "wifi-priority-source"
+
+
+def _office_spec(duration: Optional[float] = None, grace: float = 0.0, **params):
+    """The ``office`` library spec with its ZigBee link named :data:`COEXISTENCE_LINK`.
+
+    ``params`` go to the library factory.  ``duration`` replaces the
+    factory's horizon when given; ``grace=0`` runs to a fixed horizon with
+    no drain.
+    """
+    from ..scenarios.library import office  # lazy: scenarios imports experiments
+
+    spec = office(**params)
+    link = dataclasses.replace(spec.zigbee[0], name=COEXISTENCE_LINK)
+    return dataclasses.replace(
+        spec,
+        duration=spec.duration if duration is None else duration,
+        grace=grace,
+        zigbee=(link,),
+    )
 
 
 # ======================================================================
@@ -91,24 +105,33 @@ def run_signaling_trial(
     white spaces are granted (we only measure detection quality, as in
     Sec. VIII-B).
     """
+    from ..scenarios import compile_scenario  # lazy: scenarios imports experiments
+
     cfg = config if config is not None else SignalingTrialConfig()
     seed = 0 if seed is None else int(seed)
-    office = build_office(seed=seed, location=cfg.location, calibration=calibration)
-    ctx = office.ctx
-    registry = ctx.telemetry
-    cal = office.calibration
-    WifiPacketSource(
-        ctx, office.wifi_sender.mac, "F",
-        payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval,
+    control_duration = zigbee_control_frame("ZS", 120).duration()
+    horizon = 0.1 + cfg.n_salvos * (
+        cfg.n_control_packets * (control_duration + 0.5e-3) + cfg.salvo_gap
     )
+    # csma wires no coordinator and a ZigBee link with no bursts stays
+    # silent: the salvo driver below is the only ZigBee traffic.
+    spec = _office_spec(
+        duration=horizon, location=cfg.location, scheme="csma", n_bursts=0
+    )
+    compiled = compile_scenario(spec, seed=seed, calibration=calibration)
+    ctx = compiled.ctx
+    registry = ctx.telemetry
+    cal = calibration if calibration is not None else spec.calibration
+    # No scheme consumes CSI here, so the detector brings its own observer.
+    receiver = compiled.device("F")
+    csi = CsiObserver(receiver.mac, ctx.sim, ctx.streams, model=cal.csi_model())
     detector = ZigbeeSignalDetector(cfg.detector_config)
-    office.wifi_receiver.csi.subscribe(detector.observe)
+    csi.subscribe(detector.observe)
     detections: List[float] = []
     detector.on_detection.append(detections.append)
 
     windows: List[Tuple[float, float]] = []
-    zs_mac = office.zigbee_sender.mac
-    control_duration = zigbee_control_frame("ZS", 120).duration()
+    zs_mac = compiled.device("ZS").mac
 
     def salvo_driver():
         # Let Wi-Fi traffic and the CSI baseline settle first.
@@ -127,11 +150,8 @@ def run_signaling_trial(
             yield salvo_span + cfg.salvo_gap
 
     driver = Process(ctx.sim, salvo_driver(), name="salvo-driver")
-    horizon = 0.1 + cfg.n_salvos * (
-        cfg.n_control_packets * (control_duration + 0.5e-3) + cfg.salvo_gap
-    )
     with registry.span("signaling.sim"):
-        ctx.sim.run(until=horizon)
+        run = compiled.run()
     driver.stop()
 
     tp = fp = 0
@@ -153,16 +173,14 @@ def run_signaling_trial(
         salvos=len(windows),
         salvos_detected=sum(detected_salvos),
     )
-    sender_mac = office.wifi_sender.mac
-    sent = max(sender_mac.data_sent, 1)
-    prr = sender_mac.data_delivered / sent
+    wifi = run.wifi[spec.wifi[0].name]
+    prr = wifi.delivered / max(wifi.sent, 1)
     # Detection-quality telemetry: this runner sees ground truth (salvo
     # windows), so false wakeups are exact here, unlike in coexistence runs.
     registry.counter("detector.samples_seen").inc(detector.samples_seen)
     registry.counter("detector.detections").inc(detector.detections)
     registry.counter("detector.true_detections").inc(tp)
     registry.counter("detector.false_wakeups").inc(fp)
-    registry.record_sim(ctx.sim)
     return SignalingTrialResult(
         cfg.location, cfg.power_dbm, cfg.n_control_packets, pr, prr, seed=seed
     )
@@ -202,10 +220,8 @@ class CoexistenceConfig:
 
 def coexistence_spec(config: CoexistenceConfig):
     """The office :class:`~repro.scenarios.ScenarioSpec` one coexistence run compiles."""
-    from ..scenarios import get_scenario  # lazy: scenarios imports experiments
-
-    spec = get_scenario(
-        "office",
+    spec = _office_spec(
+        grace=config.grace,
         location=config.location,
         scheme=config.scheme,
         n_bursts=config.n_bursts,
@@ -216,9 +232,7 @@ def coexistence_spec(config: CoexistenceConfig):
         mobility=config.mobility,
     )
     link = dataclasses.replace(
-        spec.zigbee[0],
-        name=COEXISTENCE_LINK,
-        signaling_power_dbm=config.signaling_power_dbm,
+        spec.zigbee[0], signaling_power_dbm=config.signaling_power_dbm
     )
     coordinator = dataclasses.replace(
         spec.coordinator,
@@ -226,9 +240,7 @@ def coexistence_spec(config: CoexistenceConfig):
         ecc_period=config.ecc_period,
         bicord=config.bicord_config,
     )
-    return dataclasses.replace(
-        spec, grace=config.grace, zigbee=(link,), coordinator=coordinator
-    )
+    return dataclasses.replace(spec, zigbee=(link,), coordinator=coordinator)
 
 
 def run_coexistence(
@@ -336,33 +348,29 @@ def run_learning_trial(
     calibration: Optional[Calibration] = None,
 ) -> LearningTrialResult:
     """Observe the white-space learning process for one traffic pattern."""
+    from ..scenarios import compile_scenario  # lazy: scenarios imports experiments
+
     cfg = config if config is not None else LearningTrialConfig()
     seed = 0 if seed is None else int(seed)
     bicord_config = BicordConfig()
     bicord_config.allocator.initial_whitespace = cfg.step
-    office = build_office(seed=seed, location=cfg.location, calibration=calibration)
-    ctx = office.ctx
-    cal = office.calibration
-    WifiPacketSource(
-        ctx, office.wifi_sender.mac, "F",
-        payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval,
-    )
-    coordinator = BicordCoordinator(office.wifi_receiver, config=bicord_config)
-    node = BicordNode(
-        office.zigbee_sender, "ZR", config=bicord_config,
-        powermap=location_powermap(cfg.location),
-    )
-    ZigbeeBurstSource(
-        ctx, node.offer_burst, n_packets=cfg.n_packets,
+    spec = _office_spec(
+        duration=cfg.n_bursts * cfg.burst_interval + 1.0,
+        location=cfg.location,
+        n_bursts=cfg.n_bursts,
+        burst_packets=cfg.n_packets,
         payload_bytes=cfg.payload_bytes,
-        interval_mean=cfg.burst_interval, poisson=False, max_bursts=cfg.n_bursts,
+        burst_interval=cfg.burst_interval,
+        poisson=False,
     )
-    ctx.sim.run(until=cfg.n_bursts * cfg.burst_interval + 1.0)
-    coordinator.stop()
+    spec = dataclasses.replace(
+        spec, coordinator=dataclasses.replace(spec.coordinator, bicord=bicord_config)
+    )
+    compiled = compile_scenario(spec, seed=seed, calibration=calibration)
+    compiled.run()
+    allocator = compiled.coordinator.allocator
     # Data airtime one burst needs (for over-provision accounting, Fig. 9):
     # packet exchange = frame + ACK + 2 turnarounds + pacing gap.
-    from ..mac.frames import zigbee_ack_frame, zigbee_data_frame
-
     exchange = (
         zigbee_data_frame("ZS", "ZR", cfg.payload_bytes).duration()
         + zigbee_ack_frame("ZR", "ZS", 0).duration()
@@ -373,10 +381,10 @@ def run_learning_trial(
         n_packets=cfg.n_packets,
         step=cfg.step,
         location=cfg.location,
-        iterations=coordinator.allocator.learning_iterations,
-        converged=coordinator.allocator.converged,
-        final_whitespace=coordinator.allocator.current_whitespace,
-        trajectory=coordinator.allocator.whitespace_trajectory(),
+        iterations=allocator.learning_iterations,
+        converged=allocator.converged,
+        final_whitespace=allocator.current_whitespace,
+        trajectory=allocator.whitespace_trajectory(),
         burst_airtime=cfg.n_packets * exchange,
         seed=seed,
     )
@@ -419,54 +427,51 @@ def run_priority_experiment(
     """Sec. VIII-G: Wi-Fi mixes video (high) and file (low) traffic.
 
     The coordinator ignores ZigBee requests while the Wi-Fi device is in a
-    high-priority phase.
+    high-priority phase.  ``utilization`` and ``zigbee_utilization`` divide
+    the airtime of the whole ``total_duration + 0.5`` s run by
+    ``total_duration`` alone; that ratio is kept as it is until the
+    fidelity ledger (ROADMAP) settles the window.
     """
-    from ..scenarios.spec import CoordinatorSpec  # lazy: scenarios imports experiments
+    from ..scenarios import compile_scenario  # lazy: scenarios imports experiments
+    from ..scenarios.spec import (  # lazy: scenarios imports experiments
+        CoordinatorSpec,
+        WifiLinkSpec,
+        WifiTrafficSpec,
+    )
 
     cfg = config if config is not None else PriorityTrialConfig()
     seed = 0 if seed is None else int(seed)
-    office = build_office(seed=seed, location=cfg.location, calibration=calibration)
-    ctx = office.ctx
-    cal = office.calibration
-    source = PriorityWifiSource(
-        ctx, office.wifi_sender.mac, "F",
-        high_proportion=cfg.high_proportion, total_duration=cfg.total_duration,
-        payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval,
+    traffic = WifiTrafficSpec(
+        kind="priority",
+        high_proportion=cfg.high_proportion,
+        total_duration=cfg.total_duration,
     )
-
-    def policy() -> bool:
-        return source.current_priority == 0
-
-    scheme = get_scheme(cfg.scheme, honors_priority=True)
-    spec = CoordinatorSpec(scheme=cfg.scheme, ecc_whitespace=cfg.ecc_whitespace)
-    coordinator = scheme.coordinator(office.wifi_receiver, spec, policy)
-    node = scheme.node(
-        office.zigbee_sender, "ZR", coordinator, spec, location_powermap(cfg.location)
+    spec = dataclasses.replace(
+        _office_spec(
+            duration=cfg.total_duration + 0.5,
+            location=cfg.location,
+            n_bursts=int(cfg.total_duration / 0.2),
+        ),
+        wifi=(WifiLinkSpec(name=PRIORITY_LINK, traffic=traffic),),
+        coordinator=CoordinatorSpec(scheme=cfg.scheme, ecc_whitespace=cfg.ecc_whitespace),
     )
-
-    ZigbeeBurstSource(
-        ctx, node.offer_burst, n_packets=5, payload_bytes=50,
-        interval_mean=200e-3, poisson=True,
-        max_bursts=int(cfg.total_duration / 0.2),
-    )
-    probe = AirtimeProbe(
-        wifi_radios=[office.wifi_sender.radio, office.wifi_receiver.radio],
-        zigbee_radios=[office.zigbee_sender.radio, office.zigbee_receiver.radio],
-    )
-    probe.start(0.0)
-    ctx.sim.run(until=cfg.total_duration + 0.5)
-    coordinator.stop()
-    snapshot = probe.snapshot(cfg.total_duration)
-    low = [d for d, p in office.wifi_sender.mac.delay_records if p == 0]
-    high = [d for d, p in office.wifi_sender.mac.delay_records if p > 0]
+    compiled = compile_scenario(spec, seed=seed, calibration=calibration)
+    run = compiled.run()
+    snapshot = compiled.probe.snapshot(cfg.total_duration)
+    wifi = run.wifi[PRIORITY_LINK]
+    delays = run.links[COEXISTENCE_LINK].delays
     return PriorityResult(
         scheme=cfg.scheme,
         high_proportion=cfg.high_proportion,
         utilization=snapshot.channel_utilization,
         zigbee_utilization=snapshot.zigbee_utilization,
-        low_priority_wifi_delay=float(np.mean(low)) if low else 0.0,
-        high_priority_wifi_delay=float(np.mean(high)) if high else 0.0,
-        zigbee_mean_delay=float(np.mean(node.packet_delays)) if node.packet_delays else 0.0,
+        low_priority_wifi_delay=(
+            float(np.mean(wifi.low_priority_delays)) if wifi.low_priority_delays else 0.0
+        ),
+        high_priority_wifi_delay=(
+            float(np.mean(wifi.high_priority_delays)) if wifi.high_priority_delays else 0.0
+        ),
+        zigbee_mean_delay=float(np.mean(delays)) if delays else 0.0,
         seed=seed,
     )
 
@@ -498,29 +503,30 @@ def run_energy_trial(
     calibration: Optional[Calibration] = None,
 ) -> EnergyResult:
     """Energy of delivering bursts under Wi-Fi (BiCord) vs a clear channel."""
+    from ..scenarios import compile_scenario  # lazy: scenarios imports experiments
+    from ..scenarios.spec import WifiLinkSpec, WifiTrafficSpec  # lazy: see above
+
     cfg = config if config is not None else EnergyTrialConfig()
     seed = 0 if seed is None else int(seed)
 
     def one(with_wifi: bool) -> Tuple[float, int]:
-        office = build_office(seed=seed, location="A", calibration=calibration)
-        ctx = office.ctx
-        cal = office.calibration
-        if with_wifi:
-            WifiPacketSource(
-                ctx, office.wifi_sender.mac, "F",
-                payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval,
-            )
-            BicordCoordinator(office.wifi_receiver)
-        node = BicordNode(
-            office.zigbee_sender, "ZR", powermap=location_powermap("A")
-        )
-        ZigbeeBurstSource(
-            ctx, node.offer_burst, n_packets=cfg.n_packets,
+        spec = _office_spec(
+            duration=cfg.n_bursts * 0.3 + 1.0,
+            n_bursts=cfg.n_bursts,
+            burst_packets=cfg.n_packets,
             payload_bytes=cfg.payload_bytes,
-            interval_mean=300e-3, poisson=False, max_bursts=cfg.n_bursts,
+            burst_interval=0.3,
+            poisson=False,
         )
-        ctx.sim.run(until=cfg.n_bursts * 0.3 + 1.0)
-        return office.zigbee_sender.energy.total_mj, node.control_packets_sent
+        if not with_wifi:
+            # E and F stay but send nothing: a clear channel, on which the
+            # coordinator never sees a frame and so never grants.
+            silent = WifiLinkSpec(traffic=WifiTrafficSpec(kind="none"))
+            spec = dataclasses.replace(spec, wifi=(silent,))
+        compiled = compile_scenario(spec, seed=seed, calibration=calibration)
+        run = compiled.run()
+        energy = compiled.zigbee_links[COEXISTENCE_LINK].sender.energy
+        return energy.total_mj, run.links[COEXISTENCE_LINK].control_packets
 
     bicord_mj, control = one(with_wifi=True)
     clear_mj, _ = one(with_wifi=False)

@@ -71,7 +71,11 @@ from .topology import Calibration
 #:    snapshots carry the ``scenario.*`` instruments.
 #: 8: the medium kernel follows the radio count, so small scenarios' telemetry
 #:    no longer carries the vector-only ``medium.*`` counters.
-CACHE_SCHEMA = 8
+#: 9: every traffic source draws from ``traffic/<link name>`` (priority
+#:    scenarios reshuffle their phases), and the signaling, learning,
+#:    priority and energy trials compile a scenario, so their telemetry
+#:    carries the ``scenario.*`` instruments.
+CACHE_SCHEMA = 9
 
 _LOG = get_logger("sweep")
 

@@ -22,12 +22,11 @@ suffering >95% loss without coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..context import SimContext, build_context
-from ..core import BicordConfig, PowerMap
-from ..devices import WifiDevice, ZigbeeDevice
+from ..core import PowerMap
 from ..phy.csi import CsiModel
 from ..phy.propagation import FadingModel, PathLossModel, Position
 
@@ -98,65 +97,6 @@ class Calibration:
             faults=faults,
             n_radios=n_radios,
         )
-
-
-@dataclass
-class Office:
-    """A built scenario: context plus the four standard devices."""
-
-    ctx: SimContext
-    wifi_sender: WifiDevice  # E
-    wifi_receiver: WifiDevice  # F (hosts the CSI observer)
-    zigbee_sender: ZigbeeDevice
-    zigbee_receiver: ZigbeeDevice
-    calibration: Calibration
-    location: str
-
-    @property
-    def sim(self):
-        return self.ctx.sim
-
-
-def build_office(
-    seed: int = 0,
-    location: str = "A",
-    calibration: Optional[Calibration] = None,
-    trace_kinds=frozenset(),
-    zigbee_receiver_pos: Optional[Position] = None,
-    faults=None,
-    n_radios: int = 0,
-) -> Office:
-    """Assemble the Fig. 6 office: E, F, and a ZigBee pair at ``location``.
-
-    ``faults`` is an optional :class:`~repro.faults.FaultPlan`; its seeded
-    injectors land in ``office.ctx.faults`` where the CSI observer,
-    coordinator, and node pick them up automatically.  ``n_radios`` is the
-    caller's total radio count, passed on to pick the medium (see
-    :func:`repro.context.build_context`).
-    """
-    if location not in LOCATIONS:
-        raise ValueError(f"unknown location {location!r}; expected one of {sorted(LOCATIONS)}")
-    cal = calibration or Calibration()
-    ctx = cal.context(seed, trace_kinds=trace_kinds, faults=faults, n_radios=n_radios)
-    sender = WifiDevice(
-        ctx, "E", WIFI_SENDER_POS, channel=cal.wifi_channel,
-        tx_power_dbm=cal.wifi_tx_power_dbm, data_rate_mbps=cal.wifi_rate_mbps,
-        nonwifi_ed_penalty_db=cal.nonwifi_ed_penalty_db,
-    )
-    receiver = WifiDevice(
-        ctx, "F", WIFI_RECEIVER_POS, channel=cal.wifi_channel,
-        tx_power_dbm=cal.wifi_tx_power_dbm, data_rate_mbps=cal.wifi_rate_mbps,
-        with_csi=True, csi_model=cal.csi_model(),
-        nonwifi_ed_penalty_db=cal.nonwifi_ed_penalty_db,
-    )
-    zs_pos = LOCATIONS[location]
-    zr_pos = zigbee_receiver_pos or zs_pos.moved(*ZIGBEE_RECEIVER_OFFSET)
-    zigbee_sender = ZigbeeDevice(
-        ctx, "ZS", zs_pos, channel=cal.zigbee_channel,
-        tx_power_dbm=cal.zigbee_data_power_dbm,
-    )
-    zigbee_receiver = ZigbeeDevice(ctx, "ZR", zr_pos, channel=cal.zigbee_channel)
-    return Office(ctx, sender, receiver, zigbee_sender, zigbee_receiver, cal, location)
 
 
 def location_powermap(location: str, default: Optional[float] = None) -> PowerMap:

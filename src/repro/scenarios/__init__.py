@@ -31,7 +31,6 @@ from .library import (
     vehicular_corridor,
 )
 from .spec import (
-    BACKENDS,
     TRAJECTORY_MODELS,
     ApSpec,
     BurstTrafficSpec,
@@ -50,7 +49,6 @@ from .spec import (
 
 __all__ = [
     "ApSpec",
-    "BACKENDS",
     "BurstTrafficSpec",
     "CompiledScenario",
     "CoordinatorSpec",

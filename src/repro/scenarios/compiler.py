@@ -7,14 +7,11 @@ nodes, traffic sources, mobility processes, airtime probe — returning a
 simulation and collects a
 :class:`~repro.experiments.scenario.ScenarioResult`.
 
-Two backends share one wiring path:
-
-* ``office`` delegates the base E/F/ZS/ZR quartet to
-  :func:`~repro.experiments.topology.build_office` (the calibrated Fig. 6
-  geometry — positions, CSI model, CCA penalties all come from there) and
-  only builds *additional* ZigBee links itself;
-* ``generic`` builds every device from the link specs, in spec order, so
-  procedurally generated deployments of any size compile the same way.
+Every device is built from the link specs, in spec order, so the paper's
+Fig. 6 office and procedurally generated deployments of any size compile
+the same way.  Experiments that need more than a scheme wires (a salvo
+driver, a detector) attach it to the compiled scenario before
+:meth:`~CompiledScenario.run` and read its devices afterwards.
 
 Compilation is deterministic: the same (spec, seed, calibration) always
 produces the same device/RNG-stream wiring, which is what makes scenario
@@ -29,11 +26,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..devices import WifiDevice, ZigbeeDevice
 from ..experiments.metrics import AirtimeProbe
 from ..experiments.scenario import LinkResult, ScenarioResult, WifiLinkResult
-from ..experiments.topology import (
-    Calibration,
-    build_office,
-    location_powermap,
-)
+from ..experiments.topology import Calibration, location_powermap
 from ..faults.presets import get_fault_plan
 from ..mobility import (
     RandomWaypointTrajectory,
@@ -288,52 +281,32 @@ def compile_scenario(
     # context picks its medium kernel from this count.
     n_radios = 2 * (len(spec.wifi) + len(spec.zigbee)) + len(spec.aps)
 
-    if spec.backend == "office":
-        office = build_office(
-            seed=seed,
-            location=spec.location,
-            calibration=cal,
-            trace_kinds=trace_kinds,
-            zigbee_receiver_pos=Position(*spec.zigbee[0].receiver_pos),
-            faults=plan,
-            n_radios=n_radios,
+    ctx = cal.context(seed, trace_kinds=trace_kinds, faults=plan, n_radios=n_radios)
+    for wl in spec.wifi:
+        # CSI observation is only wired where something consumes it:
+        # the BiCord coordinator's link, or a person-mobility link.
+        with_csi = (wl.name == observer_name and scheme.observes_csi) or (
+            wl.name == person_link
         )
-        ctx = office.ctx
-        wl = spec.wifi[0]
-        wifi_links[wl.name] = _WifiLinkRuntime(wl, office.wifi_sender, office.wifi_receiver)
-        zl = spec.zigbee[0]
-        zigbee_links[zl.name] = _ZigbeeLinkRuntime(
-            zl, office.zigbee_sender, office.zigbee_receiver
+        sender = WifiDevice(
+            ctx, wl.sender, Position(*wl.sender_pos),
+            channel=_resolve(wl.channel, cal.wifi_channel),
+            tx_power_dbm=_resolve(wl.tx_power_dbm, cal.wifi_tx_power_dbm),
+            data_rate_mbps=_resolve(wl.data_rate_mbps, cal.wifi_rate_mbps),
+            nonwifi_ed_penalty_db=cal.nonwifi_ed_penalty_db,
         )
-        extra_zigbee = spec.zigbee[1:]
-    else:
-        ctx = cal.context(seed, trace_kinds=trace_kinds, faults=plan, n_radios=n_radios)
-        for wl in spec.wifi:
-            # CSI observation is only wired where something consumes it:
-            # the BiCord coordinator's link, or a person-mobility link.
-            with_csi = (wl.name == observer_name and scheme.observes_csi) or (
-                wl.name == person_link
-            )
-            sender = WifiDevice(
-                ctx, wl.sender, Position(*wl.sender_pos),
-                channel=_resolve(wl.channel, cal.wifi_channel),
-                tx_power_dbm=_resolve(wl.tx_power_dbm, cal.wifi_tx_power_dbm),
-                data_rate_mbps=_resolve(wl.data_rate_mbps, cal.wifi_rate_mbps),
-                nonwifi_ed_penalty_db=cal.nonwifi_ed_penalty_db,
-            )
-            receiver = WifiDevice(
-                ctx, wl.receiver, Position(*wl.receiver_pos),
-                channel=_resolve(wl.channel, cal.wifi_channel),
-                tx_power_dbm=_resolve(wl.tx_power_dbm, cal.wifi_tx_power_dbm),
-                data_rate_mbps=_resolve(wl.data_rate_mbps, cal.wifi_rate_mbps),
-                with_csi=with_csi,
-                csi_model=cal.csi_model() if with_csi else None,
-                nonwifi_ed_penalty_db=cal.nonwifi_ed_penalty_db,
-            )
-            wifi_links[wl.name] = _WifiLinkRuntime(wl, sender, receiver)
-        extra_zigbee = spec.zigbee
+        receiver = WifiDevice(
+            ctx, wl.receiver, Position(*wl.receiver_pos),
+            channel=_resolve(wl.channel, cal.wifi_channel),
+            tx_power_dbm=_resolve(wl.tx_power_dbm, cal.wifi_tx_power_dbm),
+            data_rate_mbps=_resolve(wl.data_rate_mbps, cal.wifi_rate_mbps),
+            with_csi=with_csi,
+            csi_model=cal.csi_model() if with_csi else None,
+            nonwifi_ed_penalty_db=cal.nonwifi_ed_penalty_db,
+        )
+        wifi_links[wl.name] = _WifiLinkRuntime(wl, sender, receiver)
 
-    for zl in extra_zigbee:
+    for zl in spec.zigbee:
         sender = ZigbeeDevice(
             ctx, zl.sender_name, Position(*zl.sender_pos),
             channel=_resolve(zl.channel, cal.zigbee_channel),
@@ -345,8 +318,7 @@ def compile_scenario(
         )
         zigbee_links[zl.name] = _ZigbeeLinkRuntime(zl, sender, receiver)
 
-    # Candidate APs for roaming (generic backend only, enforced by
-    # validate()).  They carry no traffic source of their own; the roaming
+    # Candidate APs for roaming.  They carry no traffic source of their own; the roaming
     # client retargets the serving link's uplink at whichever AP it joins.
     ap_devices: List[WifiDevice] = []
     for ap in spec.aps:
@@ -377,7 +349,7 @@ def compile_scenario(
                 total_duration=_resolve(traffic.total_duration, spec.duration),
                 phase_duration=traffic.phase_duration,
                 payload_bytes=payload, interval=interval,
-                name=f"wifi/{name}",
+                name=name,
             )
             link.priority_source = source
             priority_sources.append(source)
@@ -386,7 +358,7 @@ def compile_scenario(
                 ctx, link.sender.mac, link.spec.receiver,
                 payload_bytes=payload, interval=interval,
                 max_packets=traffic.max_packets,
-                name=f"wifi/{name}",
+                name=name,
             )
         link.source = source
 

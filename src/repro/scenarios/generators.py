@@ -1,6 +1,6 @@
 """Seeded procedural scenario generators: dense deployments on demand.
 
-Each generator emits a fully-validated generic-backend
+Each generator emits a fully-validated
 :class:`~repro.scenarios.spec.ScenarioSpec` with N ZigBee links and M
 Wi-Fi pairs, so deployment density and traffic mix — the axes the
 TSCH/Wi-Fi and CTI-survey papers single out — become sweepable
@@ -125,7 +125,6 @@ def grid(
         ),
         duration=duration,
         grace=1.0,
-        backend="generic",
         wifi=_wifi_pairs(n_wifi_pairs, y=-spacing, spacing=spacing),
         zigbee=tuple(zigbee),
         coordinator=CoordinatorSpec(scheme=scheme),
@@ -173,7 +172,6 @@ def random_uniform(
         ),
         duration=duration,
         grace=1.0,
-        backend="generic",
         wifi=_wifi_pairs(n_wifi_pairs, y=-2.0, spacing=max(width / max(n_wifi_pairs, 1), 3.5)),
         zigbee=tuple(zigbee),
         coordinator=CoordinatorSpec(scheme=scheme),
@@ -234,7 +232,6 @@ def clustered(
         ),
         duration=duration,
         grace=1.0,
-        backend="generic",
         wifi=_wifi_pairs(n_wifi_pairs, y=-2.0, spacing=max(width / max(n_wifi_pairs, 1), 3.5)),
         zigbee=tuple(zigbee),
         coordinator=CoordinatorSpec(scheme=scheme),

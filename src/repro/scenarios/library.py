@@ -34,6 +34,7 @@ from .spec import (
     WifiLinkSpec,
     WifiTrafficSpec,
     ZigbeeLinkSpec,
+    check_location,
 )
 
 
@@ -111,6 +112,7 @@ def get_scenario(name: str, **params) -> ScenarioSpec:
 # Built-in library
 # ======================================================================
 def _pos(location: str) -> Tuple[float, float]:
+    check_location(location)
     position = LOCATIONS[location]
     return (position.x, position.y)
 
@@ -135,7 +137,6 @@ def office(
         ),
         duration=n_bursts * burst_interval,
         grace=2.0,
-        backend="office",
         location=location,
         wifi=(WifiLinkSpec(),),
         zigbee=(
@@ -172,7 +173,6 @@ def smart_home(scheme: str = "bicord", duration: float = 7.0) -> ScenarioSpec:
             "uploads, both coordinating with one Wi-Fi AP"
         ),
         duration=duration,
-        backend="office",
         location="A",
         wifi=(WifiLinkSpec(),),
         zigbee=(
@@ -260,7 +260,6 @@ def dense_office(
             "(the allocator serves the aggregate demand)"
         ),
         duration=duration,
-        backend="office",
         location="A",
         wifi=(WifiLinkSpec(),),
         zigbee=tuple(zigbee),
@@ -300,7 +299,6 @@ def priority_streaming(
             "spaces during low-priority phases"
         ),
         duration=total_duration + 0.5,
-        backend="office",
         location="A",
         wifi=(
             WifiLinkSpec(
@@ -370,7 +368,6 @@ def vehicular_corridor(
             f"every {ap_spacing} m under the {policy!r} policy"
         ),
         duration=duration,
-        backend="generic",
         wifi=(
             WifiLinkSpec(
                 name="car",
@@ -448,7 +445,6 @@ def campus_roaming(
             f"with the {policy!r} policy"
         ),
         duration=duration,
-        backend="generic",
         wifi=(
             WifiLinkSpec(
                 name="ped",

@@ -44,7 +44,6 @@ from ..serialization import stable_hash, to_dict
 MOBILITY_KINDS = ("none", "person", "device", "trajectory")
 TRAJECTORY_MODELS = ("waypoint", "random-waypoint")
 WIFI_TRAFFIC_KINDS = ("periodic", "priority", "none")
-BACKENDS = ("generic", "office")
 
 
 def round_position(x: float, y: float) -> Tuple[float, float]:
@@ -65,6 +64,15 @@ class SpecError(ValueError):
         self.path = path or "<root>"
         self.message = message
         super().__init__(f"{self.path}: {message}")
+
+
+def check_location(location: str) -> None:
+    """Raise :class:`SpecError` unless ``location`` is one of the paper's A-D."""
+    if location not in LOCATIONS:
+        raise SpecError(
+            "location",
+            f"unknown location {location!r}; expected one of {sorted(LOCATIONS)}",
+        )
 
 
 # ======================================================================
@@ -259,12 +267,7 @@ class ScenarioSpec:
     duration: float = 6.0
     #: Extra settling time after ``duration`` while ZigBee packets drain.
     grace: float = 0.0
-    #: ``office`` delegates the base E/F/ZS/ZR quartet to ``build_office``
-    #: (the calibrated Fig. 6 geometry); ``generic`` builds every device
-    #: from the link specs alone.
-    backend: str = "generic"
-    #: Paper location (A-D): pins the office geometry and the default
-    #: signaling power.
+    #: Paper location (A-D): pins the default signaling power.
     location: str = "A"
     wifi: Tuple[WifiLinkSpec, ...] = (WifiLinkSpec(),)
     zigbee: Tuple[ZigbeeLinkSpec, ...] = (ZigbeeLinkSpec(),)
@@ -321,15 +324,7 @@ class ScenarioSpec:
             raise SpecError("duration", f"must be > 0, got {self.duration}")
         if self.grace < 0:
             raise SpecError("grace", f"must be >= 0, got {self.grace}")
-        if self.backend not in BACKENDS:
-            raise SpecError(
-                "backend", f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.location not in LOCATIONS:
-            raise SpecError(
-                "location",
-                f"unknown location {self.location!r}; expected one of {sorted(LOCATIONS)}",
-            )
+        check_location(self.location)
         if self.coordinator.scheme not in SCHEMES:
             raise SpecError(
                 "coordinator.scheme",
@@ -347,6 +342,14 @@ class ScenarioSpec:
             dupes = sorted({n for n in names if names.count(n) > 1})
             if dupes:
                 raise SpecError(scope, f"duplicate link name(s): {dupes}")
+        # Every traffic source draws from ``traffic/<link name>``: a Wi-Fi
+        # and a ZigBee link of one name would share a random stream.
+        for i, link in enumerate(self.zigbee):
+            if link.name in wifi_names:
+                raise SpecError(
+                    f"zigbee[{i}].name",
+                    f"link name {link.name!r} is also a Wi-Fi link's name",
+                )
         device_names: Dict[str, str] = {}
         for i, link in enumerate(self.wifi):
             for role, device in (("sender", link.sender), ("receiver", link.receiver)):
@@ -473,10 +476,6 @@ class ScenarioSpec:
                         "mobility.pause", f"must be >= 0, got {mobility.pause}"
                     )
         if self.aps:
-            if self.backend != "generic":
-                raise SpecError(
-                    "aps", "multi-AP roaming requires the generic backend"
-                )
             target = self.roaming_link()
             if target is None or target not in wifi_names:
                 raise SpecError(
@@ -521,28 +520,6 @@ class ScenarioSpec:
                     "roaming.policy",
                     f"unknown AP-selection policy {roaming.policy!r}; "
                     f"available: {sorted(AP_SELECTION_POLICIES)}",
-                )
-        if self.backend == "office":
-            if len(self.wifi) != 1:
-                raise SpecError(
-                    "wifi",
-                    f"the office backend models exactly one Wi-Fi link (E/F), "
-                    f"got {len(self.wifi)}",
-                )
-            if self.wifi[0].sender != "E" or self.wifi[0].receiver != "F":
-                raise SpecError(
-                    "wifi[0]",
-                    "the office backend names its Wi-Fi devices E/F "
-                    f"(got {self.wifi[0].sender!r}/{self.wifi[0].receiver!r})",
-                )
-            if not self.zigbee:
-                raise SpecError("zigbee", "the office backend needs at least one ZigBee link")
-            first = self.zigbee[0]
-            if first.sender_name != "ZS" or first.receiver_name != "ZR":
-                raise SpecError(
-                    "zigbee[0]",
-                    "the office backend names its base ZigBee pair ZS/ZR "
-                    f"(got {first.sender_name!r}/{first.receiver_name!r})",
                 )
         if self.fault_plan is not None:
             from ..faults.presets import get_fault_plan  # late: keep spec import light
@@ -626,7 +603,7 @@ def _dataclass_from(cls: type, data: Dict[str, Any], path: str) -> Any:
     unknown = sorted(set(data) - field_names)
     if unknown:
         raise SpecError(
-            path or cls.__name__,
+            f"{path}.{unknown[0]}" if path else unknown[0],
             f"unknown key(s) {unknown} for {cls.__name__} (valid: {sorted(field_names)})",
         )
     kwargs: Dict[str, Any] = {}

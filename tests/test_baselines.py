@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.baselines import CsmaNode, EccCoordinator, EccNode, PredictiveNode
-from repro.experiments.topology import build_office
 from repro.traffic import Burst, WifiPacketSource, ZigbeeBurstSource
+
+from .helpers import office_devices
 
 
 def office_with_wifi(seed=1):
-    office = build_office(seed=seed, location="A")
+    office = office_devices(seed=seed, location="A")
     cal = office.calibration
     WifiPacketSource(
         office.ctx, office.wifi_sender.mac, "F",
@@ -129,7 +130,7 @@ def test_csma_starves_under_saturated_wifi():
 
 
 def test_csma_works_fine_on_clear_channel():
-    office = build_office(seed=9, location="A")  # no Wi-Fi traffic
+    office = office_devices(seed=9, location="A")  # no Wi-Fi traffic
     node = CsmaNode(office.zigbee_sender, "ZR")
     ZigbeeBurstSource(
         office.ctx, node.offer_burst, n_packets=5, payload_bytes=50,
@@ -157,7 +158,7 @@ def test_predictive_starves_under_saturated_wifi():
 
 
 def test_predictive_uses_clear_channel():
-    office = build_office(seed=11, location="A")
+    office = office_devices(seed=11, location="A")
     node = PredictiveNode(office.zigbee_sender, "ZR")
     ZigbeeBurstSource(
         office.ctx, node.offer_burst, n_packets=5, payload_bytes=50,
@@ -171,7 +172,7 @@ def test_predictive_uses_clear_channel():
 
 def test_predictive_exploits_long_artificial_gaps():
     """With Wi-Fi present but gappy, the predictor finds the gaps."""
-    office = build_office(seed=12, location="A")
+    office = office_devices(seed=12, location="A")
     cal = office.calibration
     # Sparse Wi-Fi: ~1.2 ms frames every 20 ms leave ~19 ms gaps — plenty
     # for a ZigBee exchange (~5 ms).

@@ -5,14 +5,14 @@ import pytest
 
 from repro.core import BicordConfig, BicordCoordinator, BicordNode
 from repro.devices import WifiDevice
-from repro.experiments.topology import Calibration, build_office, location_powermap
+from repro.experiments.topology import Calibration, location_powermap
 from repro.traffic import Burst, WifiPacketSource, ZigbeeBurstSource
 
-from .helpers import deterministic_context
+from .helpers import deterministic_context, office_devices
 
 
 def standard_setup(seed=1, location="A", config=None, grant_policy=None):
-    office = build_office(seed=seed, location=location)
+    office = office_devices(seed=seed, location=location)
     cal = office.calibration
     WifiPacketSource(
         office.ctx, office.wifi_sender.mac, "F",
@@ -63,7 +63,7 @@ def test_signaling_is_used_when_needed():
 
 def test_no_signaling_on_clear_channel():
     """Without Wi-Fi traffic the node never signals (CTI check gates it)."""
-    office = build_office(seed=3)  # no Wi-Fi source attached
+    office = office_devices(seed=3)  # no Wi-Fi source attached
     node = BicordNode(office.zigbee_sender, "ZR", powermap=location_powermap("A"))
     ZigbeeBurstSource(
         office.ctx, node.offer_burst, n_packets=5, payload_bytes=50,

@@ -8,9 +8,10 @@ from repro.cli import build_parser, main
 from repro.experiments import run_experiment
 
 
-def test_parser_requires_subcommand():
+def test_parser_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+    assert "the following arguments are required" in capsys.readouterr().err
 
 
 def test_coexist_command_prints_metrics(capsys):
@@ -21,9 +22,10 @@ def test_coexist_command_prints_metrics(capsys):
     assert "delivery ratio" in out
 
 
-def test_coexist_rejects_unknown_scheme():
+def test_coexist_rejects_unknown_scheme(capsys):
     with pytest.raises(SystemExit):
         main(["coexist", "--scheme", "carrier-pigeon"])
+    assert "invalid choice: 'carrier-pigeon'" in capsys.readouterr().err
 
 
 def test_signaling_command(capsys):
@@ -128,6 +130,7 @@ def test_sweep_unknown_param_errors(capsys):
 def test_sweep_requires_experiment(capsys):
     code = main(["sweep"])
     assert code == 2
+    assert "--experiment is required" in capsys.readouterr().err
 
 
 def test_sweep_malformed_param_errors(capsys):
@@ -141,12 +144,14 @@ def test_sweep_malformed_param_errors(capsys):
     assert "no values" in err
 
 
-def test_jobs_must_be_positive():
+def test_jobs_must_be_positive(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["sweep", "--experiment", "learning",
                                    "--jobs", "0"])
+    assert "--jobs: must be >= 1" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         build_parser().parse_args(["coexist", "--seeds", "-1"])
+    assert "--seeds: must be >= 1" in capsys.readouterr().err
 
 
 def test_sweep_clear_cache(tmp_path, capsys):
@@ -181,7 +186,7 @@ def test_scenario_describe_prints_spec_and_fingerprint(capsys):
     code = main(["scenario", "describe", "office"])
     out = capsys.readouterr().out
     assert code == 0
-    assert '"backend": "office"' in out
+    assert '"name": "office"' in out and '"location": "A"' in out
     assert "fingerprint" in out
 
 

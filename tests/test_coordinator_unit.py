@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core import BicordConfig, BicordCoordinator
-from repro.experiments.topology import build_office
 from repro.phy.csi import CsiSample
 from repro.traffic import WifiPacketSource
 
+from .helpers import office_devices
+
 
 def coordinator_setup(seed=1, config=None, grant_policy=None):
-    office = build_office(seed=seed, location="A")
+    office = office_devices(seed=seed, location="A")
     cal = office.calibration
     WifiPacketSource(
         office.ctx, office.wifi_sender.mac, "F",

@@ -11,11 +11,13 @@ import pytest
 
 from repro.experiments import (
     CoexistenceConfig,
+    EnergyTrialConfig,
     LearningTrialConfig,
     PriorityTrialConfig,
     RobustnessTrialConfig,
     SignalingTrialConfig,
     run_coexistence,
+    run_energy_trial,
     run_learning_trial,
     run_priority_experiment,
     run_robustness_trial,
@@ -117,6 +119,49 @@ def test_coexistence_golden(scheme, variant):
 def test_priority_golden(scheme, digest):
     config = PriorityTrialConfig(scheme=scheme, total_duration=2.0)
     assert _digest(run_priority_experiment(config, seed=5)) == digest
+
+
+def test_priority_golden_at_location_c():
+    # Away from A the ZigBee pair moves: pins the location -> position mapping.
+    config = PriorityTrialConfig(scheme="bicord", total_duration=2.0, location="C")
+    assert _digest(run_priority_experiment(config, seed=5)) == (
+        "171e1ece97b4726fab53e55a11789d8ff92b57548f5e82a2419cf50b5bfee68a"
+    )
+
+
+@pytest.mark.parametrize("config,seed,digest", [
+    (
+        SignalingTrialConfig(location="C", power_dbm=-1.0, n_salvos=20), 3,
+        "f60c03f1caf4f4a28bc6238d3da441f81f5dabe1bcde1299ce5a687a2a37f6de",
+    ),
+    (
+        SignalingTrialConfig(location="B", n_control_packets=2, n_salvos=15), 0,
+        "f5ec7ef33ee2d07ed0b789884767cfef3ecc7134fd4d52ffbab6d43faac37429",
+    ),
+])
+def test_signaling_golden(config, seed, digest):
+    assert _digest(run_signaling_trial(config, seed=seed)) == digest
+
+
+@pytest.mark.parametrize("config,seed,digest", [
+    (
+        LearningTrialConfig(n_packets=10, n_bursts=8), 5,
+        "3a74890f425282d3b858e628b8878f42ef4619b0cf4cc45e51aa33febb3eaf42",
+    ),
+    (
+        LearningTrialConfig(n_packets=6, step=20e-3, location="D", n_bursts=6), 0,
+        "c2b6d89048e513bfe17cb10987a89c5a900d8748a04c0e92d1eaf8b80ca297f1",
+    ),
+])
+def test_learning_golden(config, seed, digest):
+    assert _digest(run_learning_trial(config, seed=seed)) == digest
+
+
+def test_energy_golden():
+    config = EnergyTrialConfig(n_packets=5, n_bursts=4)
+    assert _digest(run_energy_trial(config, seed=5)) == (
+        "521edfbaf26235d67f6963326d430444d780efc40364039a9902cfa9a571ab71"
+    )
 
 
 @pytest.mark.parametrize("scenario,digest", [

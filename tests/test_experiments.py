@@ -13,7 +13,6 @@ from repro.experiments import (
     PriorityTrialConfig,
     SignalingTrialConfig,
     aggregate,
-    build_office,
     format_series,
     format_table,
     run_coexistence,
@@ -28,18 +27,12 @@ from repro.experiments.metrics import (
     UtilizationSnapshot,
 )
 from repro.experiments.topology import WIFI_RECEIVER_POS, WIFI_SENDER_POS
+from repro.scenarios import compile_scenario, get_scenario
 
 
 # ----------------------------------------------------------------------
 # Topology
 # ----------------------------------------------------------------------
-def test_office_geometry_matches_paper_setup():
-    assert WIFI_SENDER_POS.distance_to(WIFI_RECEIVER_POS) == pytest.approx(3.0)
-    office = build_office(location="A")
-    assert office.wifi_receiver.csi is not None  # CSI extractor on F
-    assert office.zigbee_sender.mac.tx_power_dbm == pytest.approx(-7.0)
-
-
 def test_location_geometry_invariants():
     """A is closest to F; D is closest to E among C/D; B is farthest from F."""
     d_to_f = {k: p.distance_to(WIFI_RECEIVER_POS) for k, p in LOCATIONS.items()}
@@ -54,13 +47,15 @@ def test_location_powers_follow_footnote3():
 
 
 def test_unknown_location_rejected():
-    with pytest.raises(ValueError):
-        build_office(location="X")
+    with pytest.raises(ValueError, match="unknown location 'X'"):
+        get_scenario("office", location="X")
+    with pytest.raises(ValueError, match="unknown location 'X'"):
+        run_learning_trial(LearningTrialConfig(location="X"))
 
 
 def test_zigbee_channel_overlaps_wifi_channel():
-    office = build_office()
-    assert office.zigbee_sender.radio.band.overlaps(office.wifi_sender.radio.band)
+    office = compile_scenario(get_scenario("office"))
+    assert office.device("ZS").radio.band.overlaps(office.device("E").radio.band)
 
 
 # ----------------------------------------------------------------------
@@ -83,10 +78,11 @@ def test_utilization_snapshot():
 
 
 def test_airtime_probe_windows():
-    office = build_office(seed=1)
-    probe = AirtimeProbe([office.wifi_sender.radio], [office.zigbee_sender.radio])
+    office = compile_scenario(get_scenario("office"), seed=1)
+    wifi, zigbee = office.device("E").radio, office.device("ZS").radio
+    probe = AirtimeProbe([wifi], [zigbee])
     probe.start(0.0)
-    office.wifi_sender.radio.tx_airtime += 0.5
+    wifi.tx_airtime += 0.5
     snap = probe.snapshot(2.0)
     assert snap.wifi_airtime == pytest.approx(0.5)
     assert snap.duration == pytest.approx(2.0)

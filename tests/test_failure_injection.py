@@ -5,13 +5,15 @@ import pytest
 
 from repro.core import BicordCoordinator, BicordNode
 from repro.devices import ZigbeeDevice
-from repro.experiments.topology import build_office, location_powermap
+from repro.experiments.topology import location_powermap
 from repro.phy.propagation import Position
 from repro.traffic import Burst, WifiPacketSource, ZigbeeBurstSource
 
+from .helpers import office_devices
+
 
 def standard(seed=1):
-    office = build_office(seed=seed, location="A")
+    office = office_devices(seed=seed, location="A")
     cal = office.calibration
     WifiPacketSource(
         office.ctx, office.wifi_sender.mac, "F",
@@ -43,7 +45,7 @@ def test_zigbee_receiver_dies_midway():
 
 def test_wifi_traffic_stops_midway():
     """When the interferer disappears, ZigBee proceeds without signaling."""
-    office = build_office(seed=2, location="A")
+    office = office_devices(seed=2, location="A")
     cal = office.calibration
     source = WifiPacketSource(
         office.ctx, office.wifi_sender.mac, "F",

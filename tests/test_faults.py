@@ -202,9 +202,9 @@ def test_injector_sequences_reproducible_per_seed():
 # MAC-level CTS fault semantics
 # ----------------------------------------------------------------------
 def make_office():
-    from repro.experiments import build_office
+    from .helpers import office_devices
 
-    return build_office(seed=0, location="A")
+    return office_devices(seed=0, location="A")
 
 
 def test_dropped_cts_never_sets_nav():

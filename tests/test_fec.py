@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from repro.baselines import FecCsmaNode
 from repro.core.fec import FecBlock, FecDecoder, FecEncoder
-from repro.experiments.topology import build_office
 from repro.traffic import Burst, WifiPacketSource, ZigbeeBurstSource
+
+from .helpers import office_devices
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +108,7 @@ def test_recovery_never_exceeds_one_per_group(k, m, lost):
 # The CSMA+FEC node
 # ----------------------------------------------------------------------
 def test_fec_node_clean_channel_everything_arrives():
-    office = build_office(seed=1, location="A")
+    office = office_devices(seed=1, location="A")
     node = FecCsmaNode(office.zigbee_sender, "ZR", n_parity=1)
     node.offer_burst(Burst(created_at=0.0, n_packets=5, payload_bytes=50, burst_id=1))
     office.ctx.sim.run(until=1.0)
@@ -123,7 +124,7 @@ def test_fec_recovers_under_mild_interference():
     and FEC repairs a good share of them."""
     from repro.experiments.topology import Calibration
 
-    office = build_office(
+    office = office_devices(
         seed=4, location="A",
         calibration=Calibration(zigbee_data_power_dbm=-25.0),
     )
@@ -144,7 +145,7 @@ def test_fec_recovers_under_mild_interference():
 def test_fec_useless_under_saturated_wifi():
     """The paper's argument: when the channel is owned by Wi-Fi, recovery
     schemes cannot help — coordination is required."""
-    office = build_office(seed=5, location="A")
+    office = office_devices(seed=5, location="A")
     cal = office.calibration
     WifiPacketSource(office.ctx, office.wifi_sender.mac, "F",
                      payload_bytes=cal.wifi_payload_bytes,

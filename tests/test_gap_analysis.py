@@ -118,10 +118,10 @@ def test_trace_pipeline():
 
 def test_saturated_wifi_leaves_no_usable_gaps():
     """The paper's workload: gaps almost never fit a ZigBee exchange."""
-    from repro.experiments.topology import build_office
+    from .helpers import office_devices
     from repro.traffic import WifiPacketSource
 
-    office = build_office(seed=1, trace_kinds={"medium.tx_start"})
+    office = office_devices(seed=1, trace_kinds={"medium.tx_start"})
     cal = office.calibration
     WifiPacketSource(office.ctx, office.wifi_sender.mac, "F",
                      payload_bytes=cal.wifi_payload_bytes,

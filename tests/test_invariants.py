@@ -8,14 +8,16 @@ exceeds wall-clock time.
 import pytest
 
 from repro.core import BicordCoordinator, BicordNode
-from repro.experiments.topology import build_office, location_powermap
+from repro.experiments.topology import location_powermap
 from repro.mac.frames import FrameType
 from repro.phy.medium import Technology
 from repro.traffic import WifiPacketSource, ZigbeeBurstSource
 
+from .helpers import office_devices
+
 
 def run_traced_scenario(seed=1, n_bursts=10):
-    office = build_office(
+    office = office_devices(
         seed=seed, location="A",
         trace_kinds={"medium.tx_start", "bicord.grant", "wifi.nav_set"},
     )

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core import PowerMap, PowerNegotiator
-from repro.experiments.topology import build_office
 from repro.traffic import WifiPacketSource
+
+from .helpers import office_devices
 
 
 def negotiate_at(location, seed=1):
-    office = build_office(seed=seed, location=location)
+    office = office_devices(seed=seed, location=location)
     cal = office.calibration
     WifiPacketSource(
         office.ctx, office.wifi_sender.mac, "F",
@@ -57,7 +58,7 @@ def test_measured_rx_estimates_the_sender_not_the_receiver():
 
 
 def test_silent_channel_falls_back_to_full_power():
-    office = build_office(seed=2, location="D")  # no Wi-Fi traffic at all
+    office = office_devices(seed=2, location="D")  # no Wi-Fi traffic at all
     powermap = PowerMap()
     results = []
     PowerNegotiator(office.zigbee_sender).negotiate("E", powermap, results.append)

@@ -10,11 +10,11 @@ white-space path — the extension may save energy/delay but never packets.
 import pytest
 
 from repro.core import BicordConfig, BicordCoordinator, BicordNode
-from repro.experiments.topology import build_office, location_powermap
+from repro.experiments.topology import location_powermap
 from repro.mac.frames import FrameType, zigbee_control_frame
 from repro.traffic import Burst, WifiPacketSource, ZigbeeBurstSource
 
-from .helpers import deterministic_context, zigbee_pair
+from .helpers import deterministic_context, office_devices, zigbee_pair
 
 
 def test_send_immediate_acked_control_roundtrip():
@@ -68,7 +68,7 @@ def test_piggyback_control_deduplicated_at_receiver():
 def test_piggyback_delivers_on_clear_channel():
     """Without Wi-Fi the node never signals, so piggyback is unused but the
     burst still drains normally (the flag must not break the plain path)."""
-    office = build_office(seed=1, location="A")
+    office = office_devices(seed=1, location="A")
     config = BicordConfig()
     config.signaling.piggyback_data = True
     node = BicordNode(office.zigbee_sender, "ZR", config=config,
@@ -80,7 +80,7 @@ def test_piggyback_delivers_on_clear_channel():
 
 
 def test_piggyback_never_loses_packets_under_wifi():
-    office = build_office(seed=2, location="A")
+    office = office_devices(seed=2, location="A")
     cal = office.calibration
     WifiPacketSource(office.ctx, office.wifi_sender.mac, "F",
                      payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval)
@@ -98,7 +98,7 @@ def test_piggyback_never_loses_packets_under_wifi():
 
 def test_oversized_payload_disables_piggyback():
     """Payloads that do not fit 120 B fall back to broadcast control packets."""
-    office = build_office(seed=3, location="A")
+    office = office_devices(seed=3, location="A")
     cal = office.calibration
     WifiPacketSource(office.ctx, office.wifi_sender.mac, "F",
                      payload_bytes=cal.wifi_payload_bytes, interval=cal.wifi_interval)

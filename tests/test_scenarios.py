@@ -7,6 +7,12 @@ import pytest
 from repro.context import VECTOR_MEDIUM_MIN_RADIOS
 from repro.experiments import run_experiment
 from repro.experiments.sweep import SweepEngine, trial_key
+from repro.experiments.topology import (
+    LOCATIONS,
+    WIFI_RECEIVER_POS,
+    WIFI_SENDER_POS,
+    ZIGBEE_RECEIVER_OFFSET,
+)
 from repro.scenarios import (
     BurstTrafficSpec,
     ScenarioResult,
@@ -86,13 +92,22 @@ def test_validate_rejects_duplicate_device_names():
         clash.validate()
 
 
-def test_office_backend_requires_canonical_names():
+def test_validate_rejects_a_wifi_and_a_zigbee_link_sharing_a_name():
+    # Both sources would draw from the one ``traffic/<name>`` stream.
     spec = get_scenario("office")
-    bad = dataclasses.replace(
-        spec, zigbee=(dataclasses.replace(spec.zigbee[0], sender="Z9"),)
+    clash = dataclasses.replace(
+        spec, zigbee=(dataclasses.replace(spec.zigbee[0], name=spec.wifi[0].name),)
     )
-    with pytest.raises(SpecError, match="office"):
-        bad.validate()
+    with pytest.raises(SpecError, match=r"zigbee\[0\]\.name.*Wi-Fi"):
+        clash.validate()
+
+
+def test_spec_with_a_backend_key_is_rejected():
+    data = get_scenario("office").to_dict()
+    data["backend"] = "office"
+    with pytest.raises(SpecError) as info:
+        spec_from_dict(data)
+    assert info.value.path == "backend"
 
 
 def test_load_spec_toml(tmp_path):
@@ -160,6 +175,20 @@ def test_compiler_picks_the_medium_from_the_radio_count():
     assert type(below.ctx.medium) is Medium
     assert len(at.ctx.medium.radios) == VECTOR_MEDIUM_MIN_RADIOS
     assert type(at.ctx.medium) is VectorMedium
+
+
+def test_office_compiles_the_paper_geometry():
+    assert WIFI_SENDER_POS.distance_to(WIFI_RECEIVER_POS) == pytest.approx(3.0)
+    office = compile_scenario(get_scenario("office", location="C"))
+    assert office.device("E").position == WIFI_SENDER_POS
+    assert office.device("F").position == WIFI_RECEIVER_POS
+    assert office.device("ZS").position == LOCATIONS["C"]
+    assert office.device("ZR").position == LOCATIONS["C"].moved(*ZIGBEE_RECEIVER_OFFSET)
+    assert office.device("ZS").mac.tx_power_dbm == pytest.approx(-7.0)
+    # The scheme table decides who gets a CSI extractor on F.
+    assert office.device("F").csi is not None
+    csma = compile_scenario(get_scenario("office", scheme="csma"))
+    assert csma.device("F").csi is None
 
 
 @pytest.mark.parametrize("name", scenario_names())

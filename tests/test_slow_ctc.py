@@ -5,12 +5,13 @@ import pytest
 
 from repro.baselines import SlowCtcCoordinator, SlowCtcNode
 from repro.experiments import CoexistenceConfig, run_coexistence
-from repro.experiments.topology import build_office
 from repro.traffic import Burst, WifiPacketSource, ZigbeeBurstSource
+
+from .helpers import office_devices
 
 
 def build(seed=1, latency=110e-3, reliability=1.0):
-    office = build_office(seed=seed, location="A")
+    office = office_devices(seed=seed, location="A")
     cal = office.calibration
     WifiPacketSource(
         office.ctx, office.wifi_sender.mac, "F",
