@@ -26,11 +26,13 @@ from .telemetry import MetricsRegistry
 #: :class:`~repro.phy.medium_fast.VectorMedium` instead of the per-radio
 #: loops of :class:`~repro.phy.medium.Medium`.  Measured on the ``grid``
 #: generator (0.3 s simulated, seeds 1-2, median of 5 interleaved rounds,
-#: Python 3.11, numpy 2.4, 2-vCPU Xeon), vector/legacy wall time was 1.19 at
-#: 10 radios, 1.18 at 12, 1.04 at 16, 0.98 at 18, 0.95 at 20 and 0.92 at 24.
-#: The paper's deployments (4-7 radios) stay on the loops; the 480-radio
-#: dense grid, where vector is 1.7-1.9x faster, does not.
-VECTOR_MEDIUM_MIN_RADIOS = 20
+#: Python 3.11, numpy 2.4, 2-vCPU Xeon), repeated 2-6 times per size,
+#: vector/loop wall time ranged 0.99-1.54 at 10 radios, 0.88-1.34 at 16,
+#: 0.94-1.22 at 20, 0.89-1.19 at 24, 0.81-1.00 at 26 and 0.83-0.91 at 28.
+#: Vector wins in every repeat only from 28 radios.  The paper's
+#: deployments (4-7 radios) stay on the loops; the 480-radio dense grid
+#: does not.
+VECTOR_MEDIUM_MIN_RADIOS = 28
 
 
 @dataclass

@@ -24,6 +24,11 @@ from ..sim.rng import RandomStreams
 from ..sim.trace import TraceRecorder
 from ..sim.units import dbm_to_mw, mw_to_dbm, thermal_noise_dbm
 
+#: Reception-outcome uniforms drawn per refill of a radio's buffer.  One
+#: ``Generator.random(size=_RX_BATCH)`` call returns the same values as that
+#: many scalar draws from the stream.
+_RX_BATCH = 16
+
 
 @dataclass
 class RxInfo:
@@ -103,16 +108,20 @@ class Radio:
         self.streams = streams
         self.trace = trace or TraceRecorder(enabled_kinds=set())
         self.sensitivity_dbm = sensitivity_dbm
+        #: Fixed at construction: a retune keeps the bandwidth (see
+        #: :meth:`retune`).  ``noise_floor_mw`` is the same level in mW.
         self.noise_floor_dbm = thermal_noise_dbm(band.bandwidth_hz, noise_figure_db)
+        self.noise_floor_mw = dbm_to_mw(self.noise_floor_dbm)
         self.medium: Optional[Medium] = None
         self._mac: Any = None  # set by the MAC layer (see the ``mac`` property)
         self.energy_meter: Any = None  # optional; see repro.devices.energy
         self.enabled = True
         self.current_tx: Optional[Transmission] = None
         self._lock: Optional[_ReceptionContext] = None
-        # Reception-outcome stream, resolved once (streams.stream caches by
-        # name; this skips the f-string per received frame).
+        # Reception-outcome stream, resolved once, and its unused draws.
         self._rx_rng = streams.stream(f"phy/rx/{name}")
+        self._rx_draws: List[float] = []
+        self._rx_head = 0
         # PHY statistics
         self.frames_sent = 0
         self.frames_received = 0
@@ -191,8 +200,8 @@ class Radio:
     def on_own_transmission_end(self, tx: Transmission) -> None:
         if self.current_tx is tx:
             self.current_tx = None
-        if self.mac is not None and tx.frame is not None:
-            self.mac.on_transmit_complete(tx.frame)
+        if self._mac is not None and tx.frame is not None:
+            self._mac.on_transmit_complete(tx.frame)
 
     @property
     def is_transmitting(self) -> bool:
@@ -279,7 +288,7 @@ class Radio:
         self._set_lock(None)
         context.finalize(self.sim.now)
         frame = context.tx.frame
-        noise_mw = dbm_to_mw(self.noise_floor_dbm)
+        noise_mw = self.noise_floor_mw
         total_bits = max(frame.bits, 1)
         duration = max(context.tx.duration, 1e-12)
         success_p = 1.0
@@ -301,27 +310,37 @@ class Radio:
         )
         if self.energy_meter is not None:
             self.energy_meter.charge_rx(context.tx.duration)
-        delivered = self._rx_rng.random() < success_p
+        delivered = self._rx_uniform() < success_p
+        mac = self._mac
         if delivered:
             self.frames_received += 1
             self.trace.record(
                 self.sim.now, "phy.rx_ok", radio=self.name, source=frame.source,
                 frame_type=frame.frame_type.value,
             )
-            if self.mac is not None:
-                self.mac.on_frame_received(frame, info)
+            if mac is not None:
+                mac.on_frame_received(frame, info)
         else:
             self.frames_lost += 1
             self.trace.record(
                 self.sim.now, "phy.rx_lost", radio=self.name, source=frame.source,
                 frame_type=frame.frame_type.value, p=success_p,
             )
-            if self.mac is not None:
-                self.mac.on_frame_lost(frame, info)
+            if mac is not None:
+                mac.on_frame_lost(frame, info)
+
+    def _rx_uniform(self) -> float:
+        """The next draw of the ``phy/rx/<name>`` stream, taken in blocks."""
+        head = self._rx_head
+        if head == len(self._rx_draws):
+            self._rx_draws = self._rx_rng.random(_RX_BATCH).tolist()
+            head = 0
+        self._rx_head = head + 1
+        return self._rx_draws[head]
 
     def _notify_mac(self) -> None:
-        if self.mac is not None:
-            self.mac.on_medium_event()
+        if self._mac is not None:
+            self._mac.on_medium_event()
 
     # ------------------------------------------------------------------
     # Measurements

@@ -27,11 +27,18 @@ from typing import Any, Callable, Deque, List, Optional
 
 from ..devices.base import Radio, RxInfo
 from ..phy.medium import Technology
-from ..phy.modulation import WifiRate, wifi_rate
+from ..phy.modulation import WifiRate, wifi_frame_duration, wifi_rate
 from ..sim.engine import Event, Simulator
 from ..sim.trace import TraceRecorder
 from ..sim.units import mw_to_dbm, usec
-from .frames import BROADCAST, Frame, FrameType, wifi_ack_frame, wifi_cts_frame
+from .frames import (
+    BROADCAST,
+    WIFI_ACK_MPDU_BYTES,
+    Frame,
+    FrameType,
+    wifi_ack_frame,
+    wifi_cts_frame,
+)
 
 #: 802.11g OFDM MAC timings.
 SLOT_S = usec(9.0)
@@ -263,7 +270,7 @@ class WifiMac:
     def on_transmit_complete(self, frame: Frame) -> None:
         if frame.frame_type is FrameType.DATA and not frame.is_broadcast:
             self._awaiting_ack_for = frame
-            ack_duration = wifi_ack_frame("", "", self.basic_rate).duration()
+            ack_duration = wifi_frame_duration(WIFI_ACK_MPDU_BYTES, self.basic_rate)
             timeout = SIFS_S + ack_duration + ACK_TIMEOUT_MARGIN_S
             self._ack_timer = self.sim.schedule(timeout, self._ack_timeout)
         elif frame.frame_type is FrameType.CTS:

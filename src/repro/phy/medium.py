@@ -3,9 +3,9 @@
 The medium is the meeting point of every radio in a scenario.  It knows which
 transmissions are on the air, computes the power each radio receives from
 each transmission (path loss + shadowing + per-frame fading, weighted by
-spectral overlap), and notifies attached radios when transmissions start and
-end so they can lock onto frames, track interference, and re-evaluate their
-clear-channel state.
+spectral overlap), and notifies the attached radios a transmission start or
+end can affect so they can lock onto frames, track interference, and
+re-evaluate their clear-channel state.
 
 Two different power questions arise and are answered by two methods:
 
@@ -74,15 +74,89 @@ class Transmission:
         )
 
 
+#: Fading draws taken per refill of a link's buffer.  One
+#: ``Generator.normal(size=_FADING_BATCH)`` call returns the same values as
+#: that many scalar draws from the stream.
+_FADING_BATCH = 16
+
+
+def _mac_sensitive(radio: Any) -> bool:
+    """Whether ``radio``'s MAC re-plans on every medium event.
+
+    MACs without the ``medium_event_sensitive`` flag count as sensitive; a
+    radio with no MAC does not (its notifications reach no MAC).
+    """
+    mac = radio.mac
+    if mac is None:
+        return False
+    return bool(getattr(mac, "medium_event_sensitive", True))
+
+
+class _Link:
+    """One source-to-receiver link of a :class:`_LinkRow`.
+
+    ``loss`` and ``shadow`` are the link budget at the row's epoch.
+    ``draws[head:]`` are values already taken from the link's
+    ``fading/<tx>-><rx>`` stream and not yet used.  They are used in stream
+    order, so a frame sees exactly the draw a scalar call would return.
+    A link outlives the rows that hold it: its unused draws must.
+    """
+
+    __slots__ = ("name", "loss", "shadow", "gen", "draws", "head")
+
+    def __init__(self, name: str, gen: Any):
+        self.name = name
+        self.loss = 0.0
+        self.shadow = 0.0
+        self.gen = gen
+        self.draws: List[float] = []
+        self.head = 0
+
+    def fading_db(self, sigma: float) -> float:
+        """The next draw of the link's fading stream."""
+        head = self.head
+        if head == len(self.draws):
+            self.draws = self.gen.normal(0.0, sigma, _FADING_BATCH).tolist()
+            head = 0
+        self.head = head + 1
+        return self.draws[head]
+
+
+class _LinkRow:
+    """The links from one source to every other attached radio, in attach order.
+
+    Valid while the radio count, the channel's position epoch and the
+    source's position object are the ones it was built for.
+    """
+
+    __slots__ = ("n", "epoch", "src_pos", "links")
+
+    def __init__(self, n: int, epoch: int, src_pos: Any, links: List[_Link]):
+        self.n = n
+        self.epoch = epoch
+        self.src_pos = src_pos
+        self.links = links
+
+
 class Medium:
     """Shared channel connecting all radios of a scenario.
 
-    This class keeps straightforward per-radio Python loops; it is the
-    medium of small deployments and the bitwise oracle of
+    This class is the medium of small deployments and the bitwise oracle of
     :class:`~repro.phy.medium_fast.VectorMedium`, the struct-of-arrays kernel
     for dense ones.  :func:`repro.context.build_context` picks between the
     two from the radio count; both produce bit-identical traces (see
     ``tests/test_medium_equivalence.py``).
+
+    Its per-frame work is kept to what can change an outcome:
+
+    * a per-source :class:`_LinkRow` holds each link's path loss, shadowing
+      and fading stream, rebuilt only when the radio count, the position
+      epoch or the source's position object changes;
+    * fading is drawn 16 at a time per link (:class:`_Link`);
+    * a transmission edge is passed only to radios it can affect: those
+      holding a reception lock, those whose MAC is
+      ``medium_event_sensitive`` and, on a start, those that could lock onto
+      the frame.  For every other radio the notification is a no-op.
     """
 
     def __init__(
@@ -126,6 +200,18 @@ class Medium:
         self._interference_cache: Dict[
             Tuple[str, Optional[FrozenSet[Technology]]], Tuple[int, Any, float]
         ] = {}
+        # Link rows per source name, and every link built so far by
+        # (source name, receiver name).
+        self._link_rows: Dict[str, _LinkRow] = {}
+        self._links: Dict[Tuple[str, str], _Link] = {}
+        # Rx power of each active transmission at each attached radio, dBm,
+        # frozen at transmit time: tx id -> {radio name: dBm}.  Radios
+        # missing here (attached mid-transmission) go through ``_rx_power``.
+        self._frame_rx: Dict[int, Dict[str, float]] = {}
+        # Names of attached radios whose MAC is event-sensitive, and of
+        # those holding a reception lock: they see every transmission edge.
+        self._event_sensitive: set = set()
+        self._lock_holders: set = set()
 
     # ------------------------------------------------------------------
     # Topology
@@ -137,6 +223,8 @@ class Medium:
         self.radios.append(radio)
         self._radio_index[radio.name] = radio
         radio.medium = self
+        if _mac_sensitive(radio):
+            self._event_sensitive.add(radio.name)
 
     def radio_by_name(self, name: str) -> Any:
         try:
@@ -173,19 +261,28 @@ class Medium:
     def on_radio_mac_changed(self, radio: Any) -> None:
         """Hook called when a radio's MAC layer is (re)assigned.
 
-        The legacy kernel notifies every radio on every transmission edge,
-        so it never needs to know; the vector kernel re-reads the MAC's
-        ``medium_event_sensitive`` flag to decide whether the radio can be
-        skipped when its notification would be a no-op.
+        Both kernels re-read the MAC's ``medium_event_sensitive`` flag here
+        to decide whether the radio can be skipped when its notification
+        would be a no-op.
         """
+        if self._radio_index.get(radio.name) is radio:
+            if _mac_sensitive(radio):
+                self._event_sensitive.add(radio.name)
+            else:
+                self._event_sensitive.discard(radio.name)
 
     def on_radio_lock_changed(self, radio: Any, locked: bool) -> None:
         """Hook called on every reception-lock transition of ``radio``.
 
         A locked radio must see every transmission edge (interference
-        segments, cross-technology overlap log), so kernels that prune
-        no-op notifications track the locked set through this hook.
+        segments, cross-technology overlap log); both kernels prune no-op
+        notifications, so both track the locked set through this hook.
         """
+        if self._radio_index.get(radio.name) is radio:
+            if locked:
+                self._lock_holders.add(radio.name)
+            else:
+                self._lock_holders.discard(radio.name)
 
     # ------------------------------------------------------------------
     # State epochs and energy observers
@@ -217,6 +314,43 @@ class Medium:
     # ------------------------------------------------------------------
     # Transmissions
     # ------------------------------------------------------------------
+    def _link_row(self, source: Any) -> _LinkRow:
+        """The links from ``source``, rebuilt if the topology changed.
+
+        The same validity rule as ``VectorMedium._source_row``: the radio
+        count, the position epoch and the source's position object.  A
+        rebuild keeps each link's unused fading draws.
+        """
+        name = source.name
+        n = len(self.radios)
+        channel = self.channel
+        epoch = channel.position_epoch
+        row = self._link_rows.get(name)
+        if (
+            row is not None
+            and row.n == n
+            and row.epoch == epoch
+            and row.src_pos is source.position
+        ):
+            return row
+        src_pos = source.position
+        fades = channel.fading.fading_sigma_db > 0.0
+        links = []
+        for radio in self.radios:
+            if radio is source:
+                continue
+            rx_name = radio.name
+            link = self._links.get((name, rx_name))
+            if link is None:
+                gen = channel.fading_generator(name, rx_name) if fades else None
+                link = self._links[(name, rx_name)] = _Link(rx_name, gen)
+            link.loss, link.shadow = channel.link_budget(
+                name, src_pos, rx_name, radio.position
+            )
+            links.append(link)
+        row = self._link_rows[name] = _LinkRow(n, epoch, src_pos, links)
+        return row
+
     def transmit(
         self,
         source: Any,
@@ -229,8 +363,9 @@ class Medium:
         """Put a transmission on the air from ``source`` (a Radio or emitter).
 
         Received powers at every other radio are drawn now (one fading sample
-        per link per frame) and cached for the lifetime of the transmission.
-        All other radios are notified, then an end event is scheduled.
+        per link per frame) and frozen for the lifetime of the transmission.
+        The radios the start can affect are notified, then an end event is
+        scheduled.
         """
         if duration <= 0.0:
             raise ValueError(f"duration must be positive, got {duration}")
@@ -248,15 +383,22 @@ class Medium:
         self._active[tx.tx_id] = tx
         self._tech_active[technology] += 1
         self._broadcasts.inc()
-        touched = self._tx_touched[tx.tx_id] = set()
-        for radio in self.radios:
-            if radio is source:
-                continue
-            rx_dbm = self.channel.rx_power_dbm(
-                power_dbm, source.name, source.position, radio.name, radio.position
-            )
-            self._rx_power[(tx.tx_id, radio.name)] = rx_dbm
-            touched.add(radio.name)
+        self._tx_touched[tx.tx_id] = set()
+        links = self._link_row(source).links
+        sigma = self.channel.fading.fading_sigma_db
+        # The operation order of ``Channel.rx_power_dbm``:
+        # ((power - loss) + shadow) + fading.
+        if sigma > 0.0:
+            rx_power = {
+                link.name: ((power_dbm - link.loss) + link.shadow) + link.fading_db(sigma)
+                for link in links
+            }
+        else:
+            rx_power = {
+                link.name: ((power_dbm - link.loss) + link.shadow) + 0.0
+                for link in links
+            }
+        self._frame_rx[tx.tx_id] = rx_power
         self._bump_state()
         self.trace.record(
             self.sim.now,
@@ -266,9 +408,24 @@ class Medium:
             duration=duration,
             power_dbm=power_dbm,
         )
+        # A start notification does something only for a radio that holds a
+        # lock, has an event-sensitive MAC, or could lock onto this frame
+        # (same technology, rx power at or above its sensitivity; the radio
+        # re-checks the rest).  The sets are read live, radio by radio, in
+        # attach order, so a radio skipped here would have run a no-op.
+        sensitive = self._event_sensitive
+        locked = self._lock_holders
         for radio in self.radios:
-            if radio is not source:
+            if radio is source:
+                continue
+            name = radio.name
+            if name in sensitive or name in locked:
                 radio.on_transmission_start(tx)
+            elif frame is not None and radio.technology is technology:
+                rx_dbm = rx_power.get(name)
+                # A radio missing from ``rx_power`` attached after the draw.
+                if rx_dbm is None or rx_dbm >= radio.sensitivity_dbm:
+                    radio.on_transmission_start(tx)
         self.sim.schedule(duration, self._finish, tx)
         return tx
 
@@ -277,11 +434,16 @@ class Medium:
             self._tech_active[tx.technology] -= 1
         self._bump_state()
         self.trace.record(self.sim.now, "medium.tx_end", source=tx.source_name)
+        # No lock is acquired on an end edge: only lock holders and
+        # event-sensitive MACs can act on it.
+        sensitive = self._event_sensitive
+        locked = self._lock_holders
         for radio in self.radios:
-            if radio is not tx.source:
+            if radio is not tx.source and (radio.name in sensitive or radio.name in locked):
                 radio.on_transmission_end(tx)
-        # Only the names actually written at transmit/query time are popped —
-        # O(entries) instead of O(radios).
+        # The frozen powers outlive the end notifications: receivers reading
+        # them from ``on_transmission_end`` see the frame's values.
+        self._frame_rx.pop(tx.tx_id, None)
         for name in self._tx_touched.pop(tx.tx_id, ()):
             self._rx_power.pop((tx.tx_id, name), None)
             self._captured_mw.pop((tx.tx_id, name), None)
@@ -295,19 +457,34 @@ class Medium:
     # Power queries
     # ------------------------------------------------------------------
     def rx_power_dbm(self, tx: Transmission, radio: Any) -> float:
-        """Unfiltered received power of ``tx`` at ``radio`` (cached per frame)."""
+        """Unfiltered received power of ``tx`` at ``radio`` (frozen per frame)."""
+        frame_rx = self._frame_rx.get(tx.tx_id)
+        if frame_rx is not None:
+            rx_dbm = frame_rx.get(radio.name)
+            if rx_dbm is not None:
+                return rx_dbm
+        key = (tx.tx_id, radio.name)
         try:
-            return self._rx_power[(tx.tx_id, radio.name)]
+            return self._rx_power[key]
         except KeyError:
-            # A radio attached mid-transmission (rare; mobility experiments).
-            rx_dbm = self.channel.rx_power_dbm(
-                tx.power_dbm, tx.source_name, tx.source.position, radio.name, radio.position
-            )
-            self._rx_power[(tx.tx_id, radio.name)] = rx_dbm
-            touched = self._tx_touched.get(tx.tx_id)
-            if touched is not None:
-                touched.add(radio.name)
-            return rx_dbm
+            pass
+        # A radio attached mid-transmission (rare; mobility experiments), or
+        # a query after the frame ended.  The fading is the link's next
+        # draw, so unused buffered draws come first.
+        rx_dbm = self.channel.mean_rx_power_dbm(
+            tx.power_dbm, tx.source_name, tx.source.position, radio.name, radio.position
+        )
+        sigma = self.channel.fading.fading_sigma_db
+        link = self._links.get((tx.source_name, radio.name))
+        if sigma > 0.0 and link is not None:
+            rx_dbm += link.fading_db(sigma)
+        else:
+            rx_dbm += self.channel.frame_fading_db(tx.source_name, radio.name)
+        self._rx_power[key] = rx_dbm
+        touched = self._tx_touched.get(tx.tx_id)
+        if touched is not None:
+            touched.add(radio.name)
+        return rx_dbm
 
     def captured_power_mw(self, tx: Transmission, radio: Any) -> float:
         """Power of ``tx`` that enters ``radio``'s receive filter, in mW.
@@ -421,7 +598,7 @@ class Medium:
         (``WifiMac._medium_busy``); it lives on the medium so faster kernels
         can serve it from their accumulators.
         """
-        noise_mw = dbm_to_mw(radio.noise_floor_dbm)
+        noise_mw = radio.noise_floor_mw
         wifi_mw = noise_mw
         other_mw = noise_mw
         for tx in self._active.values():
@@ -442,7 +619,7 @@ class Medium:
         technologies: Optional[Iterable[Technology]] = None,
     ) -> float:
         """Total in-band power at ``radio``: noise floor + interference, dBm."""
-        noise_mw = dbm_to_mw(radio.noise_floor_dbm)
+        noise_mw = radio.noise_floor_mw
         return mw_to_dbm(noise_mw + self.interference_mw(radio, technologies=technologies))
 
     def busy_with(self, technology: Technology) -> bool:

@@ -1,10 +1,11 @@
 """Struct-of-arrays medium kernel for dense deployments.
 
-The legacy :class:`~repro.phy.medium.Medium` runs a Python ``for radio in
-self.radios`` loop on every transmission start — per-link stream lookups,
-tuple-key dict churn, and float boxing — and answers every interference query
-with an O(active × 1) fold per radio.  At the densities of the scale-ceiling
-bench (hundreds of radios) those loops dominate the run time.
+The loop kernel, :class:`~repro.phy.medium.Medium`, keeps per-source link
+rows and buffered fading too, but walks them in Python: every transmission
+start computes each link's rx power as a float and screens every radio for
+notification one by one, and every interference query folds the active set
+per radio.  At the densities of the scale-ceiling bench (hundreds of radios)
+those loops dominate the run time.
 
 This kernel keeps the *same numbers* (bit-identical traces, enforced by
 ``tests/test_medium_equivalence.py``) while restructuring the hot path around
@@ -160,8 +161,8 @@ class VectorMedium(Medium):
         self._masked_radios = registry.counter("medium.masked_radios")
         self._accumulator_resyncs = registry.counter("medium.accumulator_resyncs")
         # Link-state rows rebuilt after a position-epoch advance, making
-        # topology-churn cost visible (see ``move_many``).  The legacy kernel
-        # keeps no per-source rows, so it has no such counter.
+        # topology-churn cost visible (see ``move_many``).  The loop kernel
+        # does not count its row rebuilds.
         self._link_rows_rebuilt = registry.counter("medium.link_rows_rebuilt")
         self._index_of: Dict[str, int] = {}
         self._noise_mw = np.zeros(0)

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.context import build_context
 from repro.devices.base import Radio
-from repro.phy.medium import Technology
+from repro.phy.medium import Medium, Technology
 from repro.phy.spectrum import wifi_channel, zigbee_channel
+from repro.sim.rng import RandomStreams
 from repro.sim.units import dbm_to_mw, mw_to_dbm
-from repro.phy.propagation import Position
+from repro.phy.propagation import FadingModel, Position
 
 from .helpers import deterministic_context
 
@@ -140,3 +142,36 @@ def test_transmit_rejects_nonpositive_duration():
     a = make_radio(ctx, "a", Position(0, 0), zigbee_channel(24), Technology.ZIGBEE)
     with pytest.raises(ValueError):
         ctx.medium.transmit(a, 0.0, 0.0, a.band, Technology.ZIGBEE)
+
+
+def test_block_fading_draws_match_scalar_stream_draws():
+    """Fading is drawn 16 at a time per link; every frame still sees the
+    link's next scalar draw, across refills, a ``move_many`` rebuild, a
+    radio attached mid-transmission and a query after a frame ended."""
+    seed, sigma = 7, 2.5
+    ctx = build_context(seed=seed, fading=FadingModel(2.0, sigma), trace_kinds=set())
+    assert type(ctx.medium) is Medium  # the loop kernel
+    medium, channel = ctx.medium, ctx.channel
+    a = make_radio(ctx, "a", Position(0, 0), zigbee_channel(24), Technology.ZIGBEE)
+    b = make_radio(ctx, "b", Position(5, 0), zigbee_channel(24), Technology.ZIGBEE)
+    reference = RandomStreams(seed=seed)
+    draws = {name: reference.stream(f"fading/a->{name}") for name in ("b", "late")}
+
+    def expected(name, radio):
+        mean = channel.mean_rx_power_dbm(0.0, "a", a.position, name, radio.position)
+        return mean + float(draws[name].normal(0.0, sigma))
+
+    late = None
+    for k in range(44):  # refills at frames 0, 16 and 32
+        if k == 20:
+            medium.move_many([(b, Position(9, 1))])
+        tx = medium.transmit(a, 1e-3, 0.0, a.band, Technology.ZIGBEE)
+        assert medium.rx_power_dbm(tx, b) == expected("b", b)
+        if k == 25:
+            late = make_radio(ctx, "late", Position(3, 3), zigbee_channel(24),
+                              Technology.ZIGBEE)
+        if late is not None:
+            assert medium.rx_power_dbm(tx, late) == expected("late", late)
+        ctx.sim.run(until=ctx.sim.now + 2e-3)
+    # The frame has ended: a query draws afresh, from the buffer first.
+    assert medium.rx_power_dbm(tx, b) == expected("b", b)

@@ -8,8 +8,9 @@ which keeps the per-sample RSSI path as oracle the same way).
 
 Three layers of evidence:
 
-* full compiled scenarios (5 seeds x 3 scenarios x 2 fault plans) compared
-  on trace digest + event count + the whole summary dict;
+* full compiled scenarios (5 seeds x 7 scenarios x 2 fault plans: the
+  office under every scheme, two generated layouts) compared on trace
+  digest + event count + the whole summary dict;
 * targeted adversarial cases for the kernel's caches — mid-run mobility
   (position-epoch invalidation), BLE retunes while foreign transmissions are
   in flight (gather-profile + slot refresh), and a radio attached while a
@@ -35,12 +36,17 @@ from repro.phy.medium import Technology
 from repro.phy.medium_fast import VectorMedium
 from repro.phy.propagation import FadingModel, Position
 from repro.phy.spectrum import ble_channel, wifi_channel, zigbee_channel
+from repro.schemes import scheme_names
 
 SEEDS = [0, 1, 2, 3, 4]
 SCENARIOS = [
     ("office", {}),
     ("grid", {"n_zigbee_links": 3, "n_wifi_pairs": 2}),
     ("random-uniform", {"n_zigbee_links": 4, "n_wifi_pairs": 2}),
+] + [
+    # Every scheme's call pattern through the medium; ``("office", {})``
+    # above is the default scheme, bicord.
+    ("office", {"scheme": name}) for name in scheme_names() if name != "bicord"
 ]
 FAULT_PLANS = ["inert", "lossy-control"]
 KERNELS = ["legacy", "vector"]

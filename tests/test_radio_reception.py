@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.context import build_context
 from repro.devices.base import Radio
 from repro.mac.frames import zigbee_data_frame
 from repro.phy.medium import Technology
 from repro.phy.spectrum import wifi_channel, zigbee_channel
-from repro.phy.propagation import Position
+from repro.phy.propagation import FadingModel, Position
+from repro.sim.rng import RandomStreams
 
 from .helpers import deterministic_context
 
@@ -199,3 +201,41 @@ def test_interference_segments_partial_overlap():
     assert 0.0 < info.success_probability <= 1.0
     # SINR of ZS at ZR vs jammer at ~6m: positive but finite SINR.
     assert info.min_sinr_db < 30.0
+
+
+def test_block_outcome_draws_match_scalar_stream_draws():
+    """Reception outcomes are drawn 16 at a time; each delivered/lost
+    verdict still equals the next scalar draw of ``phy/rx/<name>``
+    against the frame's success probability."""
+    seed = 11
+    # Fading at the edge of decodability: success probabilities spread
+    # over (0, 1), so both outcomes occur.
+    ctx = build_context(seed=seed, fading=FadingModel(0.0, 2.5), trace_kinds=set())
+    outcomes = []
+
+    class OutcomeMac(RecordingMac):
+        def on_frame_received(self, frame, info):
+            outcomes.append((True, info.success_probability))
+
+        def on_frame_lost(self, frame, info):
+            outcomes.append((False, info.success_probability))
+
+    radios = []
+    for name, x in (("ZS", 0.0), ("ZR", 172.0)):
+        radio = Radio(
+            name=name, position=Position(x, 0), band=zigbee_channel(24),
+            technology=Technology.ZIGBEE, sim=ctx.sim, streams=ctx.streams,
+            sensitivity_dbm=-130.0, noise_figure_db=5.0,
+        )
+        ctx.medium.attach(radio)
+        radio.mac = OutcomeMac()
+        radios.append(radio)
+    for k in range(48):  # refills at receptions 0, 16 and 32
+        ctx.sim.schedule(5e-3 * k, lambda k=k: send(ctx, radios[0], seq=k))
+    ctx.sim.run()
+    assert len(outcomes) == 48
+    assert {delivered for delivered, _ in outcomes} == {True, False}
+    draws = RandomStreams(seed=seed).stream("phy/rx/ZR")
+    assert [delivered for delivered, _ in outcomes] == [
+        draws.random() < p for _, p in outcomes
+    ]
