@@ -52,7 +52,6 @@ class PredictiveNode:
         self.inter_packet_gap = inter_packet_gap
         self._gaps: Deque[float] = deque(maxlen=history)
         self._idle_since: Optional[float] = None
-        self._was_busy = True
         self._pending: Deque[Tuple[int, float, int]] = deque()
         self._seq = 0
         self._inflight: Optional[Frame] = None

@@ -53,9 +53,11 @@ class _ReceptionContext:
         # Closed segments: (duration_s, interference_mw).
         self.segments: List[Tuple[float, float]] = []
         self.segment_start: Tuple[float, float] = (now, interference_mw)
-        # Cross-technology overlaps: source name -> [technology, rx_dbm, accumulated_s]
-        self.overlap_log: dict = {}
-        self._overlap_open: dict = {}
+        # Cross-technology overlaps: source name -> [technology, rx_dbm,
+        # accumulated_s], and the overlaps still open by tx id.  Most frames
+        # see none, so both dicts are made on first use.
+        self.overlap_log: Optional[dict] = None
+        self._overlap_open: Optional[dict] = None
 
     def change_interference(self, now: float, interference_mw: float) -> None:
         start, level = self.segment_start
@@ -64,25 +66,31 @@ class _ReceptionContext:
         self.segment_start = (now, interference_mw)
 
     def open_overlap(self, now: float, other: Transmission, rx_dbm: float) -> None:
+        if self._overlap_open is None:
+            self._overlap_open = {}
         self._overlap_open[other.tx_id] = (now, other.technology, other.source_name, rx_dbm)
 
     def close_overlap(self, now: float, other: Transmission) -> None:
-        opened = self._overlap_open.pop(other.tx_id, None)
-        if opened is None:
+        if self._overlap_open is None:
             return
+        opened = self._overlap_open.pop(other.tx_id, None)
+        if opened is not None:
+            self._log_overlap(now, opened)
+
+    def _log_overlap(self, now: float, opened: tuple) -> None:
         start, technology, source_name, rx_dbm = opened
+        if self.overlap_log is None:
+            self.overlap_log = {}
         entry = self.overlap_log.setdefault(source_name, [technology, rx_dbm, 0.0])
         entry[1] = max(entry[1], rx_dbm)
         entry[2] += now - start
 
     def finalize(self, now: float) -> None:
         self.change_interference(now, 0.0)
-        for tx_id in list(self._overlap_open):
-            opened = self._overlap_open.pop(tx_id)
-            start, technology, source_name, rx_dbm = opened
-            entry = self.overlap_log.setdefault(source_name, [technology, rx_dbm, 0.0])
-            entry[1] = max(entry[1], rx_dbm)
-            entry[2] += now - start
+        if self._overlap_open:
+            for opened in self._overlap_open.values():
+                self._log_overlap(now, opened)
+            self._overlap_open = None
 
 
 class Radio:
@@ -210,58 +218,49 @@ class Radio:
     # ------------------------------------------------------------------
     # Receive path (called by the medium)
     # ------------------------------------------------------------------
-    def _captured_mw(self, tx: Transmission) -> float:
-        return self.medium.captured_power_mw(tx, self)
-
-    def _current_interference_mw(self, exclude_tx_id: int) -> float:
-        return self.medium.decoding_interference_mw(self, exclude=(exclude_tx_id,))
-
-    def _decodable(self, tx: Transmission) -> bool:
-        return (
-            self.enabled
+    def on_transmission_start(self, tx: Transmission) -> None:
+        medium = self.medium
+        if medium is None:
+            return
+        now = self.sim.now
+        lock = self._lock
+        if (
+            lock is None
+            and self.enabled
+            and self.current_tx is None
             and tx.frame is not None
             and tx.technology is self.technology
             and tx.band == self.band
-            and self.current_tx is None
-            and self._lock is None
-        )
-
-    def on_transmission_start(self, tx: Transmission) -> None:
-        if self.medium is None:
-            return
-        if self._decodable(tx):
-            rx_dbm = self.medium.rx_power_dbm(tx, self)
+        ):
+            rx_dbm = medium.rx_power_dbm(tx, self)
             if rx_dbm >= self.sensitivity_dbm:
-                interference = self._current_interference_mw(tx.tx_id)
-                self._set_lock(_ReceptionContext(tx, rx_dbm, self.sim.now, interference))
+                interference = medium.decoding_interference_mw(self, (tx.tx_id,))
+                lock = _ReceptionContext(tx, rx_dbm, now, interference)
+                self._set_lock(lock)
                 # Record any cross-technology transmissions already on the air.
-                for other in self.medium.active_transmissions():
-                    if other.tx_id != tx.tx_id and other.source is not self:
-                        if other.technology is not self.technology:
-                            self._lock.open_overlap(
-                                self.sim.now, other, self.medium.rx_power_dbm(other, self)
-                            )
-                self._notify_mac()
-                return
-        if self._lock is not None and tx.tx_id != self._lock.tx.tx_id:
-            self._lock.change_interference(
-                self.sim.now, self._current_interference_mw(self._lock.tx.tx_id)
+                for other in medium.active_transmissions():
+                    if other.technology is not self.technology and other.source is not self:
+                        lock.open_overlap(now, other, medium.rx_power_dbm(other, self))
+        elif lock is not None and tx.tx_id != lock.tx.tx_id:
+            lock.change_interference(
+                now, medium.decoding_interference_mw(self, (lock.tx.tx_id,))
             )
             if tx.technology is not self.technology:
-                self._lock.open_overlap(self.sim.now, tx, self.medium.rx_power_dbm(tx, self))
+                lock.open_overlap(now, tx, medium.rx_power_dbm(tx, self))
         self._notify_mac()
 
     def on_transmission_end(self, tx: Transmission) -> None:
-        if self._lock is not None:
-            if tx.tx_id == self._lock.tx.tx_id:
+        lock = self._lock
+        if lock is not None:
+            if tx.tx_id == lock.tx.tx_id:
                 self._finish_reception()
-                self._notify_mac()
-                return
-            self._lock.change_interference(
-                self.sim.now, self._current_interference_mw(self._lock.tx.tx_id)
-            )
-            if tx.technology is not self.technology:
-                self._lock.close_overlap(self.sim.now, tx)
+            else:
+                now = self.sim.now
+                lock.change_interference(
+                    now, self.medium.decoding_interference_mw(self, (lock.tx.tx_id,))
+                )
+                if tx.technology is not self.technology:
+                    lock.close_overlap(now, tx)
         self._notify_mac()
 
     def _set_lock(self, lock: Optional[_ReceptionContext]) -> None:
@@ -273,8 +272,9 @@ class Radio:
         transition must go through here.
         """
         self._lock = lock
-        if self.medium is not None:
-            self.medium.on_radio_lock_changed(self, lock is not None)
+        medium = self.medium
+        if medium is not None:
+            medium.on_radio_lock_changed(self, lock is not None)
 
     def _abort_lock(self) -> None:
         if self._lock is None:
@@ -287,29 +287,37 @@ class Radio:
         assert context is not None
         self._set_lock(None)
         context.finalize(self.sim.now)
-        frame = context.tx.frame
+        tx = context.tx
+        frame = tx.frame
+        ber = frame.ber
+        signal_dbm = context.signal_dbm
         noise_mw = self.noise_floor_mw
         total_bits = max(frame.bits, 1)
-        duration = max(context.tx.duration, 1e-12)
+        duration = max(tx.duration, 1e-12)
         success_p = 1.0
         min_sinr = float("inf")
         for seg_duration, interference_mw in context.segments:
-            sinr_db = context.signal_dbm - mw_to_dbm(noise_mw + interference_mw)
-            min_sinr = min(min_sinr, sinr_db)
-            seg_bits = max(1, round(total_bits * seg_duration / duration))
-            success_p *= packet_success_probability(frame.ber(sinr_db), seg_bits)
-        overlaps = [
+            sinr_db = signal_dbm - mw_to_dbm(noise_mw + interference_mw)
+            if sinr_db < min_sinr:
+                min_sinr = sinr_db
+            bit_error = ber(sinr_db)
+            # A zero BER's success factor is exactly 1.0.
+            if bit_error != 0.0:
+                seg_bits = max(1, round(total_bits * seg_duration / duration))
+                success_p *= packet_success_probability(bit_error, seg_bits)
+        overlap_log = context.overlap_log
+        overlaps = [] if overlap_log is None else [
             (tech, source_name, rx_dbm, seconds)
-            for source_name, (tech, rx_dbm, seconds) in context.overlap_log.items()
+            for source_name, (tech, rx_dbm, seconds) in overlap_log.items()
         ]
         info = RxInfo(
-            rx_power_dbm=context.signal_dbm,
+            rx_power_dbm=signal_dbm,
             success_probability=success_p,
             min_sinr_db=min_sinr if min_sinr != float("inf") else 0.0,
             overlaps=overlaps,
         )
         if self.energy_meter is not None:
-            self.energy_meter.charge_rx(context.tx.duration)
+            self.energy_meter.charge_rx(tx.duration)
         delivered = self._rx_uniform() < success_p
         mac = self._mac
         if delivered:

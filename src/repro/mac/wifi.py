@@ -105,7 +105,6 @@ class WifiMac:
         # active set — and hence the sensed power — is frozen between epochs).
         self._sense_epoch = -1
         self._sense_busy = False
-        self._was_busy = self._medium_busy()
         # Hooks
         self.frame_listeners: List[Callable[[Frame, RxInfo], None]] = []
         self.sent_listeners: List[Callable[[Frame], None]] = []
@@ -204,19 +203,17 @@ class WifiMac:
     # ------------------------------------------------------------------
     def _evaluate(self) -> None:
         """Re-plan the countdown after any state change."""
-        busy = self._medium_busy() or not self._tx_allowed()
-        if busy:
-            if self._countdown_event is not None:
+        countdown = self._countdown_event
+        if countdown is None and (self._awaiting_ack_for is not None or not self.queue):
+            # Idle: nothing to contend for and no countdown to freeze, so the
+            # carrier-sense verdict could change nothing.
+            return
+        if self._medium_busy() or not self._tx_allowed():
+            if countdown is not None:
                 self._freeze()
-            self._was_busy = True
             return
-        self._was_busy = False
-        if self._countdown_event is not None:
+        if countdown is not None:
             return  # countdown already running
-        if self._awaiting_ack_for is not None:
-            return  # transaction in progress
-        if not self.queue:
-            return
         if self._backoff_slots is None:
             rng = self.radio.streams.stream(f"mac/wifi/{self.radio.name}")
             self._backoff_slots = int(rng.integers(0, self._cw + 1))

@@ -253,9 +253,10 @@ class Medium:
     def on_radio_retuned(self, radio: Any) -> None:
         """Hook called by :meth:`Radio.retune` when a radio's band changes.
 
-        The legacy kernel needs no action (its per-(tx, radio) caches store
-        the band they were computed for and recompute on mismatch); faster
-        kernels override this to refresh their band arrays.
+        This kernel needs no action: its per-(tx, radio) caches store the
+        band they were computed for and recompute on mismatch.
+        :class:`~repro.phy.medium_fast.VectorMedium` overrides it to refresh
+        its band arrays.
         """
 
     def on_radio_mac_changed(self, radio: Any) -> None:

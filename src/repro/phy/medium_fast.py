@@ -46,13 +46,8 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..sim.units import dbm_to_mw, linear_to_db
-from .medium import Medium, Technology, Transmission
+from .medium import _FADING_BATCH, Medium, Technology, Transmission, _mac_sensitive
 from .spectrum import overlap_fraction, overlap_profile
-
-#: Pre-drawn fading samples kept per link.  Each refill is one
-#: ``Generator.normal(size=_FADING_BATCH)`` call whose output is bit-identical
-#: to the same number of scalar draws.
-_FADING_BATCH = 16
 
 #: Stable small-int code per technology, for the vectorized decode screen.
 _TECH_INDEX = {tech: i for i, tech in enumerate(Technology)}
@@ -206,7 +201,7 @@ class VectorMedium(Medium):
         self._tech_code = np.append(
             self._tech_code, _TECH_INDEX.get(radio.technology, -1)
         )
-        self._sensitive = np.append(self._sensitive, self._mac_sensitive(radio))
+        self._sensitive = np.append(self._sensitive, _mac_sensitive(radio))
         self._band_version += 1
         for acc in self._all_accs():
             acc.totals = np.append(acc.totals, 0.0)
@@ -244,25 +239,10 @@ class VectorMedium(Medium):
         for acc in self._all_accs():
             acc.dirty.add(j)
 
-    @staticmethod
-    def _mac_sensitive(radio: Any) -> bool:
-        """Whether ``radio`` must see every transmission edge.
-
-        True when its MAC re-plans on medium events; MACs without the
-        ``medium_event_sensitive`` flag are conservatively treated as
-        sensitive.  A radio with no MAC at all is insensitive
-        (``_notify_mac`` is a no-op), but may become sensitive later —
-        MAC assignment re-fires :meth:`on_radio_mac_changed`.
-        """
-        mac = radio.mac
-        if mac is None:
-            return False
-        return bool(getattr(mac, "medium_event_sensitive", True))
-
     def on_radio_mac_changed(self, radio: Any) -> None:
         j = self._index_of.get(radio.name)
         if j is not None and self.radios[j] is radio:
-            self._sensitive[j] = self._mac_sensitive(radio)
+            self._sensitive[j] = _mac_sensitive(radio)
 
     def on_radio_lock_changed(self, radio: Any, locked: bool) -> None:
         j = self._index_of.get(radio.name)

@@ -26,16 +26,16 @@ from scipy.special import erfc
 from ..sim.units import USEC, db_to_linear
 
 
-def _q_function(x: float) -> float:
-    """Gaussian tail probability Q(x)."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
-
-
 # ----------------------------------------------------------------------
 # 802.15.4 O-QPSK DSSS
 # ----------------------------------------------------------------------
 
-_BINOM_16 = [math.comb(16, k) for k in range(17)]
+#: ``(1/k - 1, (-1)^k C(16, k))`` for k = 2..16.  ``1/k - 1`` falls with k,
+#: so the exponents of one call fall too.
+_DSSS_TERMS = [
+    (1.0 / k - 1.0, (1.0 if k % 2 == 0 else -1.0) * math.comb(16, k))
+    for k in range(2, 17)
+]
 
 
 def ber_oqpsk_dsss(sinr_db: float) -> float:
@@ -50,14 +50,15 @@ def ber_oqpsk_dsss(sinr_db: float) -> float:
     +3 dB of SINR, which is what gives ZigBee its ability to decode slightly
     below the noise floor of a wideband observer.
     """
-    sinr = db_to_linear(sinr_db)
+    scale = 20.0 * db_to_linear(sinr_db)
     total = 0.0
-    for k in range(2, 17):
-        sign = 1.0 if k % 2 == 0 else -1.0
-        exponent = 20.0 * sinr * (1.0 / k - 1.0)
-        # exp underflows harmlessly to 0 for high SINR.
-        if exponent > -700.0:
-            total += sign * _BINOM_16[k] * math.exp(exponent)
+    for factor, coefficient in _DSSS_TERMS:
+        exponent = scale * factor
+        # exp underflows harmlessly to 0 for high SINR, and so does every
+        # later (smaller) exponent.  A NaN exponent adds no term either.
+        if not exponent > -700.0:
+            break
+        total += coefficient * math.exp(exponent)
     ber = (8.0 / 15.0) * (1.0 / 16.0) * total
     return min(max(ber, 0.0), 0.5)
 
@@ -75,19 +76,28 @@ class WifiModulation(Enum):
     CCK = "cck"  # 802.11b 5.5/11 Mbps complementary code keying
 
 
+#: scipy's ``erfc`` is exactly 0.0 from here on (it underflows near 26.65);
+#: ``tests/test_modulation.py`` fails if a scipy release stops doing so.
+_ERFC_ZERO_FROM = 27.0
+
+
 def _ber_uncoded(modulation: WifiModulation, snr_per_bit: float) -> float:
     """AWGN bit error rate of the raw constellation, linear Eb/N0."""
     if snr_per_bit <= 0.0:
         return 0.5
-    if modulation is WifiModulation.BPSK:
-        return _q_function(math.sqrt(2.0 * snr_per_bit))
-    if modulation is WifiModulation.QPSK:
-        return _q_function(math.sqrt(2.0 * snr_per_bit))
-    if modulation is WifiModulation.QAM16:
-        return (3.0 / 8.0) * erfc(math.sqrt(0.4 * snr_per_bit))
-    if modulation is WifiModulation.QAM64:
-        return (7.0 / 24.0) * erfc(math.sqrt(snr_per_bit / 7.0))
-    raise ValueError(f"unknown modulation {modulation}")
+    if modulation is WifiModulation.BPSK or modulation is WifiModulation.QPSK:
+        # Q(x) = erfc(x / sqrt(2)) / 2 at x = sqrt(2 Eb/N0), in that float
+        # order: the quotient is not bitwise sqrt(Eb/N0).
+        scale, arg = 0.5, math.sqrt(2.0 * snr_per_bit) / math.sqrt(2.0)
+    elif modulation is WifiModulation.QAM16:
+        scale, arg = 3.0 / 8.0, math.sqrt(0.4 * snr_per_bit)
+    elif modulation is WifiModulation.QAM64:
+        scale, arg = 7.0 / 24.0, math.sqrt(snr_per_bit / 7.0)
+    else:
+        raise ValueError(f"unknown modulation {modulation}")
+    if arg >= _ERFC_ZERO_FROM:
+        return 0.0
+    return scale * erfc(arg)
 
 
 #: Approximate convolutional coding gain at useful BERs, by code rate.

@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.phy import modulation
 from repro.phy.modulation import (
     WIFI_RATES,
     ber_gfsk,
@@ -16,6 +19,7 @@ from repro.phy.modulation import (
     wifi_rate,
     zigbee_frame_duration,
 )
+from repro.sim.units import db_to_linear
 
 
 # ----------------------------------------------------------------------
@@ -83,6 +87,78 @@ def test_gfsk_ber_behaviour():
     assert ber_gfsk(20.0) < 1e-10
     points = [ber_gfsk(float(s)) for s in range(-10, 20)]
     assert all(a >= b for a, b in zip(points, points[1:]))
+
+
+# ----------------------------------------------------------------------
+# Zero-BER shortcuts: bit for bit against the full formulas
+# ----------------------------------------------------------------------
+def _reference_dsss(sinr_db):
+    """The DSSS formula term by term, every exponent tested against -700."""
+    sinr = db_to_linear(sinr_db)
+    total = 0.0
+    for k in range(2, 17):
+        sign = 1.0 if k % 2 == 0 else -1.0
+        exponent = 20.0 * sinr * (1.0 / k - 1.0)
+        if exponent > -700.0:
+            total += sign * math.comb(16, k) * math.exp(exponent)
+    ber = (8.0 / 15.0) * (1.0 / 16.0) * total
+    return min(max(ber, 0.0), 0.5)
+
+
+def _q_function(x):
+    return 0.5 * scipy.special.erfc(x / math.sqrt(2.0))
+
+
+def _reference_ber_uncoded(modulation_kind, snr_per_bit):
+    """The constellation BERs with ``erfc`` always evaluated."""
+    kinds = modulation.WifiModulation
+    if snr_per_bit <= 0.0:
+        return 0.5
+    if modulation_kind is kinds.BPSK or modulation_kind is kinds.QPSK:
+        return _q_function(math.sqrt(2.0 * snr_per_bit))
+    if modulation_kind is kinds.QAM16:
+        return (3.0 / 8.0) * scipy.special.erfc(math.sqrt(0.4 * snr_per_bit))
+    return (7.0 / 24.0) * scipy.special.erfc(math.sqrt(snr_per_bit / 7.0))
+
+
+def _grid(low_db, high_db):
+    """SINRs from ``low_db`` to ``high_db`` in 0.001 dB steps."""
+    steps = round((high_db - low_db) * 1000)
+    return [low_db + i / 1000.0 for i in range(steps + 1)]
+
+
+def test_dsss_ber_equals_full_formula_across_the_cutoff():
+    """The exponent cutoff moves from k = 16 to k = 2 between 15.7 and 18.5 dB."""
+    grid = _grid(15.0, 19.0) + _grid(-5.0, 5.0)[::7]
+    assert all(ber_oqpsk_dsss(s) == _reference_dsss(s) for s in grid)
+    assert ber_oqpsk_dsss(19.0) == 0.0 and _reference_dsss(15.0) > 0.0
+
+
+@pytest.mark.parametrize("mbps", sorted(WIFI_RATES))
+def test_wifi_ber_equals_full_formula_across_erfc_underflow(monkeypatch, mbps):
+    """Every rate's BER, 1 dB either side of the SINR where erfc underflows."""
+    rate = wifi_rate(mbps)
+    with monkeypatch.context() as patched:
+        patched.setattr(modulation, "_ber_uncoded", _reference_ber_uncoded)
+        low, high = -10.0, 80.0
+        assert rate.ber(low) > 0.0 and rate.ber(high) == 0.0
+        while high - low > 1e-6:  # the lowest SINR with an exact-zero BER
+            mid = (low + high) / 2.0
+            low, high = (low, mid) if rate.ber(mid) == 0.0 else (mid, high)
+        grid = _grid(round(high, 3) - 1.0, round(high, 3) + 1.0)
+        expected = [rate.ber(s) for s in grid]
+    assert [rate.ber(s) for s in grid] == expected
+    assert expected[0] > 0.0 and expected[-1] == 0.0
+
+
+def test_scipy_erfc_underflows_to_zero_from_the_shortcut_on():
+    """The Wi-Fi shortcut returns 0.0 for erfc arguments >= 27: it is exact
+    only while scipy's erfc underflows to exactly 0.0 there."""
+    start = modulation._ERFC_ZERO_FROM
+    xs = np.concatenate([np.arange(start, 40.0, 1e-3), np.geomspace(40.0, 1e3, 2000)])
+    assert not np.any(scipy.special.erfc(xs))
+    for x in [start, 27.0, 27.5, 30.0, 100.0, 1e3, math.inf, *xs[::997].tolist()]:
+        assert scipy.special.erfc(x) == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ NAV stacking, the carrier-sense vulnerability window, saturation sanity."""
 import pytest
 
 from repro.devices import WifiDevice
+from repro.devices.interferers import Emitter
 from repro.mac.frames import wifi_data_frame
 from repro.mac.wifi import CW_MIN, DIFS_S, SENSE_DELAY_S, SLOT_S
+from repro.phy.medium import Technology
 from repro.phy.propagation import Position
 from repro.traffic import WifiPacketSource
 
@@ -139,3 +141,69 @@ def test_backoff_duration_matches_slot_math():
     slots = elapsed / SLOT_S
     assert slots == pytest.approx(round(slots), abs=1e-6)
     assert 0 <= round(slots) <= CW_MIN
+
+
+def _idle_mac_trial(monkeypatch, idle_events):
+    """A waits with an empty queue, then sends two frames to a station that
+    never ACKs.  With ``idle_events``, noise bursts reach A while its queue is
+    empty and while it awaits the first ACK with the second frame queued."""
+    ctx = deterministic_context(seed=9)
+    a = WifiDevice(ctx, "A", Position(0, 0))
+    deaf = WifiDevice(ctx, "D", Position(1, 0))
+    deaf.radio.enabled = False
+    noise = Emitter(ctx, "N", Position(2, 0))
+    sensed = []
+    real_cca = ctx.medium.cca_power_mw
+
+    def cca_spy(radio, now, min_age=0.0):
+        sensed.append((radio.name, now))
+        return real_cca(radio, now, min_age)
+
+    monkeypatch.setattr(ctx.medium, "cca_power_mw", cca_spy)
+    events = []
+    real_event = a.mac.on_medium_event
+
+    def event_spy():
+        events.append(ctx.sim.now)
+        real_event()
+
+    monkeypatch.setattr(a.mac, "on_medium_event", event_spy)
+
+    def bursts(*offsets):
+        for offset in offsets:
+            ctx.sim.schedule(offset, noise.emit, 10e-6, 0.0, a.radio.band, Technology.WIFI)
+
+    sent = []
+    ack_waits = []
+
+    def on_sent(frame):
+        if not sent:
+            assert len(a.mac.queue) == 1 and a.mac.busy_with_traffic
+            ack_waits.append((ctx.sim.now, a.mac._ack_timer.time))
+            if idle_events:
+                bursts(5e-6, 30e-6)
+        sent.append(ctx.sim.now)
+
+    a.mac.sent_listeners.append(on_sent)
+    if idle_events:
+        bursts(1e-3, 2e-3, 3e-3)
+    ctx.sim.schedule_at(5e-3, lambda: [enqueue(ctx, a.mac, "D", seq=s) for s in (1, 2)])
+    ctx.sim.run(until=0.1)
+    stream = ctx.streams.stream("mac/wifi/A")
+    outcome = (sent, a.mac._cw, a.mac.data_dropped, stream.bit_generator.state)
+    return outcome, sensed, events, ack_waits[0]
+
+
+def test_idle_mac_skips_carrier_sense_without_changing_its_plan(monkeypatch):
+    """An idle DCF (no countdown; empty queue or an ACK pending) asks the
+    medium nothing on a medium event, and its later backoff is unchanged."""
+    outcome, sensed, events, (tx_end, ack_timeout) = _idle_mac_trial(monkeypatch, True)
+    quiet_outcome, _, _, _ = _idle_mac_trial(monkeypatch, False)
+    sensed_a = [t for name, t in sensed if name == "A"]
+    idle_windows = [(0.0, 5e-3), (tx_end, ack_timeout)]
+    for start, end in idle_windows:
+        assert any(start <= t < end for t in events)
+        assert not any(start <= t < end for t in sensed_a)
+    assert sensed_a  # A does sense while it contends
+    assert outcome == quiet_outcome
+    assert len(outcome[0]) == 16 and outcome[2] == 2  # every retry of both frames
