@@ -21,8 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from tests.helpers import force_kernel  # noqa: F401  (registers the fixture)
-
 SCALE = float(os.environ.get("BICORD_BENCH_SCALE", "1.0"))
 BENCH_JOBS = int(os.environ.get("BICORD_BENCH_JOBS", str(min(4, os.cpu_count() or 1))))
 

@@ -11,13 +11,6 @@ five functions::
     spec = bicord.load_scenario("dense-office", n_links=6)
     cached = bicord.get_result("coexistence", {"scheme": "ecc"}, seed=3)
 
-plus the job-server client (``repro serve`` on the other end)::
-
-    client = bicord.Client.from_state_dir("server-state")
-    job = client.submit(params={"scenario": "office"}, seeds=[0, 1, 2])
-    record = client.wait(job["job_id"])
-    rows = client.result(job["job_id"])["results"]
-
 These wrappers are intentionally thin — each delegates to the underlying
 subsystem (registry, sweep engine, campaign runner, scenario library,
 sweep cache) — but their *signatures* are the compatibility contract:
@@ -45,7 +38,6 @@ from .experiments.sweep import (
     load_cached,
 )
 from .experiments.topology import Calibration
-from .server.client import Client, ServerError
 
 __all__ = [
     "run",
@@ -56,8 +48,6 @@ __all__ = [
     "get_result",
     "CampaignSpec",
     "Calibration",
-    "Client",
-    "ServerError",
 ]
 
 

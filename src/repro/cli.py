@@ -953,48 +953,6 @@ def _run_campaign(args: argparse.Namespace, runner, spec) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the coordination job server until SIGTERM drains it.
-
-    All runtime output goes through ``repro.log`` (the ``repro.server``
-    loggers), so ``--quiet``/-v behave exactly like every other
-    subcommand — the only bare print is the one-line startup banner
-    below, which doubles as the parseable "where do I connect" answer.
-    """
-    import asyncio
-
-    from .server import JobServer, ServerConfig
-
-    config = ServerConfig(
-        state_dir=args.state_dir,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        cache_dir=args.cache_dir,
-        snapshot_interval=args.snapshot_interval,
-        drain_grace=args.drain_grace,
-    )
-    server = JobServer(config)
-
-    async def run() -> None:
-        await server.start()
-        if not args.quiet:
-            print(
-                f"repro server: {config.host}:{server.port} "
-                f"(state {config.state_dir}, workers {config.workers}, "
-                f"queue depth {config.queue_depth})",
-                flush=True,
-            )
-        await server.wait_drained()
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:
-        pass  # SIGINT on platforms without loop signal handlers
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
@@ -1205,40 +1163,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="(gen) fixed generator parameter (repeatable), "
                         "e.g. n_zigbee_links=6")
     p.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser(
-        "serve",
-        help="run the coordination job server (submit/status/result/watch)",
-        description="Long-running asyncio job server: accepts experiment "
-                    "submissions over a local ND-JSON socket, multiplexes "
-                    "them across a bounded worker pool with per-client "
-                    "fair priority scheduling and explicit backpressure, "
-                    "and serves results by content fingerprint from the "
-                    "sweep cache. SIGTERM drains gracefully; queued and "
-                    "interrupted jobs resume on the next start.",
-    )
-    p.add_argument("--state-dir", default="server-state",
-                   help="journal + discovery (server.json) directory")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (0 = ephemeral; see server.json)")
-    p.add_argument("--workers", type=_positive_int, default=2,
-                   help="worker processes = concurrent-job ceiling")
-    p.add_argument("--queue-depth", type=_positive_int, default=16,
-                   help="max queued jobs before submissions are rejected "
-                        "with a retry-after hint")
-    p.add_argument("--cache-dir", default=None,
-                   help="sweep cache directory (default: "
-                        "$BICORD_SWEEP_CACHE or ~/.cache/bicord/sweeps)")
-    p.add_argument("--snapshot-interval", type=float, default=0.5,
-                   help="seconds between telemetry frames on watch streams")
-    p.add_argument("--drain-grace", type=float, default=30.0,
-                   help="seconds SIGTERM waits for in-flight jobs")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress the startup banner and log output")
-    p.add_argument("-v", "--verbose", action="count", default=0,
-                   help="more logging (repeatable)")
-    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
         "list", help="list registered experiments and library scenarios"

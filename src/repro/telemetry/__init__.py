@@ -34,7 +34,7 @@ only ever appears in the ``spans`` snapshot section and in the manifest.
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from .export import export, jsonl_line
+from .export import export
 from .manifest import RunManifest, build_manifest
 from .metrics import (
     Counter,
@@ -86,6 +86,5 @@ __all__ = [
     "build_manifest",
     "collect",
     "export",
-    "jsonl_line",
     "merge_snapshots",
 ]

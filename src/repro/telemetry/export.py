@@ -39,16 +39,6 @@ def export(
     return _export_jsonl(path, manifest, snapshot)
 
 
-def jsonl_line(payload: Dict[str, Any]) -> str:
-    """One canonical ND-JSON line: compact, key-sorted, newline-terminated.
-
-    The single serialization used everywhere telemetry is streamed rather
-    than written to disk (the job server's ``watch`` frames use it), so a
-    consumer can byte-compare lines from either source.
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _iter_lines(snapshot: Dict[str, Any]):
     for name, value in snapshot.get("counters", {}).items():
         yield "counter", name, {"value": value}

@@ -25,7 +25,7 @@ def _repro_log_to_caplog(caplog, monkeypatch):
 
     The CLI installs a stderr handler the first time it configures
     logging; marking logging as configured leaves it only setting the
-    level, so sweep progress and server lines land in the test's captured
+    level, so sweep and campaign progress lands in the test's captured
     log and the suite writes nothing to stderr.
     """
     logger = repro.log.get_logger()

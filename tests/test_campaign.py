@@ -421,8 +421,6 @@ def test_cli_shared_flags_present_everywhere():
     for name, sub in subparsers.choices.items():
         if name == "list":  # pure listing, no execution to configure
             continue
-        if name == "serve":  # daemon: no per-run seeds/jobs; it has its
-            continue         # own --workers/--quiet/-v (see cmd_serve)
         options = {
             option for action in sub._actions
             for option in action.option_strings

@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 
 from repro import telemetry
-from repro.context import build_context
+from repro.context import VECTOR_MEDIUM_MIN_RADIOS, build_context
 from repro.devices.base import Radio
 from repro.experiments import get_experiment, run_experiment
 from repro.experiments.roaming import RoamingTrialConfig, run_roaming_trial
@@ -31,6 +31,7 @@ from repro.mobility import (
     make_ap_selection_policy,
 )
 from repro.phy.medium import Technology
+from repro.phy.medium_fast import VectorMedium
 from repro.phy.propagation import Position
 from repro.phy.spectrum import zigbee_channel
 from repro.scenarios import (
@@ -39,6 +40,7 @@ from repro.scenarios import (
     compile_scenario,
     get_scenario,
 )
+from repro.sim.process import Process
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +234,57 @@ def test_link_rows_rebuilt_counter_silent_on_legacy(force_kernel):
         ctx.medium.transmit(a, 1e-3, 0.0, a.band, a.technology)
         ctx.sim.run(until=5e-3)
         assert registry.counter("medium.link_rows_rebuilt").value == 0
+
+
+def test_platoon_churn_rebuilds_only_transmitting_rows(monkeypatch):
+    """Under topology churn, link rows are rebuilt lazily, one per source.
+
+    A compiled ``grid`` on the vector kernel has a ZigBee platoon batch-moved
+    10 times per simulated second.  A row is rebuilt exactly when a source
+    transmits in a position epoch after the one of its first build, so the
+    counter equals the (epoch, source) pairs that ``transmit`` saw minus one
+    first build per source, far below one rebuild per radio per move.
+    """
+    n_links = VECTOR_MEDIUM_MIN_RADIOS // 2  # + one Wi-Fi pair: above the threshold
+    spec = get_scenario(
+        "grid", n_zigbee_links=n_links, traffic_mix="uniform", max_bursts=1
+    )
+    registry = telemetry.MetricsRegistry()
+    with telemetry.collect(registry):
+        compiled = compile_scenario(spec, seed=7, trace_kinds=set())
+        medium = compiled.ctx.medium
+        assert isinstance(medium, VectorMedium)
+        transmissions = []
+        transmit = medium.transmit
+
+        def spy(source, *args, **kwargs):
+            transmissions.append((medium.channel.position_epoch, source.name))
+            return transmit(source, *args, **kwargs)
+
+        monkeypatch.setattr(medium, "transmit", spy)
+        platoon = [
+            link.sender.radio for link in compiled.zigbee_links.values()
+        ][:4]
+        moves = []
+
+        def churn():
+            while True:
+                yield 0.1
+                dx = 0.5 if len(moves) % 2 == 0 else -0.5
+                medium.move_many(
+                    (radio, Position(radio.position.x + dx, radio.position.y))
+                    for radio in platoon
+                )
+                moves.append(dx)
+
+        Process(compiled.sim, churn(), name="churn")
+        compiled.run(until=1.0, max_events=10**9)
+    pairs = set(transmissions)
+    sources = {name for _, name in pairs}
+    rebuilt = registry.counter("medium.link_rows_rebuilt").value
+    assert len(moves) == 10
+    assert rebuilt == len(pairs) - len(sources) > 0
+    assert rebuilt * 4 < len(moves) * len(medium.radios)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@ The segment path (default) must be **bitwise identical** to the per-sample
 path it replaced: same sample values, same dtype, same start times, and no
 side effects on the rest of the simulation.  These tests run the same busy
 scenario under both modes and compare traces element-for-element, across
-seeds, capture rates, and an active fault plan.
+seeds, capture rates, and an active fault plan.  One more test pins what
+the segment path saves: one simulator event per capture instead of one per
+sample.
 
 Also here: the vectorized CTI feature extraction against a straight-line
 reference implementation (property-based), and the propagation gain cache
@@ -116,6 +118,48 @@ def test_equivalence_without_quantization():
     fast, legacy = run("segment"), run("per_sample")
     assert fast.samples_dbm.dtype == legacy.samples_dbm.dtype == np.float64
     assert np.array_equal(fast.samples_dbm, legacy.samples_dbm)
+
+
+def _chained_capture_events(mode, wifi, n_captures=25):
+    """Simulator events of back-to-back 5 ms @ 40 kHz captures, and the traces."""
+    ctx = build_context(
+        seed=2,
+        path_loss=PathLossModel(),
+        fading=FadingModel(),
+        trace_kinds=set(),
+    )
+    if wifi:  # saturated: a frame is queued every 0.1 ms, faster than it airs
+        sender = WifiDevice(ctx, "W1", Position(2.0, 0.0), data_rate_mbps=1.0)
+        WifiDevice(ctx, "W2", Position(5.0, 0.0), data_rate_mbps=1.0)
+        WifiPacketSource(ctx, sender.mac, "W2", payload_bytes=100, interval=1e-4)
+    collector = ZigbeeDevice(ctx, "C", Position(0.0, 0.0))
+    sampler = RssiSampler(collector.radio, ctx.sim, ctx.streams, mode=mode)
+    traces = []
+
+    def chain(i=0):
+        if i < n_captures:
+            sampler.capture(
+                5e-3, 40e3, lambda trace, i=i: (traces.append(trace), chain(i + 1))
+            )
+
+    chain()
+    ctx.sim.run(until=n_captures * 5e-3)
+    return ctx.sim.events_processed, traces
+
+
+def test_segment_capture_costs_one_event_per_capture():
+    """The segment path schedules one completion event per capture, where the
+    per-sample path schedules one event per sample; everything else the
+    simulation does is the same in both."""
+    n_captures, samples = 25, 200
+    for wifi in (False, True):
+        segment, fast = _chained_capture_events("segment", wifi, n_captures)
+        per_sample, legacy = _chained_capture_events("per_sample", wifi, n_captures)
+        assert len(fast) == len(legacy) == n_captures
+        assert all(len(trace) == samples for trace in fast)
+        assert per_sample - segment == n_captures * (samples - 1)
+        if not wifi:  # a quiet medium: the captures are the only events
+            assert segment == n_captures
 
 
 def test_default_capture_mode_flag():
