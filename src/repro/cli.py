@@ -963,6 +963,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _comma_list(
     cast: Callable[[str], Any], valid: Callable[[Any], bool], requirement: str
 ) -> Callable[[str], List[Any]]:
@@ -1007,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Shared flag groups, declared ONCE as argparse parent parsers so every
     # subcommand exposes them with byte-identical names, defaults, and help.
     seed_flags = argparse.ArgumentParser(add_help=False)
-    seed_flags.add_argument("--seed", type=int, default=0,
+    seed_flags.add_argument("--seed", type=_nonnegative_int, default=0,
                             help="base random seed")
     seed_flags.add_argument("--seeds", type=_positive_int, default=1,
                             metavar="N",

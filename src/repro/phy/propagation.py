@@ -75,8 +75,11 @@ class FadingModel:
 class Channel:
     """Computes received power between positions.
 
-    The channel owns the shadowing cache and the fading streams; it is shared
-    by the :class:`~repro.phy.medium.Medium` for all links in a scenario.
+    The channel owns every link's randomness and is shared by the
+    :class:`~repro.phy.medium.Medium` for all links in a scenario.  Each
+    shadowing term is one draw from a stream that is dropped right after it;
+    each fading stream is held here alone (the kernels' link rows reference
+    it), so :class:`~repro.sim.rng.RandomStreams` keeps no per-link state.
     Link identity for shadowing purposes is the *name pair* of the endpoints,
     so a mobile device keeps its shadowing term while its distance changes
     (the distance-dependent part is recomputed every frame).
@@ -147,11 +150,11 @@ class Channel:
         return loss, shadow
 
     def ensure_shadowing(self, tx_name: str, rx_names: list) -> None:
-        """Prefetch shadowing terms for ``tx_name`` toward ``rx_names``.
+        """Draw the shadowing terms for ``tx_name`` toward ``rx_names``.
 
-        Draws exactly the values later :meth:`_shadowing_db` calls would (one
-        normal from each pair's dedicated stream), but batch-seeds the missing
-        streams first.  A no-op when shadowing is disabled.
+        Each missing pair gets one normal from its dedicated stream, which is
+        batch-seeded and then dropped: the drawn value is all that is kept.
+        A no-op when shadowing is disabled.
         """
         if self.fading.shadowing_sigma_db <= 0.0:
             return
@@ -165,22 +168,17 @@ class Channel:
                 missing.append(key)
         if not missing:
             return
-        gens = self.streams.stream_many([f"shadowing/{a}|{b}" for a, b in missing])
+        gens = self.streams.new_streams([f"shadowing/{a}|{b}" for a, b in missing])
+        sigma = self.fading.shadowing_sigma_db
         for key, rng in zip(missing, gens):
-            self._shadowing_cache[key] = float(
-                rng.normal(0.0, self.fading.shadowing_sigma_db)
-            )
+            cache[key] = float(rng.normal(0.0, sigma))
 
     def _shadowing_db(self, tx_name: str, rx_name: str) -> float:
         key = (tx_name, rx_name) if tx_name <= rx_name else (rx_name, tx_name)
         value = self._shadowing_cache.get(key)
         if value is None:
-            if self.fading.shadowing_sigma_db > 0.0:
-                rng = self.streams.stream(f"shadowing/{key[0]}|{key[1]}")
-                value = float(rng.normal(0.0, self.fading.shadowing_sigma_db))
-            else:
-                value = 0.0
-            self._shadowing_cache[key] = value
+            self.ensure_shadowing(tx_name, [rx_name])
+            value = self._shadowing_cache.setdefault(key, 0.0)
         return value
 
     def mean_rx_power_dbm(
@@ -196,29 +194,26 @@ class Channel:
         return tx_power_dbm - loss + shadow
 
     def fading_generator(self, tx_name: str, rx_name: str) -> Any:
-        """The per-link fading stream (created on first use, then cached)."""
-        key = (tx_name, rx_name)
-        rng = self._fading_streams.get(key)
+        """The per-link fading stream (created on first use, then kept)."""
+        rng = self._fading_streams.get((tx_name, rx_name))
         if rng is None:
-            rng = self.streams.stream(f"fading/{tx_name}->{rx_name}")
-            self._fading_streams[key] = rng
+            rng = self.ensure_fading_generators(tx_name, [rx_name])[0]
         return rng
 
     def ensure_fading_generators(self, tx_name: str, rx_names: list) -> list:
         """Fading streams for ``tx_name`` toward every name in ``rx_names``.
 
-        Identical streams to per-link :meth:`fading_generator` calls, but
-        missing streams are batch-seeded (see ``RandomStreams.stream_many``),
-        which matters when a new transmitter lights up O(radios) links at once.
+        Missing streams are batch-seeded (see ``RandomStreams.new_streams``),
+        which matters when a new transmitter lights up O(radios) links at once,
+        and stored only here.
         """
-        missing = [rx for rx in rx_names if (tx_name, rx) not in self._fading_streams]
+        owned = self._fading_streams
+        missing = [rx for rx in rx_names if (tx_name, rx) not in owned]
         if missing:
-            gens = self.streams.stream_many(
-                [f"fading/{tx_name}->{rx}" for rx in missing]
-            )
+            gens = self.streams.new_streams([f"fading/{tx_name}->{rx}" for rx in missing])
             for rx, gen in zip(missing, gens):
-                self._fading_streams[(tx_name, rx)] = gen
-        return [self._fading_streams[(tx_name, rx)] for rx in rx_names]
+                owned[(tx_name, rx)] = gen
+        return [owned[(tx_name, rx)] for rx in rx_names]
 
     def frame_fading_db(self, tx_name: str, rx_name: str) -> float:
         """Draw the per-frame fading term for one (frame, link) pair."""

@@ -154,6 +154,13 @@ def test_jobs_must_be_positive(capsys):
     assert "--seeds: must be >= 1" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["coexist", "--bursts", "2", "--seed", "-1"])
+    assert exit_info.value.code == 2
+    assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_sweep_clear_cache(tmp_path, capsys):
     main(["sweep", "--experiment", "learning", "--param", "n_bursts=3",
           "--param", "n_packets=3", "--cache-dir", str(tmp_path), "--quiet"])

@@ -1,10 +1,17 @@
 """Tests for propagation: path loss, shadowing, fading."""
 
+import weakref
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.context import VECTOR_MEDIUM_MIN_RADIOS
+from repro.phy.medium import Medium
+from repro.phy.medium_fast import VectorMedium
 from repro.phy.propagation import Channel, FadingModel, PathLossModel, Position
+from repro.scenarios import compile_scenario, get_scenario
 from repro.sim.rng import RandomStreams
 
 
@@ -102,3 +109,64 @@ def test_mobility_changes_distance_term_not_shadowing():
     far = channel.mean_rx_power_dbm(0.0, "a", Position(0, 0), "b", Position(8, 0))
     expected_delta = channel.path_loss.loss_db(8.0) - channel.path_loss.loss_db(2.0)
     assert near - far == pytest.approx(expected_delta)
+
+
+# ----------------------------------------------------------------------
+# Link streams: the channel owns them, ``RandomStreams`` keeps none
+# ----------------------------------------------------------------------
+def _row_generators(medium):
+    """(tx, rx, generator) of every link row the medium has built."""
+    if isinstance(medium, VectorMedium):
+        return [
+            (tx, medium.radios[j].name, gen)
+            for tx, row in medium._rows.items()
+            for j, gen in enumerate(row.gens)
+            if gen is not None
+        ]
+    return [
+        (tx, link.name, link.gen)
+        for tx, row in medium._link_rows.items()
+        for link in row.links
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, params, kernel",
+    [
+        ("grid", {"n_zigbee_links": VECTOR_MEDIUM_MIN_RADIOS // 2, "n_wifi_pairs": 1},
+         VectorMedium),
+        ("office", {}, Medium),
+    ],
+)
+def test_link_streams_are_not_resident(name, params, kernel):
+    compiled = compile_scenario(get_scenario(name, **params), seed=3)
+    compiled.run(until=0.05)
+    ctx = compiled.ctx
+    assert type(ctx.medium) is kernel
+    assert not [k for k in ctx.streams._streams if k.startswith(("shadowing/", "fading/"))]
+    owned = ctx.channel._fading_streams
+    rows = _row_generators(ctx.medium)
+    assert rows
+    for tx, rx, gen in rows:
+        assert gen is owned[(tx, rx)]
+
+
+def test_shadowing_streams_are_dropped_after_their_draw(monkeypatch):
+    class Tracked(np.random.Generator):  # weakref-able, unlike numpy's own
+        pass
+
+    made = []
+
+    def tracked(bit_generator):
+        gen = Tracked(bit_generator)
+        made.append(weakref.ref(gen))
+        return gen
+
+    monkeypatch.setattr(np.random, "Generator", tracked)
+    channel = make_channel(shadowing=4.0, seed=5)
+    channel.ensure_shadowing("a", ["b", "c", "d"])
+    assert len(made) == 3
+    assert [ref() for ref in made] == [None] * 3
+    monkeypatch.undo()
+    expected = RandomStreams(seed=5).stream("shadowing/a|c").normal(0.0, 4.0)
+    assert channel._shadowing_db("c", "a") == expected

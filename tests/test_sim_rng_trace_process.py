@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim import rng
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RandomStreams
@@ -72,6 +73,62 @@ def test_fork_namespace_disjoint_from_stream_names():
     direct = list(base.stream("rep-1").random(5))
     forked = list(base.fork("rep-1").stream("rep-1").random(5))
     assert direct != forked
+
+
+def test_negative_seed_is_rejected_with_its_value():
+    with pytest.raises(ValueError, match="-1"):
+        RandomStreams(seed=-1)
+
+
+_LINK_NAMES = ["fading/A->F", "fading/F->A", "shadowing/A|F", "shadowing/E|ZS"]
+
+
+def _draws(generators):
+    return [list(g.random(4)) for g in generators]
+
+
+def _reference_draws(seed, names):
+    return _draws(RandomStreams(seed=seed).stream(n) for n in names)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
+def test_new_streams_draw_what_stream_draws(seed):
+    streams = RandomStreams(seed=seed)
+    assert rng._fast_seeding_ok()
+    assert _draws(streams.new_streams(_LINK_NAMES)) == _reference_draws(seed, _LINK_NAMES)
+    assert streams._streams == {}  # neither read nor written
+
+
+def test_new_streams_route_short_hashes_to_the_reference_path(monkeypatch):
+    real_hash = rng._stable_hash
+    monkeypatch.setattr(
+        rng, "_stable_hash", lambda name: 12345 if name == "fading/F->A" else real_hash(name)
+    )
+    assert _draws(RandomStreams(seed=7).new_streams(_LINK_NAMES)) == _reference_draws(
+        7, _LINK_NAMES
+    )
+
+
+def test_new_streams_reference_path_matches(monkeypatch):
+    monkeypatch.setattr(rng, "_FAST_SEEDING_OK", False)
+    assert _draws(RandomStreams(seed=7).new_streams(_LINK_NAMES)) == _reference_draws(
+        7, _LINK_NAMES
+    )
+
+
+def test_new_streams_one_name():
+    assert _draws(RandomStreams(seed=7).new_streams(["fading/A->F"])) == _reference_draws(
+        7, ["fading/A->F"]
+    )
+
+
+def test_new_streams_returns_distinct_generators():
+    """One shared seeding shim per call must not alias the generators."""
+    gens = RandomStreams(seed=7).new_streams(_LINK_NAMES)
+    assert len({id(g) for g in gens}) == len(gens)
+    assert len({id(g.bit_generator) for g in gens}) == len(gens)
+    states = [g.bit_generator.state["state"]["state"] for g in gens]
+    assert len(set(states)) == len(states)
 
 
 # ----------------------------------------------------------------------
