@@ -105,11 +105,11 @@ def campaign(
     cache_dir: Optional[os.PathLike] = None,
     quiet: bool = True,
 ) -> CampaignRun:
-    """Run (or resume) a sharded, journaled campaign in ``directory``.
+    """Run (or resume) a named, cached campaign in ``directory``.
 
     Pass a :class:`CampaignSpec` (or a plain dict of its fields) to start;
     omit it to resume whatever the directory holds.  Safe to kill at any
-    point — re-invoking continues with zero recomputation.
+    point — re-invoking serves every finished trial from the sweep cache.
     """
     if isinstance(spec, Mapping):
         spec = CampaignSpec(**spec)

@@ -47,6 +47,7 @@ from .experiments import (
     CoexistenceConfig,
     ScenarioTrialConfig,
     SweepEngine,
+    comparison_table,
     experiment_names,
     format_table,
     get_experiment,
@@ -145,10 +146,13 @@ def _parse_scalar(text: str) -> Any:
 
 
 def _parse_param(option: str) -> Dict[str, List[Any]]:
+    """``KEY=V1[,V2...]`` -> {key: values}; an ``A:B`` value is a range."""
     if "=" not in option:
         raise CommandError(f"--param expects KEY=VALUE[,VALUE...], got {option!r}")
     key, _, values = option.partition("=")
-    return {key.strip(): [_parse_scalar(v) for v in values.split(",") if v != ""]}
+    return {key.strip(): _expand_range_values(
+        [_parse_scalar(v) for v in values.split(",") if v != ""]
+    )}
 
 
 def _parse_assignments(options: Optional[Sequence[str]], flag: str) -> Dict[str, Any]:
@@ -165,8 +169,8 @@ def _parse_assignments(options: Optional[Sequence[str]], flag: str) -> Dict[str,
 def _expand_range_values(values: List[Any]) -> List[Any]:
     """Expand 'A:B' items into the half-open int range A..B-1.
 
-    Campaign grids routinely span hundreds of values per axis (e.g.
-    ``placement_seed=0:100``); listing them comma-separated is hopeless.
+    Sweep and campaign grids routinely span hundreds of values per axis
+    (e.g. ``placement_seed=0:100``); listing them comma-separated is hopeless.
     Non-range items pass through untouched, so ``control:0.3``-style
     strings still parse as plain values.
     """
@@ -808,12 +812,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    from .experiments.campaign import (
-        CampaignError,
-        CampaignRunner,
-        CampaignSpec,
-        comparison_table,
-    )
+    from .experiments.campaign import CampaignError, CampaignRunner, CampaignSpec
 
     runner = CampaignRunner(
         args.dir,
@@ -826,28 +825,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.action == "status":
         try:
             status = runner.status()
-            still_cached, journaled = runner.verify_cache()
         except CampaignError as exc:
             raise CommandError(*exc.args) from None
         rows = [
             ["trials", float(status.total)],
             ["done", float(status.done)],
             ["remaining", float(status.remaining)],
-            ["cache hits (journaled)", float(status.cached_hits)],
-            ["still cached", float(still_cached)],
-            ["shards", float(status.shards)],
         ]
         _print(f"campaign: {status.name} [{status.fingerprint[:12]}]", rows)
-        shard_rows = [
-            [f"shard {shard}", float(done)]
-            for shard, done in sorted(status.per_shard.items())
-        ]
-        _print("per-shard progress", shard_rows, headers=("shard", "done"))
-        if journaled and still_cached < journaled:
-            print(
-                f"warning: {journaled - still_cached} journaled trial(s) no "
-                "longer cached; a resume would recompute them"
-            )
         return 0
 
     if args.action == "report":
@@ -878,7 +863,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 params=_parse_assignments(args.gen_param, "--gen-param"),
                 base=_parse_assignments(args.base, "--base"),
                 seeds=tuple(_seed_range(args)),
-                shards=args.shards,
                 compare_by=args.compare_by,
             )
         except (KeyError, ValueError) as exc:
@@ -891,11 +875,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         grid: Dict[str, List[Any]] = {}
         scenario_grid: Dict[str, List[Any]] = {}
         for option in args.param or []:
-            for key, values in _parse_param(option).items():
-                grid[key] = _expand_range_values(values)
+            grid.update(_parse_param(option))
         for option in args.scenario_param or []:
-            for key, values in _parse_param(option).items():
-                scenario_grid[key] = _expand_range_values(values)
+            scenario_grid.update(_parse_param(option))
         try:
             spec = CampaignSpec(
                 name=args.name,
@@ -904,7 +886,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                 base=_parse_assignments(args.base, "--base"),
                 scenario_grid=scenario_grid,
                 seeds=tuple(_seed_range(args)),
-                shards=args.shards,
                 compare_by=args.compare_by,
             )
         except (KeyError, ValueError) as exc:
@@ -915,14 +896,13 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 def _run_campaign(args: argparse.Namespace, runner, spec) -> int:
     """Execute (or resume) a campaign spec and print the outcome."""
-    from .experiments.campaign import CampaignError, comparison_table
+    from .experiments.campaign import CampaignError
 
-    def progress(trial, record, n_done, n_total):
+    def progress(record, n_done, n_total):
         if args.quiet:
             return
         state = "cached " if record.cached else f"{record.elapsed:6.2f}s"
-        print(f"  [{n_done}/{n_total}] {state}  shard={trial.shard} "
-              f"seed={trial.seed} #{trial.index}")
+        print(f"  [{n_done}/{n_total}] {state}  seed={record.seed} #{record.index}")
 
     try:
         run = runner.run(spec, max_trials=args.max_trials, progress=progress)
@@ -1121,17 +1101,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "campaign",
         parents=shared,
-        help="sharded, journaled, resumable experiment campaign",
-        description="Expand a campaign grid into trials, fan them across "
-                    "a work-stealing pool, and journal each completion. A "
-                    "killed campaign resumes with zero recomputation "
-                    "(results are served from the trial cache); `report` "
-                    "prints per-scheme means with 95% confidence intervals.",
+        help="named, resumable experiment campaign",
+        description="Expand a campaign grid into trials and fan them across "
+                    "a work-stealing pool. A killed campaign resumes with "
+                    "zero recomputation (results are served from the trial "
+                    "cache); `report` prints per-scheme means with 95% "
+                    "confidence intervals.",
     )
     p.add_argument("action", choices=("run", "resume", "status", "report",
                                       "gen"))
     p.add_argument("--dir", default="campaign",
-                   help="campaign directory (spec + journal + manifest)")
+                   help="campaign directory (spec + manifest + report)")
     p.add_argument("--name", default="campaign",
                    help="campaign name (recorded in spec + manifest)")
     p.add_argument("--experiment", default="scenario",
@@ -1146,8 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "placement_seed=0:100")
     p.add_argument("--base", action="append", metavar="KEY=VALUE",
                    help="fixed experiment parameter (repeatable)")
-    p.add_argument("--shards", type=_positive_int, default=1,
-                   help="logical shard count (telemetry/manifest grouping)")
     p.add_argument("--compare-by", default="scheme",
                    help="parameter the report groups by (default: scheme)")
     p.add_argument("--max-trials", type=_positive_int, default=None,

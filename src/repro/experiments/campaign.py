@@ -1,77 +1,52 @@
-"""Sharded, crash-safe campaign runner with journaled resume.
+"""Campaigns: a named sweep saved in a directory, plus its report.
 
-A *campaign* is the unit of evaluation above a sweep: a declarative
-:class:`CampaignSpec` (experiment + parameter grid + scenario grid + seed
-range) expanded into a flat trial list, partitioned into logical *shards*,
-and executed through the sweep engine's work-stealing worker pool.  Every
-completed trial is persisted twice:
-
-* the **result** goes through the content-addressed sweep cache
-  (:mod:`repro.experiments.sweep`) — the substrate that makes resumption
-  free of recomputation;
-* a **journal line** is appended (fsync'd, JSONL) to the campaign
-  directory — the provenance record that makes progress observable without
-  touching the cache, and survives ``kill -9`` mid-run because a line is
-  written only *after* the trial's cache entry landed.
-
-Killing a campaign at any point therefore loses at most the trials that
-were mid-flight; ``resume`` re-plans the same spec, skips every journaled
-trial, and the cache serves anything that finished between its last cache
-write and the kill.  The journal's header pins the spec fingerprint and
-code version, so resuming against a changed spec or incompatible code
-fails loudly instead of silently mixing incomparable results.
-
-Layout of a campaign directory::
+A :class:`CampaignSpec` (experiment + parameter grid + scenario grid +
+seed range) plans the flat ``(params, seed)`` list that
+:meth:`SweepEngine.run_pairs` takes.  ``run`` and ``resume`` send that plan
+through the engine, whose content-addressed cache serves every trial that
+already finished, so a killed campaign resumes with zero recomputation.
+``status`` probes the cache for the planned trial keys, and ``report``
+aggregates the cached results' ``metrics()`` in plan order.  The cache is
+the only progress record: a deleted entry runs again on ``resume``.
+A campaign directory holds::
 
     <dir>/spec.json      # the CampaignSpec, reloadable
-    <dir>/journal.jsonl  # header line + one line per completed trial
-    <dir>/manifest.json  # written on completion: provenance + telemetry
-    <dir>/report.json    # written on completion: per-scheme CI summaries
+    <dir>/manifest.json  # written on completion: provenance, telemetry, report
+    <dir>/report.json    # written on completion: per-group CI summaries
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .. import __version__ as _CODE_VERSION
-from ..log import get_logger
 from ..serialization import from_dict, stable_hash, to_dict
-from ..telemetry import build_manifest, merge_snapshots
+from ..telemetry import build_manifest
 from .registry import get_experiment
-from .stats import MetricSummary, aggregate_records, comparison_table
-from .sweep import SweepEngine, SweepRun, TrialRecord, expand_grid, trial_key
+from .stats import MetricSummary, aggregate_records
+from .sweep import SweepEngine, expand_grid, load_cached, trial_key
 from .topology import Calibration
 
-#: Journal/manifest layout version; a mismatch refuses to resume.
-CAMPAIGN_SCHEMA = 1
-
-_LOG = get_logger("campaign")
+#: Campaign directory layout version; a mismatch refuses to resume.
+#: 2: no shards and no journal; the sweep cache is the progress record.
+CAMPAIGN_SCHEMA = 2
 
 
 class CampaignError(RuntimeError):
     """Campaign directory unusable: corrupt, mismatched, or incomplete."""
 
 
-# ======================================================================
-# Spec + planning
-# ======================================================================
 @dataclass(frozen=True)
 class CampaignSpec:
     """Declarative description of a whole campaign.
 
     ``grid`` axes are experiment config fields (like a sweep's);
     ``scenario_grid`` axes are *scenario factory* parameters, merged into
-    the nested ``params`` dict of the scenario experiment — e.g.
-    ``{"n_links": (2, 4), "placement_seed": tuple(range(10))}`` grids over
-    generator placements.  ``seeds`` is the simulation seed range applied
-    to every combination.  ``shards`` partitions the trial list into
-    logical groups (``index % shards``) whose telemetry is merged
-    per-shard in the campaign manifest.
+    the scenario experiment's nested ``params`` dict (e.g. a
+    ``placement_seed`` range); every combination runs every seed.
     """
 
     name: str
@@ -80,13 +55,10 @@ class CampaignSpec:
     base: Mapping[str, Any] = field(default_factory=dict)
     scenario_grid: Mapping[str, Sequence[Any]] = field(default_factory=dict)
     seeds: Sequence[int] = (0,)
-    shards: int = 1
     compare_by: str = "scheme"
 
     def __post_init__(self) -> None:
         get_experiment(self.experiment)  # unknown name fails at build time
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
         if self.scenario_grid and self.experiment != "scenario":
@@ -99,25 +71,12 @@ class CampaignSpec:
         return stable_hash({"schema": CAMPAIGN_SCHEMA, "spec": to_dict(self)})
 
 
-@dataclass(frozen=True)
-class CampaignTrial:
-    """One planned trial: position in the campaign plus its cache address."""
-
-    index: int
-    shard: int
-    params: Mapping[str, Any]
-    seed: int
-    key: str
-
-
-def plan_campaign(
-    spec: CampaignSpec, calibration: Optional[Calibration] = None
-) -> List[CampaignTrial]:
-    """Expand a spec into its full deterministic trial list.
+def plan_campaign(spec: CampaignSpec) -> List[Tuple[Dict[str, Any], int]]:
+    """Expand a spec into its full deterministic ``(params, seed)`` list.
 
     Expansion order is grid x scenario_grid x seeds, all in insertion
-    order, so the trial indices — and therefore the shard assignment and
-    the journal — are stable across runs of the same spec.
+    order, so the plan — and therefore the report's record order — is
+    stable across runs of the same spec.
     """
     combos = expand_grid(spec.grid, spec.base)
     if spec.scenario_grid:
@@ -128,19 +87,7 @@ def plan_campaign(
                 merged["params"] = {**dict(merged.get("params", {})), **inner}
                 widened.append(merged)
         combos = widened
-    trials: List[CampaignTrial] = []
-    index = 0
-    for combo in combos:
-        for seed in spec.seeds:
-            trials.append(CampaignTrial(
-                index=index,
-                shard=index % spec.shards,
-                params=combo,
-                seed=int(seed),
-                key=trial_key(spec.experiment, combo, int(seed), calibration),
-            ))
-            index += 1
-    return trials
+    return [(combo, int(seed)) for combo in combos for seed in spec.seeds]
 
 
 def campaign_from_generator(
@@ -153,24 +100,15 @@ def campaign_from_generator(
     grid: Optional[Mapping[str, Sequence[Any]]] = None,
     base: Optional[Mapping[str, Any]] = None,
     seeds: Sequence[int] = (0,),
-    shards: int = 1,
     compare_by: str = "scheme",
 ) -> CampaignSpec:
     """A campaign over ``count`` placements of one scenario generator.
 
-    Closes the generator→campaign gap: "a campaign of 1000 random-uniform
-    deployments" becomes one call instead of hand-writing a
-    ``scenario_grid``.  ``axis`` is the generator parameter that is swept
-    over ``range(start, start + count)`` — by default ``placement_seed``,
-    the knob the ``random_uniform``/``clustered`` generators re-roll
-    placements with.  ``params`` are fixed generator parameters (density,
-    area, ...); ``grid``/``base`` are ordinary experiment-level campaign
-    axes (e.g. ``{"scheme": ("bicord", "ecc")}`` via the base params dict).
-
-    The generator and axis are validated against the scenario library up
-    front, so a typo — or sweeping ``placement_seed`` on the deterministic
-    ``grid`` generator, which has no such knob — fails at build time with
-    the generator's actual parameter list, not deep inside a worker.
+    ``axis`` (default ``placement_seed``) is swept over
+    ``range(start, start + count)``; ``params`` are fixed generator
+    parameters; ``grid``/``base`` are ordinary campaign axes.  The generator
+    and axis are checked against the scenario library here, so a typo fails
+    with the generator's parameter list, not deep inside a worker.
     """
     from ..scenarios import get_scenario_entry
 
@@ -202,7 +140,6 @@ def campaign_from_generator(
         base=merged_base,
         scenario_grid={axis: tuple(range(int(start), int(start) + int(count)))},
         seeds=tuple(int(s) for s in seeds),
-        shards=shards,
         compare_by=compare_by,
     )
 
@@ -217,92 +154,16 @@ def _flat_params(params: Mapping[str, Any]) -> Dict[str, Any]:
     return flat
 
 
-# ======================================================================
-# Journal
-# ======================================================================
-class CampaignJournal:
-    """Append-only JSONL progress record of one campaign directory.
-
-    Line 1 is the header (schema, spec fingerprint, code version, trial
-    count); every further line is one completed trial.  Appends are
-    flushed and fsync'd, so a line either exists completely or not at all
-    after a crash; a torn trailing line (the write the kill interrupted)
-    is tolerated and ignored on read.
-    """
-
-    def __init__(self, path: Path):
-        self.path = Path(path)
-        self._handle = None
-
-    # -- writing -------------------------------------------------------
-    def write_header(self, spec: CampaignSpec, total: int) -> None:
-        self._append({
-            "kind": "header",
-            "schema": CAMPAIGN_SCHEMA,
-            "fingerprint": spec.fingerprint(),
-            "code": _CODE_VERSION,
-            "name": spec.name,
-            "experiment": spec.experiment,
-            "total": int(total),
-        })
-
-    def append_trial(
-        self, trial: CampaignTrial, record: TrialRecord,
-        metrics: Mapping[str, float],
-    ) -> None:
-        self._append({
-            "kind": "trial",
-            "index": trial.index,
-            "shard": trial.shard,
-            "seed": trial.seed,
-            "key": trial.key,
-            "params": dict(trial.params),
-            "cached": bool(record.cached),
-            "elapsed": float(record.elapsed),
-            "metrics": dict(metrics),
-        })
-
-    def _append(self, line: Dict[str, Any]) -> None:
-        if self._handle is None:
-            self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(line, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    # -- reading -------------------------------------------------------
-    def read(self) -> Tuple[Optional[Dict[str, Any]], Dict[int, Dict[str, Any]]]:
-        """(header, {index: trial line}) — duplicates resolved last-wins."""
-        header: Optional[Dict[str, Any]] = None
-        trials: Dict[int, Dict[str, Any]] = {}
-        if not self.path.exists():
-            return None, {}
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    line = json.loads(raw)
-                except ValueError:
-                    # Torn trailing line from a kill mid-append: the trial it
-                    # described is simply not "done"; resume re-serves it
-                    # from the cache.
-                    continue
-                if line.get("kind") == "header":
-                    header = line
-                elif line.get("kind") == "trial":
-                    trials[int(line["index"])] = line
-        return header, trials
+def _write_json(path: Path, payload: Any) -> None:
+    """Write-then-rename, so readers never see a half-written file."""
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload, sort_keys=True, indent=2))
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
 
 
-# ======================================================================
-# Status / run results
-# ======================================================================
 @dataclass
 class CampaignStatus:
     """Progress snapshot of a campaign directory."""
@@ -310,14 +171,7 @@ class CampaignStatus:
     name: str
     fingerprint: str
     total: int
-    done: int
-    cached_hits: int
-    shards: int
-    per_shard: Dict[int, int]  # shard -> completed trials
-
-    @property
-    def complete(self) -> bool:
-        return self.done >= self.total
+    done: int  # planned trials the cache would serve right now
 
     @property
     def remaining(self) -> int:
@@ -329,9 +183,8 @@ class CampaignRun:
     """Outcome of one ``run``/``resume`` invocation."""
 
     spec: CampaignSpec
-    directory: Path
     total: int
-    completed: int  # journaled trials after this invocation
+    completed: int  # planned trials done after this invocation
     executed: int  # trials actually computed this invocation
     cached_hits: int  # trials served from the cache this invocation
     elapsed: float
@@ -343,68 +196,30 @@ class CampaignRun:
         return self.completed >= self.total
 
 
-# ======================================================================
-# Runner
-# ======================================================================
 class CampaignRunner:
-    """Drives a campaign directory: start, resume, status, report.
-
-    The runner owns no worker state of its own — execution delegates to
-    :meth:`SweepEngine.run_pairs`, whose process pool work-steals trials
-    in completion order.  Sharding is *logical*: it partitions the trial
-    list for telemetry/manifest grouping and lets operators reason about
-    progress in units, while the pool keeps every core busy regardless of
-    which shard a trial belongs to.
-    """
+    """Drives a campaign directory through :class:`SweepEngine`."""
 
     def __init__(
-        self,
-        directory: os.PathLike,
-        jobs: int = 1,
-        cache_dir: Optional[os.PathLike] = None,
-        cache: bool = True,
-        calibration: Optional[Calibration] = None,
-        telemetry: bool = True,
+        self, directory: os.PathLike, jobs: int = 1,
+        cache_dir: Optional[os.PathLike] = None, cache: bool = True,
+        calibration: Optional[Calibration] = None, telemetry: bool = True,
         quiet: bool = False,
     ):
         self.directory = Path(directory)
         self.jobs = int(jobs)
         self.cache_dir = cache_dir
-        #: Disabling the cache keeps the journal-level resume (completed
-        #: trials are never re-planned) but forfeits the zero-recompute
-        #: guarantee for trials killed mid-flight.
+        #: Without the cache nothing records progress: a run must finish in
+        #: one invocation, and ``report`` needs a cached rerun.
         self.cache = bool(cache)
         self.calibration = calibration
         self.telemetry = bool(telemetry)
         self.quiet = bool(quiet)
+        self.spec_path = self.directory / "spec.json"
+        self.manifest_path = self.directory / "manifest.json"
 
-    # -- paths ---------------------------------------------------------
-    @property
-    def spec_path(self) -> Path:
-        return self.directory / "spec.json"
-
-    @property
-    def journal_path(self) -> Path:
-        return self.directory / "journal.jsonl"
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.directory / "manifest.json"
-
-    @property
-    def report_path(self) -> Path:
-        return self.directory / "report.json"
-
-    # -- spec persistence ----------------------------------------------
     def save_spec(self, spec: CampaignSpec) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
-        payload = {"schema": CAMPAIGN_SCHEMA, "spec": to_dict(spec)}
-        tmp = self.spec_path.with_name(f"spec.json.tmp{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True, indent=2))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.spec_path)
+        _write_json(self.spec_path, {"schema": CAMPAIGN_SCHEMA, "spec": to_dict(spec)})
 
     def load_spec(self) -> CampaignSpec:
         try:
@@ -420,293 +235,120 @@ class CampaignRunner:
             )
         return from_dict(CampaignSpec, payload["spec"])
 
-    # -- execution ------------------------------------------------------
+    def _plan(self, spec: CampaignSpec) -> Tuple[List[Any], List[str]]:
+        """The plan and its cache keys; unknown parameters fail here."""
+        plan = plan_campaign(spec)
+        try:
+            keys = [
+                trial_key(spec.experiment, params, seed, self.calibration)
+                for params, seed in plan
+            ]
+        except TypeError as exc:
+            raise CampaignError(*exc.args) from None
+        return plan, keys
+
+    def _engine(self, progress: Optional[Any] = None) -> SweepEngine:
+        return SweepEngine(
+            jobs=self.jobs, cache_dir=self.cache_dir, cache=self.cache,
+            telemetry=self.telemetry, progress=progress, quiet=self.quiet,
+        )
+
     def run(
-        self,
-        spec: Optional[CampaignSpec] = None,
-        max_trials: Optional[int] = None,
-        progress: Optional[Any] = None,
+        self, spec: Optional[CampaignSpec] = None,
+        max_trials: Optional[int] = None, progress: Optional[Any] = None,
     ) -> CampaignRun:
-        """Run (or resume) the campaign; returns the invocation's outcome.
+        """Run ``spec`` (or resume the directory's own) through the engine.
 
-        With ``spec`` given, a fresh campaign is started in the directory
-        (refusing to clobber a different existing one).  Without it, the
-        directory's own spec is loaded — that is a resume.  ``max_trials``
-        caps how many *pending* trials execute this invocation (smoke
-        tests and incremental fills); the journal keeps the campaign
-        resumable past the cap.
+        ``max_trials`` caps the cache misses this invocation executes;
+        ``progress`` is the engine's ``callback(record, n_done, n_total)``.
         """
-        if spec is not None:
-            existing = self.spec_path.exists()
-            if existing:
-                current = self.load_spec()
-                if current.fingerprint() != spec.fingerprint():
-                    raise CampaignError(
-                        f"campaign directory {self.directory} already holds "
-                        f"{current.name!r} with a different spec; use a fresh "
-                        "directory or resume without --spec overrides"
-                    )
-            else:
-                self.save_spec(spec)
-        else:
-            spec = self.load_spec()
-
-        trials = plan_campaign(spec, self.calibration)
-        journal = CampaignJournal(self.journal_path)
-        header, done_lines = journal.read()
-        if header is not None:
-            if header.get("schema") != CAMPAIGN_SCHEMA:
-                raise CampaignError(
-                    f"journal schema {header.get('schema')!r} != "
-                    f"{CAMPAIGN_SCHEMA}; start a new campaign directory"
-                )
-            if header.get("fingerprint") != spec.fingerprint():
-                raise CampaignError(
-                    "journal was written by a different campaign spec; "
-                    "refusing to mix results — use a fresh directory"
-                )
-        by_index = {trial.index: trial for trial in trials}
-        stale = [
-            idx for idx, line in done_lines.items()
-            if idx not in by_index or by_index[idx].key != line.get("key")
-        ]
-        if stale:
+        spec = spec if spec is not None else self.load_spec()
+        plan, keys = self._plan(spec)  # before anything is written
+        if max_trials is not None and not self.cache:
             raise CampaignError(
-                f"{len(stale)} journaled trial(s) no longer match the plan "
-                "(code or config changed since the journal was written); "
-                "start a new campaign directory"
+                "max_trials needs the trial cache: without it no run keeps progress"
+            )
+        if not self.spec_path.exists():
+            self.save_spec(spec)
+        elif self.load_spec().fingerprint() != spec.fingerprint():
+            raise CampaignError(
+                f"campaign directory {self.directory} already holds a "
+                "different spec; use a fresh directory"
             )
 
-        pending = [trial for trial in trials if trial.index not in done_lines]
-        capped = pending if max_trials is None else pending[: int(max_trials)]
-        start = time.perf_counter()
-        if header is None:
-            journal.write_header(spec, len(trials))
-
-        sweep_run: Optional[SweepRun] = None
-        try:
-            if capped:
-                sweep_run = self._execute(spec, capped, journal, progress)
-        finally:
-            journal.close()
-
-        completed = len(done_lines) + len(capped)
+        engine = self._engine(progress)
+        pairs = plan
+        if max_trials is not None:
+            cls = get_experiment(spec.experiment).result_cls
+            misses = [i for i, key in enumerate(keys) if not engine.cache_has(key, cls)]
+            skipped = set(misses[int(max_trials):])
+            pairs = [pair for index, pair in enumerate(plan) if index not in skipped]
+        sweep = engine.run_pairs(spec.experiment, pairs, calibration=self.calibration)
         run = CampaignRun(
-            spec=spec,
-            directory=self.directory,
-            total=len(trials),
-            completed=completed,
-            executed=sweep_run.executed if sweep_run else 0,
-            cached_hits=sweep_run.cached_hits if sweep_run else 0,
-            elapsed=time.perf_counter() - start,
-            telemetry=sweep_run.telemetry if sweep_run else None,
+            spec, total=len(plan), completed=len(pairs),
+            executed=sweep.executed, cached_hits=sweep.cached_hits,
+            elapsed=sweep.elapsed, telemetry=sweep.telemetry,
         )
         if run.complete:
-            run.summaries = self.report()
-            self._write_manifest(spec, trials, run)
-        return run
-
-    def _execute(
-        self,
-        spec: CampaignSpec,
-        capped: Sequence[CampaignTrial],
-        journal: CampaignJournal,
-        progress: Optional[Any],
-    ) -> SweepRun:
-        """Fan the pending trials through the sweep engine, journaling each."""
-        exp = get_experiment(spec.experiment)
-        by_position = {pos: trial for pos, trial in enumerate(capped)}
-
-        def on_trial(record: TrialRecord, n_done: int, n_total: int) -> None:
-            # Runs in the parent, strictly after the engine cached the
-            # result — the journal line is the *second* persistence step,
-            # so its existence implies the cache entry's.
-            trial = by_position[record.index]
-            journal.append_trial(trial, record, record.result.metrics())
-            if progress is not None:
-                progress(trial, record, n_done, n_total)
-
-        engine = SweepEngine(
-            jobs=self.jobs,
-            cache_dir=self.cache_dir,
-            cache=self.cache,
-            telemetry=self.telemetry,
-            progress=on_trial,
-            quiet=self.quiet,
-        )
-        if not self.quiet:
-            _LOG.info(
-                "campaign %s: %d pending trial(s) across %d shard(s), jobs=%d",
-                spec.name, len(capped), spec.shards, self.jobs,
+            run.summaries = aggregate_records(
+                [(_flat_params(r.params), r.result.metrics()) for r in sweep.records],
+                compare_by=spec.compare_by,
             )
-        run = engine.run_pairs(
-            exp.name,
-            [(dict(trial.params), trial.seed) for trial in capped],
-            calibration=self.calibration,
-        )
+            self._write_manifest(spec, run)
         return run
 
-    # -- inspection -----------------------------------------------------
     def status(self) -> CampaignStatus:
-        """Progress of the campaign directory (plan is re-derived)."""
+        """Progress of the campaign directory: a probe of the cache."""
         spec = self.load_spec()
-        trials = plan_campaign(spec, self.calibration)
-        _, done_lines = CampaignJournal(self.journal_path).read()
-        per_shard: Dict[int, int] = {shard: 0 for shard in range(spec.shards)}
-        for line in done_lines.values():
-            per_shard[int(line.get("shard", 0))] = (
-                per_shard.get(int(line.get("shard", 0)), 0) + 1
-            )
-        return CampaignStatus(
-            name=spec.name,
-            fingerprint=spec.fingerprint(),
-            total=len(trials),
-            done=len(done_lines),
-            cached_hits=sum(
-                1 for line in done_lines.values() if line.get("cached")
-            ),
-            shards=spec.shards,
-            per_shard=per_shard,
-        )
+        _, keys = self._plan(spec)
+        engine = self._engine()
+        result_cls = get_experiment(spec.experiment).result_cls
+        done = sum(engine.cache_has(key, result_cls) for key in keys)
+        return CampaignStatus(spec.name, spec.fingerprint(), len(keys), done)
 
-    def verify_cache(self) -> Tuple[int, int]:
-        """(still-cached, journaled) — how resumable the campaign is.
-
-        Every journaled trial whose cache entry still loads is free on
-        resume; the difference is what a resume would recompute.
-        """
+    def report(self, batch: bool = False) -> Dict[Any, Dict[str, MetricSummary]]:
+        """Per-group (default: per-scheme) summaries of the cached results."""
         spec = self.load_spec()
-        exp = get_experiment(spec.experiment)
-        _, done_lines = CampaignJournal(self.journal_path).read()
-        engine = SweepEngine(
-            cache_dir=self.cache_dir, cache=self.cache,
-            telemetry=self.telemetry,
-        )
-        hits = sum(
-            1 for line in done_lines.values()
-            if engine.cache_has(line["key"], exp.result_cls)
-        )
-        return hits, len(done_lines)
-
-    def records(self) -> List[Tuple[Dict[str, Any], Dict[str, float]]]:
-        """Flat ``(params, metrics)`` pairs of every journaled trial."""
-        _, done_lines = CampaignJournal(self.journal_path).read()
-        return [
-            (_flat_params(line.get("params", {})), dict(line.get("metrics", {})))
-            for _, line in sorted(done_lines.items())
-        ]
-
-    def report(
-        self, batch: bool = False
-    ) -> Dict[Any, Dict[str, MetricSummary]]:
-        """Per-group (default: per-scheme) metric summaries with 95% CIs."""
-        spec = self.load_spec()
-        records = self.records()
-        if not records:
+        plan = plan_campaign(spec)
+        records = []
+        for params, seed in plan:
+            result = load_cached(spec.experiment, params, seed,
+                                 self.calibration, self.cache_dir)
+            if result is not None:
+                records.append((_flat_params(params), result.metrics()))
+        missing = len(plan) - len(records)
+        if missing:
             raise CampaignError(
-                f"campaign {self.directory} has no completed trials yet"
+                f"{missing} of {len(plan)} planned trial(s) of campaign "
+                f"{spec.name!r} are not in the cache; run them with: "
+                f"repro campaign resume --dir {self.directory}"
             )
         return aggregate_records(records, compare_by=spec.compare_by, batch=batch)
 
-    def report_text(self, batch: bool = False) -> str:
-        """The report as a fixed-width comparison table."""
-        return comparison_table(self.report(batch=batch))
-
-    def load_report(self) -> Dict[str, Dict[str, MetricSummary]]:
-        """Read ``report.json`` back as typed :class:`MetricSummary` objects.
-
-        Inverse of the serialization in :meth:`_write_manifest`: every
-        metric payload goes through :meth:`MetricSummary.from_dict`, so
-        ``n`` comes back as an int and the statistics as floats — a
-        completed campaign's report round-trips exactly.
-        """
-        if not self.report_path.exists():
-            raise CampaignError(
-                f"campaign {self.directory} has no report.json yet "
-                "(reports are written when a run completes)"
-            )
-        with open(self.report_path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        return {
-            group: {
-                name: MetricSummary.from_dict(summary)
-                for name, summary in metrics.items()
-            }
-            for group, metrics in payload.items()
+    def _write_manifest(self, spec: CampaignSpec, run: CampaignRun) -> None:
+        """One provenance manifest plus the merged telemetry and the report."""
+        summaries = run.summaries or {}
+        report = {
+            str(group): {name: summary.to_dict() for name, summary in metrics.items()}
+            for group, metrics in summaries.items()
         }
-
-    # -- manifest -------------------------------------------------------
-    def _write_manifest(
-        self, spec: CampaignSpec, trials: Sequence[CampaignTrial],
-        run: CampaignRun,
-    ) -> None:
-        """Merge per-shard provenance + telemetry into one campaign manifest."""
-        _, done_lines = CampaignJournal(self.journal_path).read()
-        shard_manifests: List[Dict[str, Any]] = []
-        shard_snapshots: List[Dict[str, Any]] = []
-        for shard in range(spec.shards):
-            lines = [
-                line for line in done_lines.values()
-                if int(line.get("shard", 0)) == shard
-            ]
-            if not lines:
-                continue
-            shard_metrics = aggregate_records(
-                [
-                    (_flat_params(l.get("params", {})), l.get("metrics", {}))
-                    for l in lines
-                ],
-                compare_by=spec.compare_by,
-            )
-            headline = {
+        manifest = build_manifest(
+            spec.experiment, seeds=spec.seeds, calibration=self.calibration,
+            wall_time_s=run.elapsed,
+            metrics={
                 f"{group}.{name}": summary.mean
-                for group, metrics in shard_metrics.items()
+                for group, metrics in summaries.items()
                 for name, summary in metrics.items()
-            }
-            manifest = build_manifest(
-                experiment=spec.experiment,
-                seeds=sorted({int(l["seed"]) for l in lines}),
-                calibration=self.calibration,
-                wall_time_s=sum(float(l.get("elapsed", 0.0)) for l in lines),
-                metrics=headline,
-                extra={"campaign": spec.name, "shard": shard,
-                       "trials": len(lines)},
-            )
-            shard_manifests.append(manifest.to_dict())
-        if run.telemetry is not None:
-            shard_snapshots.append(run.telemetry)
-        payload = {
-            "schema": CAMPAIGN_SCHEMA,
-            "name": spec.name,
-            "fingerprint": spec.fingerprint(),
-            "code": _CODE_VERSION,
-            "experiment": spec.experiment,
-            "trials": len(trials),
-            "shards": spec.shards,
-            "compare_by": spec.compare_by,
-            "executed_last_run": run.executed,
-            "cached_hits_last_run": run.cached_hits,
-            "shard_manifests": shard_manifests,
-            "telemetry": (
-                merge_snapshots(shard_snapshots) if shard_snapshots else None
-            ),
-            "report": {
-                str(group): {
-                    name: summary.to_dict()
-                    for name, summary in metrics.items()
-                }
-                for group, metrics in (run.summaries or {}).items()
             },
-        }
-        tmp = self.manifest_path.with_name(f"manifest.json.tmp{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True, indent=2))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.manifest_path)
-        report_tmp = self.report_path.with_name(f"report.json.tmp{os.getpid()}")
-        with open(report_tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload["report"], sort_keys=True, indent=2))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(report_tmp, self.report_path)
+            extra={
+                "campaign": spec.name, "schema": CAMPAIGN_SCHEMA,
+                "fingerprint": spec.fingerprint(), "trials": run.total,
+                "compare_by": spec.compare_by, "executed": run.executed,
+                "cached_hits": run.cached_hits,
+            },
+        )
+        _write_json(
+            self.manifest_path,
+            {**manifest.to_dict(), "telemetry": run.telemetry, "report": report},
+        )
+        _write_json(self.directory / "report.json", report)

@@ -75,7 +75,10 @@ from .topology import Calibration
 #:    scenarios reshuffle their phases), and the signaling, learning,
 #:    priority and energy trials compile a scenario, so their telemetry
 #:    carries the ``scenario.*`` instruments.
-CACHE_SCHEMA = 9
+#: 10: entries keep the result's dict order instead of sorting keys, so a
+#:    cached ``ScenarioResult`` averages its links' delays in the fresh
+#:    run's order (its ``mean_delay`` no longer moves in the last bit).
+CACHE_SCHEMA = 10
 
 _LOG = get_logger("sweep")
 
@@ -397,7 +400,9 @@ class SweepEngine:
         tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True))
+                # Insertion order, not sorted keys: a result's dict order
+                # is part of its value (see CACHE_SCHEMA 10).
+                handle.write(json.dumps(entry))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)
@@ -474,9 +479,9 @@ class SweepEngine:
     ) -> SweepRun:
         """Run an explicit ``(params, seed)`` pair list.
 
-        The lowest-level entry: the campaign runner uses it to execute
-        arbitrary trial subsets (shards, resumes, ``--max-trials`` caps)
-        that are neither cartesian nor grouped by seed.
+        The lowest-level entry: a campaign sends its whole plan through it,
+        or the plan's cache hits plus the first ``--max-trials`` misses,
+        which is neither cartesian nor grouped by seed.
         """
         spec = get_experiment(experiment)
         jobs = self.jobs if jobs is None else max(1, int(jobs))
@@ -570,10 +575,10 @@ class SweepEngine:
                     for future in finished:
                         idx, params, seed, key = futures[future]
                         # Drain every finished future before propagating a
-                        # failure: trials that DID complete still get cached
-                        # and journaled, so a crashed/killed worker (e.g.
-                        # BrokenProcessPool) costs only its own trial on
-                        # resume, not its siblings'.
+                        # failure: trials that DID complete still get cached,
+                        # so a crashed/killed worker (e.g. BrokenProcessPool)
+                        # costs only its own trial on resume, not its
+                        # siblings'.
                         try:
                             result, elapsed, snapshot = future.result()
                         except BaseException as exc:  # noqa: BLE001

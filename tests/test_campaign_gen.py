@@ -95,11 +95,11 @@ class TestCampaignGenCli:
         ])
         assert code == 0
         manifest = json.loads((directory / "manifest.json").read_text())
-        assert manifest["name"] == "cli-placements"
-        assert manifest["trials"] == 2
-        # Every shard carries its provenance.
-        assert manifest["shard_manifests"]
-        assert all(m["code_version"] for m in manifest["shard_manifests"])
+        assert manifest["extra"]["campaign"] == "cli-placements"
+        assert manifest["extra"]["trials"] == 2
+        # The campaign carries its provenance.
+        assert manifest["experiment"] == "scenario"
+        assert manifest["code_version"]
 
     def test_gen_requires_a_generator(self, tmp_path, capsys):
         code = main([

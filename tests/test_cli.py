@@ -127,6 +127,14 @@ def test_sweep_unknown_param_errors(capsys):
     assert "unknown parameter" in err
 
 
+def test_sweep_expands_integer_ranges_like_campaign(tmp_path, capsys):
+    code = main(["sweep", "--experiment", "learning", "--param", "n_bursts=3:5",
+                 "--cache-dir", str(tmp_path), "--quiet"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "2 trials: 2 executed, 0 cached" in out  # n_bursts in {3, 4}
+
+
 def test_sweep_requires_experiment(capsys):
     code = main(["sweep"])
     assert code == 2
@@ -303,3 +311,23 @@ def test_single_seed_runs_are_served_from_the_trial_cache(tmp_path, capsys):
     assert first.split("1 trials:")[0] == second.split("1 trials:")[0]
     assert main(argv + ["--no-cache"]) == 0
     assert "1 trials: 1 executed, 0 cached" in capsys.readouterr().out
+
+
+def test_cli_shared_flags_present_everywhere():
+    """Every subcommand exposes the shared flag set."""
+    parser = build_parser()
+    subparsers = next(
+        a for a in parser._actions
+        if isinstance(a, type(parser._subparsers._group_actions[0]))
+    )
+    shared = {"--seed", "--seeds", "--jobs", "--cache-dir", "--no-cache",
+              "--quiet", "--metrics-out", "--verbose"}
+    for name, sub in subparsers.choices.items():
+        if name == "list":  # pure listing, no execution to configure
+            continue
+        options = {
+            option for action in sub._actions
+            for option in action.option_strings
+        }
+        missing = shared - options
+        assert not missing, f"subcommand {name!r} is missing {sorted(missing)}"

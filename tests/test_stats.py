@@ -1,4 +1,4 @@
-"""Campaign statistics: t critical values and summary round-trips.
+"""Campaign statistics: t critical values, summaries and aggregation.
 
 Regression coverage for two real bugs: the scipy-less ``t_critical``
 fallback used to return z=1.96 for *all* degrees of freedom (df=4 needs
@@ -18,6 +18,7 @@ from repro.experiments.stats import (
     _T95_TABLE,
     MetricSummary,
     aggregate_records,
+    comparison_table,
     summarize,
     t_critical,
 )
@@ -131,3 +132,71 @@ def test_aggregate_records_summaries_round_trip():
         for group, metrics in json.loads(json.dumps(payload)).items()
     }
     assert restored == report
+
+
+# ----------------------------------------------------------------------
+# Summaries and per-group aggregation
+# ----------------------------------------------------------------------
+def test_summarize_matches_scipy_t_interval():
+    values = [1.0, 2.0, 4.0, 8.0, 16.0]
+    summary = summarize(values)
+    assert summary.n == 5
+    assert summary.mean == pytest.approx(6.2)
+    scipy_stats = pytest.importorskip("scipy.stats")
+    lo, hi = scipy_stats.t.interval(
+        0.95, df=4, loc=summary.mean, scale=summary.stderr
+    )
+    assert summary.lo == pytest.approx(lo)
+    assert summary.hi == pytest.approx(hi)
+
+
+def test_summarize_single_value_has_zero_interval():
+    summary = summarize([3.5])
+    assert summary.mean == 3.5
+    assert summary.ci95 == 0.0 and summary.std == 0.0
+
+
+def test_summarize_empty_raises():
+    with pytest.raises(ValueError):
+        summarize([])
+
+
+def test_aggregate_records_groups_by_compare_key():
+    records = [
+        ({"scheme": "bicord", "x": 1}, {"prr": 0.9}),
+        ({"scheme": "bicord", "x": 2}, {"prr": 0.8}),
+        ({"scheme": "ecc", "x": 1}, {"prr": 0.5}),
+    ]
+    out = aggregate_records(records, compare_by="scheme")
+    assert set(out) == {"bicord", "ecc"}
+    assert out["bicord"]["prr"].n == 2
+    assert out["bicord"]["prr"].mean == pytest.approx(0.85)
+    assert out["ecc"]["prr"].n == 1
+
+
+def test_aggregate_records_batch_means_folds_seeds_per_combo():
+    # Two combos x two seeds each: batch means sees 2 observations, not 4.
+    records = [
+        ({"scheme": "s", "combo": 1}, {"m": 0.0}),
+        ({"scheme": "s", "combo": 1}, {"m": 1.0}),
+        ({"scheme": "s", "combo": 2}, {"m": 10.0}),
+        ({"scheme": "s", "combo": 2}, {"m": 11.0}),
+    ]
+    flat = aggregate_records(records, compare_by="scheme")
+    batched = aggregate_records(records, compare_by="scheme", batch=True)
+    assert flat["s"]["m"].n == 4
+    assert batched["s"]["m"].n == 2
+    assert batched["s"]["m"].mean == pytest.approx(5.5)
+    # Batch observations are (0.5, 10.5).
+    assert batched["s"]["m"].std == pytest.approx(
+        math.sqrt((0.5 - 5.5) ** 2 * 2 / 1)
+    )
+
+
+def test_comparison_table_renders_groups_and_metrics():
+    table = comparison_table({
+        "a": {"prr": MetricSummary(3, 0.9, 0.1, 0.05, 0.2)},
+        "b": {"prr": MetricSummary(3, 0.5, 0.1, 0.05, 0.2)},
+    })
+    assert "a" in table and "b" in table and "prr" in table
+    assert "+-" in table

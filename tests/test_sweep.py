@@ -212,6 +212,19 @@ def test_coexistence_sweep_rerun_hits_cache(tmp_path):
         assert canonical_dumps(a) == canonical_dumps(b)
 
 
+def test_cached_scenario_result_equals_the_fresh_run(tmp_path):
+    """A cache entry keeps the result's dict order: ``mean_delay`` averages
+    the links' delays in that order, so a reordered entry moves its last
+    bit (54.27764341451602 fresh vs ...601 cached under sorted keys)."""
+    spec = SweepSpec("scenario", base={"scenario": "smart-home", "max_events": 4000})
+    engine = SweepEngine(jobs=1, cache_dir=tmp_path)
+    fresh = engine.run(spec)
+    cached = engine.run(spec)
+    assert (fresh.executed, cached.cached_hits) == (1, 1)
+    assert list(cached.results[0].links) == list(fresh.results[0].links)
+    assert cached.results[0].metrics() == fresh.results[0].metrics()
+
+
 def test_progress_callback_streams_all_trials(tmp_path):
     seen = []
     engine = SweepEngine(
