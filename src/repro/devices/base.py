@@ -236,11 +236,11 @@ class Radio:
             if rx_dbm >= self.sensitivity_dbm:
                 interference = medium.decoding_interference_mw(self, (tx.tx_id,))
                 lock = _ReceptionContext(tx, rx_dbm, now, interference)
-                self._set_lock(lock)
-                # Record any cross-technology transmissions already on the air.
-                for other in medium.active_transmissions():
-                    if other.technology is not self.technology and other.source is not self:
-                        lock.open_overlap(now, other, medium.rx_power_dbm(other, self))
+                if not self._set_lock(lock):
+                    # Record any cross-technology transmissions already on the air.
+                    for other in medium.active_transmissions():
+                        if other.technology is not self.technology and other.source is not self:
+                            lock.open_overlap(now, other, medium.rx_power_dbm(other, self))
         elif lock is not None and tx.tx_id != lock.tx.tx_id:
             lock.change_interference(
                 now, medium.decoding_interference_mw(self, (lock.tx.tx_id,))
@@ -263,18 +263,20 @@ class Radio:
                     lock.close_overlap(now, tx)
         self._notify_mac()
 
-    def _set_lock(self, lock: Optional[_ReceptionContext]) -> None:
+    def _set_lock(self, lock: Optional[_ReceptionContext]) -> bool:
         """Install/clear the reception lock, keeping the medium informed.
 
         Kernels that skip no-op notifications track the locked set through
         :meth:`Medium.on_radio_lock_changed
         <repro.phy.medium.Medium.on_radio_lock_changed>`; every lock
-        transition must go through here.
+        transition must go through here.  Returns True when the medium keeps
+        the lock's record: it then notifies this radio of no edge but the
+        locked frame's end, and writes the segments and overlaps into the
+        context just before it (``VectorMedium._hand_over``).
         """
         self._lock = lock
         medium = self.medium
-        if medium is not None:
-            medium.on_radio_lock_changed(self, lock is not None)
+        return medium is not None and bool(medium.on_radio_lock_changed(self, lock is not None))
 
     def _abort_lock(self) -> None:
         if self._lock is None:
@@ -296,11 +298,21 @@ class Radio:
         duration = max(tx.duration, 1e-12)
         success_p = 1.0
         min_sinr = float("inf")
-        for seg_duration, interference_mw in context.segments:
-            sinr_db = signal_dbm - mw_to_dbm(noise_mw + interference_mw)
+        segments = context.segments
+        # SINR and BER are pure in the segment's interference level, so a
+        # reception computes them once per distinct level.
+        seen = {} if len(segments) > 1 else None
+        for seg_duration, interference_mw in segments:
+            known = None if seen is None else seen.get(interference_mw)
+            if known is None:
+                sinr_db = signal_dbm - mw_to_dbm(noise_mw + interference_mw)
+                bit_error = ber(sinr_db)
+                if seen is not None:
+                    seen[interference_mw] = (sinr_db, bit_error)
+            else:
+                sinr_db, bit_error = known
             if sinr_db < min_sinr:
                 min_sinr = sinr_db
-            bit_error = ber(sinr_db)
             # A zero BER's success factor is exactly 1.0.
             if bit_error != 0.0:
                 seg_bits = max(1, round(total_bits * seg_duration / duration))

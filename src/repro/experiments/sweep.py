@@ -230,30 +230,22 @@ def _execute_trial(
     params: Dict[str, Any],
     seed: int,
     calibration: Optional[Calibration],
-    telemetry: bool = False,
-) -> Tuple[Any, float, Optional[Dict[str, Any]]]:
+) -> Tuple[Any, float, Dict[str, Any]]:
     """Worker entry point: run one trial -> (result, elapsed, snapshot).
 
     Top-level so ``ProcessPoolExecutor`` can pickle it by reference; also
     used verbatim by the serial path, which keeps the two modes identical.
-    With ``telemetry`` the trial runs inside its own registry scope and the
-    full snapshot (including the worker's spans) travels back to the
-    parent, which splits the deterministic sections from the profiling.
+    The trial runs inside its own registry scope and the full snapshot
+    (including the worker's spans) travels back to the parent, which splits
+    the deterministic sections from the profiling.
     """
     start = time.perf_counter()
-    if telemetry:
-        registry = MetricsRegistry()
-        with telemetry_collect(registry):
-            result = run_experiment(
-                experiment, seed=seed, calibration=calibration, **params
-            )
-        snapshot = registry.snapshot(spans=True)
-    else:
+    registry = MetricsRegistry()
+    with telemetry_collect(registry):
         result = run_experiment(
             experiment, seed=seed, calibration=calibration, **params
         )
-        snapshot = None
-    return result, time.perf_counter() - start, snapshot
+    return result, time.perf_counter() - start, registry.snapshot(spans=True)
 
 
 ProgressCallback = Callable[[TrialRecord, int, int], None]
@@ -294,9 +286,11 @@ class SweepEngine:
         ``callback(record, n_done, n_total)`` invoked as each trial
         completes (including cache hits), in completion order.
     telemetry:
-        Collect per-trial metric snapshots (workers return them with each
-        :class:`TrialRecord`; the run exposes the merged aggregate).  Off
-        by default — trials then execute the exact pre-telemetry path.
+        Expose per-trial metric snapshots on each :class:`TrialRecord` and
+        the merged aggregate on the run.  Off by default.  Either way every
+        executed trial's deterministic snapshot is cached with its result,
+        so a collecting run (a campaign, ``--metrics-out``) is served from
+        entries a plain sweep wrote.
     quiet / progress_interval:
         The engine logs periodic progress (trials done/total, cache hits,
         ETA) through the ``repro.sweep`` logger roughly every
@@ -343,8 +337,8 @@ class SweepEngine:
                 return None
             metrics = data.get("metrics")
             if self.telemetry and metrics is None:
-                # The entry predates telemetry collection: re-execute so the
-                # trial's metric snapshot exists (and gets cached) too.
+                # The entry predates caching every trial's snapshot:
+                # re-execute so the snapshot exists (and gets cached) too.
                 return None
             # Results implementing the ExperimentResult contract own their
             # deserialization; plain dataclasses go through serialization.
@@ -537,6 +531,8 @@ class SweepEngine:
                     record.key, spec.name, record.params, record.seed,
                     record.result, record.elapsed, metrics=record.metrics,
                 )
+            if not self.telemetry:
+                record.metrics = None
             if self.progress is not None:
                 self.progress(record, done, total)
             report_progress(force=done == total)
@@ -555,7 +551,7 @@ class SweepEngine:
         if pending and (jobs == 1 or len(pending) == 1):
             for idx, params, seed, key in pending:
                 result, elapsed, snapshot = _execute_trial(
-                    spec.name, params, seed, calibration, self.telemetry
+                    spec.name, params, seed, calibration
                 )
                 finish(TrialRecord(idx, spec.name, params, seed, key,
                                    result, elapsed, cached=False), snapshot)
@@ -564,8 +560,7 @@ class SweepEngine:
             failure: Optional[BaseException] = None
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(_execute_trial, spec.name, params, seed,
-                                calibration, self.telemetry):
+                    pool.submit(_execute_trial, spec.name, params, seed, calibration):
                         (idx, params, seed, key)
                     for idx, params, seed, key in pending
                 }

@@ -30,6 +30,17 @@ index-aligned numpy arrays:
   accumulator dirty and the next query rebuilds it from the surviving slots
   in active-set order, reproducing the legacy left-fold exactly.  Re-sums
   are counted by the ``medium.accumulator_resyncs`` telemetry counter.
+* **Reception locks** (:class:`_Locks`) — the record a locked radio would
+  keep in its ``_ReceptionContext`` (locked frame, open interference
+  segment, closed segments, closed cross-technology overlaps), one row per
+  radio.  Every edge carries all locks across in one elementwise fold over
+  the active slots, so a locked radio is called only when its frame ends:
+  :meth:`VectorMedium._hand_over` writes the record into its context and the
+  radio finishes the reception (BER, SINR and the success draw stay scalar,
+  per segment).  A radio attached mid-transmission locks on the per-radio
+  path instead and sees every edge.  An edge nested in a notification loop
+  is folded too; the overlaps it reorders relative to the loop kernel are
+  recorded per slot (``_Slot.late``).
 
 Bitwise-exactness notes (all verified empirically): elementwise numpy
 add/sub/mul/div/min/max match the equivalent scalar operation sequences;
@@ -91,10 +102,12 @@ class _Slot:
 
     ``dec`` is the demodulator-weighted power (captured × bandwidth
     dilution), precomputed so ``decoding_interference_mw`` folds over plain
-    array reads.
+    array reads.  ``late`` maps a locked radio to ``(lock tx id, key)`` when
+    the loop kernel would have opened this transmission's overlap after
+    frames started later (see ``VectorMedium._open_late``).
     """
 
-    __slots__ = ("n", "src_index", "rx_dbm", "cap", "dec", "tx")
+    __slots__ = ("n", "src_index", "rx_dbm", "cap", "dec", "tx", "late")
 
     def __init__(
         self,
@@ -111,6 +124,7 @@ class _Slot:
         self.cap = cap
         self.dec = dec
         self.tx = tx
+        self.late: Optional[Dict[int, Tuple[int, float]]] = None
 
 
 class _Accum:
@@ -142,6 +156,128 @@ class _Accum:
         return technology is not Technology.WIFI
 
 
+def _widen(table: np.ndarray) -> np.ndarray:
+    """``table`` with twice the columns, the new ones zero."""
+    return np.concatenate((table, np.zeros_like(table)), axis=1)
+
+
+class _Locks:
+    """The reception locks the medium keeps the record of, one row per radio.
+
+    Row ``j`` is the state a :class:`~repro.devices.base._ReceptionContext`
+    would hold for radio ``j``: ``tx`` is the locked frame's id (0: no
+    lock), ``start`` the lock time, ``seg_start``/``seg_level`` the open
+    interference segment and ``seg_dur``/``seg_lvl`` the closed ones
+    (``seg_n`` per row).  ``ov_*`` log the cross-technology overlaps closed
+    during the lock, in end order: source id, rx power and seconds overlapped
+    (``ov_n`` per row).  The overlaps still open are the active
+    cross-technology transmissions, so they need no state of their own.
+    The two logs widen on demand.
+    """
+
+    __slots__ = (
+        "tx", "start", "seg_start", "seg_level", "seg_n", "seg_dur", "seg_lvl",
+        "ov_n", "ov_src", "ov_rx", "ov_dur",
+    )
+
+    _WIDTH = 4
+
+    def __init__(self) -> None:
+        self.tx = np.zeros(0, dtype=np.int64)
+        self.start = np.zeros(0)
+        self.seg_start = np.zeros(0)
+        self.seg_level = np.zeros(0)
+        self.seg_n = np.zeros(0, dtype=np.intp)
+        self.seg_dur = np.zeros((0, self._WIDTH))
+        self.seg_lvl = np.zeros((0, self._WIDTH))
+        self.ov_n = np.zeros(0, dtype=np.intp)
+        self.ov_src = np.zeros((0, self._WIDTH), dtype=np.intp)
+        self.ov_rx = np.zeros((0, self._WIDTH))
+        self.ov_dur = np.zeros((0, self._WIDTH))
+
+    def fit(self, n: int) -> None:
+        """Make room for ``n`` rows; new rows hold no lock."""
+        have = len(self.tx)
+        if have < n:
+            for name in self.__slots__:
+                table = getattr(self, name)
+                rows = np.zeros((n - have,) + table.shape[1:], dtype=table.dtype)
+                setattr(self, name, np.concatenate((table, rows)))
+
+    def close_segments(self, held: np.ndarray, now: float, levels: np.ndarray) -> None:
+        """Close the open segment of every radio in ``held``; open ``levels``."""
+        closing = held[now > self.seg_start[held]]
+        if closing.size:
+            col = self.seg_n[closing]
+            while col.max() >= self.seg_dur.shape[1]:
+                self.seg_dur = _widen(self.seg_dur)
+                self.seg_lvl = _widen(self.seg_lvl)
+            self.seg_dur[closing, col] = now - self.seg_start[closing]
+            self.seg_lvl[closing, col] = self.seg_level[closing]
+            self.seg_n[closing] = col + 1
+        self.seg_start[held] = now
+        self.seg_level[held] = levels
+
+    def close_overlaps(
+        self, rows: np.ndarray, source: int, rx_dbm: np.ndarray, tx_start: float, now: float
+    ) -> None:
+        """Log, for every radio in ``rows``, an overlap with a frame ending ``now``."""
+        col = self.ov_n[rows]
+        while col.max() >= self.ov_src.shape[1]:
+            self.ov_src = _widen(self.ov_src)
+            self.ov_rx = _widen(self.ov_rx)
+            self.ov_dur = _widen(self.ov_dur)
+        self.ov_src[rows, col] = source
+        self.ov_rx[rows, col] = rx_dbm
+        # An overlap opens when the later of the lock and the frame begins.
+        self.ov_dur[rows, col] = now - np.maximum(self.start[rows], tx_start)
+        self.ov_n[rows] = col + 1
+
+
+class _Handoff:
+    """The lock records of the receivers of one ending frame, as Python lists.
+
+    Row ``i`` belongs to radio ``rows[i]`` (``index`` maps back).  The
+    overlaps still open are the active transmissions of another technology
+    than the frame's, which every receiver shares; ``opened`` lists them in
+    active-set order with their slot and per-receiver rx powers.
+    """
+
+    __slots__ = (
+        "tx_id", "epoch", "rows", "index", "seg_n", "seg_dur", "seg_lvl", "seg_start",
+        "seg_level", "ov_n", "ov_src", "ov_rx", "ov_dur", "lock_start", "opened",
+    )
+
+    def __init__(self, medium: "VectorMedium", tx: Transmission, rows: np.ndarray):
+        self.tx_id = tx.tx_id
+        self.epoch = medium.state_epoch
+        self.rows = rows
+        self.index = {j: i for i, j in enumerate(rows.tolist())}
+        if not self.index:
+            return
+        locks = medium._locks
+        seg_n = locks.seg_n[rows]
+        width = int(seg_n.max())
+        self.seg_n = seg_n.tolist()
+        self.seg_dur = locks.seg_dur[rows, :width].tolist()
+        self.seg_lvl = locks.seg_lvl[rows, :width].tolist()
+        self.seg_start = locks.seg_start[rows].tolist()
+        self.seg_level = locks.seg_level[rows].tolist()
+        ov_n = locks.ov_n[rows]
+        width = int(ov_n.max())
+        self.ov_n = ov_n.tolist()
+        self.ov_src = locks.ov_src[rows, :width].tolist()
+        self.ov_rx = locks.ov_rx[rows, :width].tolist()
+        self.ov_dur = locks.ov_dur[rows, :width].tolist()
+        self.lock_start = locks.start[rows].tolist()
+        slots = medium._slots
+        self.opened = [
+            (tx_id, other, slots[tx_id], slots[tx_id].rx_dbm[rows].tolist())
+            for tx_id, other in medium._active.items()
+            if other.technology is not tx.technology
+        ]
+
+
 class VectorMedium(Medium):
     """Struct-of-arrays medium hot path, bit-identical to :class:`Medium`.
 
@@ -167,11 +303,21 @@ class VectorMedium(Medium):
         self._sens = np.zeros(0)
         self._tech_code = np.zeros(0, dtype=np.int64)
         #: Radios whose MAC re-plans on medium events (or has no known flag);
-        #: they are notified on every transmission edge.
+        #: they are notified on every transmission edge.  ``_listeners``
+        #: holds each such radio's MAC (None for the others).
         self._sensitive = np.zeros(0, dtype=bool)
-        #: Indices of radios currently holding a reception lock (maintained
-        #: through ``on_radio_lock_changed``).
-        self._locked: set = set()
+        self._listeners: List[Any] = []
+        #: Reception locks of covered radios (index < ``_cover_n`` when the
+        #: lock was taken): the medium keeps their record and folds them
+        #: across every edge at once.
+        self._locks = _Locks()
+        #: Indices of radios holding a lock taken while uncovered: they keep
+        #: the per-radio path and see every transmission edge.
+        self._untracked: set = set()
+        #: (source name, technology) of each transmission source, by the id
+        #: the overlap log stores.
+        self._source_ids: Dict[Tuple[str, Technology], int] = {}
+        self._source_keys: List[Tuple[str, Technology]] = []
         #: Bumped whenever any radio's band changes or a radio attaches;
         #: keys the per-band overlap profiles.
         self._band_version = 0
@@ -202,6 +348,7 @@ class VectorMedium(Medium):
             self._tech_code, _TECH_INDEX.get(radio.technology, -1)
         )
         self._sensitive = np.append(self._sensitive, _mac_sensitive(radio))
+        self._listeners.append(radio.mac if self._sensitive[-1] else None)
         self._band_version += 1
         for acc in self._all_accs():
             acc.totals = np.append(acc.totals, 0.0)
@@ -243,15 +390,36 @@ class VectorMedium(Medium):
         j = self._index_of.get(radio.name)
         if j is not None and self.radios[j] is radio:
             self._sensitive[j] = _mac_sensitive(radio)
+            self._listeners[j] = radio.mac if self._sensitive[j] else None
 
-    def on_radio_lock_changed(self, radio: Any, locked: bool) -> None:
+    def on_radio_lock_changed(self, radio: Any, locked: bool) -> bool:
+        """Keep the record of a new lock when ``radio`` is covered by every slot.
+
+        A covered radio stays covered (later slots span it too), so its lock
+        is folded across edges here and handed back to the radio only when
+        the locked frame ends (:meth:`_hand_over`).  Returns True for such a
+        lock; the loop kernel's hook returns None.
+        """
         j = self._index_of.get(radio.name)
         if j is None or self.radios[j] is not radio:
-            return
-        if locked:
-            self._locked.add(j)
-        else:
-            self._locked.discard(j)
+            return False
+        locks = self._locks
+        locks.fit(j + 1)
+        if not locked or j >= self._cover_n:
+            locks.tx[j] = 0
+            self._untracked.discard(j)
+            if locked:
+                self._untracked.add(j)
+            return False
+        lock = radio._lock
+        start, level = lock.segment_start
+        locks.tx[j] = lock.tx.tx_id
+        locks.start[j] = start
+        locks.seg_start[j] = start
+        locks.seg_level[j] = level
+        locks.seg_n[j] = 0
+        locks.ov_n[j] = 0
+        return True
 
     def _all_accs(self) -> Iterable[_Accum]:
         yield from self._accs.values()
@@ -482,31 +650,51 @@ class VectorMedium(Medium):
             duration=duration,
             power_dbm=power_dbm,
         )
+        # Every lock the medium keeps crosses this edge in one fold.
+        self._locks.fit(len(self.radios))
+        held, held_locks = self._fold_locks(tx, js)
         # Notification pruning: a start notification only *does* anything for
-        # a radio that (a) could lock onto this transmission, (b) already
-        # holds a reception lock, or (c) has an event-sensitive MAC.  (a) is
+        # a radio that (a) could lock onto this transmission, (b) holds a lock
+        # the medium does not keep, or (c) has an event-sensitive MAC.  (a) is
         # screened vectorized with the exact checks Radio.on_transmission_start
         # performs (technology, band equality, rx power vs. sensitivity) —
         # false positives are re-filtered by the radio, false negatives are
-        # impossible.  Everyone else would run a provably empty no-op, so the
+        # impossible.  A radio whose lock the medium keeps, or that cannot
+        # lock, would only pass the edge to its MAC, so (c) reaches the MAC
+        # directly.  Everyone else would run a provably empty no-op, so the
         # legacy behavior is preserved bit-for-bit.  Index order == attach
         # order, matching the legacy iteration order.
         notify = self._sensitive.copy()
+        candidates: Any = ()
         if frame is not None:
-            notify |= (
+            candidate = (
                 (self._tech_code == _TECH_INDEX[technology])
                 & (self._band_low == band.low_mhz)
                 & (self._band_high == band.high_mhz)
                 & (self._band_bw == band.bandwidth_mhz)
                 & (rx_dbm >= self._sens)
             )
-        for j in self._locked:
+            notify |= candidate
+            candidates = set(np.flatnonzero(candidate).tolist())
+        untracked = self._untracked
+        for j in untracked:
             notify[j] = True
         if js >= 0:
             notify[js] = False
         radios = self.radios
-        for j in np.nonzero(notify)[0].tolist():
-            radios[j].on_transmission_start(tx)
+        listeners = self._listeners
+        locks = self._locks
+        epoch = self.state_epoch
+        for j in np.flatnonzero(notify).tolist():
+            if j in untracked or (j in candidates and not locks.tx[j]):
+                radios[j].on_transmission_start(tx)
+            else:
+                mac = listeners[j]
+                if mac is not None:
+                    mac.on_medium_event()
+            if self.state_epoch != epoch:
+                self._open_late(tx, held, held_locks, j)
+                epoch = self.state_epoch
         self.sim.schedule(duration, self._finish, tx)
         return tx
 
@@ -529,20 +717,40 @@ class VectorMedium(Medium):
                 )
         self._bump_state()
         self.trace.record(self.sim.now, "medium.tx_end", source=tx.source_name)
-        # End notifications are no-ops except for locked radios and
-        # event-sensitive MACs (there is no lock-acquisition path on an end
-        # edge), so the pruned set needs no decode screen.
-        notify = self._sensitive.copy()
-        for j in self._locked:
-            notify[j] = True
         src_j = self._index_of.get(tx.source_name, -1)
         if src_j >= 0 and self.radios[src_j] is not tx.source:
             src_j = -1
+        self._fold_locks(tx, src_j, ending=True)
+        # End notifications are no-ops except for the receivers of ``tx``,
+        # locks the medium does not keep and event-sensitive MACs (there is
+        # no lock-acquisition path on an end edge), so the pruned set needs
+        # no decode screen.
+        handoff = self._handoff(tx, src_j)
+        notify = self._sensitive.copy()
+        notify[handoff.rows] = True
+        untracked = self._untracked
+        for j in untracked:
+            notify[j] = True
         if src_j >= 0:
             notify[src_j] = False
         radios = self.radios
-        for j in np.nonzero(notify)[0].tolist():
-            radios[j].on_transmission_end(tx)
+        listeners = self._listeners
+        locks = self._locks
+        tx_id = tx.tx_id
+        for j in np.flatnonzero(notify).tolist():
+            if j in untracked:
+                radios[j].on_transmission_end(tx)
+                continue
+            if j in handoff.index and locks.tx[j] == tx_id:
+                if handoff.epoch != self.state_epoch:
+                    # An edge nested in this loop moved the records.
+                    handoff = self._handoff(tx, src_j)
+                self._hand_over(j, radios[j], handoff)
+                radios[j].on_transmission_end(tx)
+                continue
+            mac = listeners[j]
+            if mac is not None:
+                mac.on_medium_event()
         # The slot outlives the end notifications, exactly as the legacy
         # per-tx dict entries do: receivers reading this transmission's power
         # from inside ``on_transmission_end`` must see the frozen values, not
@@ -553,6 +761,152 @@ class VectorMedium(Medium):
             self._captured_mw.pop((tx.tx_id, name), None)
         if tx.source is not None and hasattr(tx.source, "on_own_transmission_end"):
             tx.source.on_own_transmission_end(tx)
+
+    # ------------------------------------------------------------------
+    # Reception locks
+    # ------------------------------------------------------------------
+    def _fold_locks(
+        self, tx: Transmission, src_j: int, ending: bool = False
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Carry every lock the medium keeps across an edge of ``tx``.
+
+        One elementwise fold over the active slots, in active-set order,
+        gives each locked radio the level ``decoding_interference_mw`` would
+        return with its locked frame excluded: that frame's slot adds an
+        exact +0.0 instead.  On an end edge the radios of the other
+        technology log their overlap with ``tx``, and the radios locked on
+        ``tx`` are left for :meth:`_hand_over`.  Returns the folded radios
+        and the frames they are locked on.
+        """
+        locks = self._locks
+        held = np.flatnonzero(locks.tx)
+        if src_j >= 0:
+            held = held[held != src_j]
+        held_locks = locks.tx[held]
+        if ending:
+            other = held_locks != tx.tx_id
+            held = held[other]
+            held_locks = held_locks[other]
+        if not held.size:
+            return held, held_locks
+        levels = np.zeros(held.size)
+        slots = self._slots
+        for tx_id in self._active:
+            dec = slots[tx_id].dec[held]
+            dec[held_locks == tx_id] = 0.0
+            levels += dec
+        now = self.sim.now
+        locks.close_segments(held, now, levels)
+        if ending:
+            rows = held[self._tech_code[held] != _TECH_INDEX[tx.technology]]
+            if rows.size:
+                locks.close_overlaps(
+                    rows, self._source_id(tx), slots[tx.tx_id].rx_dbm[rows], tx.start, now
+                )
+        return held, held_locks
+
+    def _source_id(self, tx: Transmission) -> int:
+        key = (tx.source_name, tx.technology)
+        sid = self._source_ids.get(key)
+        if sid is None:
+            sid = self._source_ids[key] = len(self._source_keys)
+            self._source_keys.append(key)
+        return sid
+
+    def _open_late(
+        self, tx: Transmission, held: np.ndarray, held_locks: np.ndarray, j: int
+    ) -> None:
+        """Reorder overlaps after an edge nested in ``tx``'s start notifications.
+
+        The loop kernel delivers ``tx``'s start to the radios after ``j`` only
+        once the nested edge is done, so a lock among them that the fold
+        already carried across ``tx`` opens its overlap with ``tx`` after
+        the nested frames' overlaps.  The override dies with the lock.
+        """
+        later = held > j
+        if not later.any():
+            return
+        locks = self._locks
+        key = max(self._active) + 0.5
+        slot = self._slots[tx.tx_id]
+        late = slot.late if slot.late is not None else {}
+        code = _TECH_INDEX[tx.technology]
+        for k, lock_id in zip(held[later].tolist(), held_locks[later].tolist()):
+            if locks.tx[k] == lock_id and self._tech_code[k] != code:
+                late[k] = (lock_id, key)
+        slot.late = late
+
+    def _handoff(self, tx: Transmission, src_j: int) -> "_Handoff":
+        """The records of every lock on the ending ``tx``, read out in one go."""
+        locks = self._locks
+        rows = np.flatnonzero(locks.tx == tx.tx_id)
+        if src_j >= 0:
+            rows = rows[rows != src_j]
+        return _Handoff(self, tx, rows)
+
+    def _hand_over(self, j: int, radio: Any, handoff: "_Handoff") -> None:
+        """Write radio ``j``'s lock record into its reception context.
+
+        The context ends up as the per-radio path leaves it just before
+        ``finalize``, except that the overlaps still open (the active
+        cross-technology transmissions) are already logged, after the ones
+        closed during the lock, in the order the loop kernel opened them:
+        that is where ``finalize`` would log them.  The radio then finishes
+        the reception itself.
+        """
+        i = handoff.index[j]
+        context = radio._lock
+        n = handoff.seg_n[i]
+        if n:
+            context.segments = list(zip(handoff.seg_dur[i][:n], handoff.seg_lvl[i][:n]))
+        context.segment_start = (handoff.seg_start[i], handoff.seg_level[i])
+        # The overlaps in the order the context logs them: the ones closed
+        # during the lock, then the ones still open.
+        overlaps = []
+        n = handoff.ov_n[i]
+        if n:
+            keys = self._source_keys
+            overlaps = [
+                (*keys[src], rx_dbm, seconds)
+                for src, rx_dbm, seconds in zip(
+                    handoff.ov_src[i][:n], handoff.ov_rx[i][:n], handoff.ov_dur[i][:n]
+                )
+            ]
+        if handoff.opened:
+            now = self.sim.now
+            lock_start = handoff.lock_start[i]
+            opened = []
+            reordered = False
+            for tx_id, other, slot, rx_dbm in handoff.opened:
+                if other.source is radio:
+                    continue
+                key = tx_id
+                if slot.late is not None:
+                    late = slot.late.get(j)
+                    if late is not None and late[0] == handoff.tx_id:
+                        key = late[1]
+                        reordered = True
+                opened.append((key, other, rx_dbm[i]))
+            if reordered:
+                opened.sort(key=lambda entry: entry[0])
+            for _, other, rx_dbm in opened:
+                overlaps.append((
+                    other.source_name, other.technology, rx_dbm,
+                    now - max(lock_start, other.start),
+                ))
+        if overlaps:
+            # Entry by entry as ``_ReceptionContext._log_overlap`` builds it:
+            # first sight of a source sets its technology, then the strongest
+            # rx power and the summed seconds.
+            log: Dict[str, list] = {}
+            for name, technology, rx_dbm, seconds in overlaps:
+                entry = log.get(name)
+                if entry is None:
+                    log[name] = [technology, rx_dbm, 0.0 + seconds]
+                else:
+                    entry[1] = max(entry[1], rx_dbm)
+                    entry[2] += seconds
+            context.overlap_log = log
 
     # ------------------------------------------------------------------
     # Power queries

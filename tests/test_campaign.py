@@ -348,3 +348,18 @@ def test_cli_campaign_status_without_campaign_errors(tmp_path, capsys):
     code = main(["campaign", "status", "--dir", str(tmp_path / "nope")])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_campaign_reuses_a_plain_sweeps_cache(tmp_path, capsys):
+    """A campaign collects telemetry; a plain sweep's entries still serve it."""
+    cache = str(tmp_path / "cache")
+    assert main(["sweep", "--experiment", "learning", "--param", "n_bursts=3",
+                 "--cache-dir", cache]) == 0
+    assert "1 executed, 0 cached" in capsys.readouterr().out
+    code = main([
+        "campaign", "run", "--dir", str(tmp_path / "camp"),
+        "--experiment", "learning", "--param", "n_bursts=3",
+        "--compare-by", "n_bursts", "--cache-dir", cache, "--quiet",
+    ])
+    assert code == 0
+    assert "0 executed, 1 cached" in capsys.readouterr().out

@@ -1,10 +1,14 @@
 """Tests for the shared medium: power bookkeeping, notifications, energy."""
 
+import dataclasses
+
 import pytest
 
 from repro.context import build_context
 from repro.devices.base import Radio
-from repro.phy.medium import Medium, Technology
+from repro.phy.medium import Medium, Technology, _mac_sensitive
+from repro.phy.medium_fast import VectorMedium
+from repro.scenarios import compile_scenario, get_scenario
 from repro.phy.spectrum import wifi_channel, zigbee_channel
 from repro.sim.rng import RandomStreams
 from repro.sim.units import dbm_to_mw, mw_to_dbm
@@ -175,3 +179,36 @@ def test_block_fading_draws_match_scalar_stream_draws():
         ctx.sim.run(until=ctx.sim.now + 2e-3)
     # The frame has ended: a query draws afresh, from the buffer first.
     assert medium.rx_power_dbm(tx, b) == expected("b", b)
+
+
+def test_vector_medium_calls_a_locked_radio_only_at_its_frame_end(monkeypatch):
+    """On the vector kernel a locked radio whose MAC ignores medium events is
+    called for no edge but its locked frame's end: the medium folds its
+    interference record across every other edge itself."""
+    calls = []  # (radio, method, tx id, locked tx id or None)
+    for name in ("on_transmission_start", "on_transmission_end"):
+        original = getattr(Radio, name)
+
+        def recording(radio, tx, name=name, original=original):
+            lock = radio._lock
+            calls.append((radio, name, tx.tx_id, None if lock is None else lock.tx.tx_id))
+            return original(radio, tx)
+
+        monkeypatch.setattr(Radio, name, recording)
+    spec = dataclasses.replace(
+        get_scenario("grid", n_zigbee_links=16, n_wifi_pairs=4, duration=0.1), grace=0.0
+    )
+    compiled = compile_scenario(spec, 3)
+    assert isinstance(compiled.ctx.medium, VectorMedium)
+    compiled.run()
+    quiet = [call for call in calls if not _mac_sensitive(call[0])]
+    stray = [
+        (radio.name, method, tx_id, lock_id)
+        for radio, method, tx_id, lock_id in quiet
+        if lock_id is not None and (method == "on_transmission_start" or tx_id != lock_id)
+    ]
+    assert stray == []
+    # Lock candidates are still called, and their receptions still complete.
+    assert len(quiet) > 200
+    radios = [radio for radio in compiled.ctx.medium.radios if not _mac_sensitive(radio)]
+    assert sum(radio.frames_received + radio.frames_lost for radio in radios) > 200

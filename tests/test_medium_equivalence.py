@@ -15,6 +15,10 @@ Three layers of evidence:
   (position-epoch invalidation), BLE retunes while foreign transmissions are
   in flight (gather-profile + slot refresh), and a radio attached while a
   transmission is on the air (slot coverage fallback);
+* reception records — every ``RxInfo`` a MAC receives and every radio's
+  reception-outcome stream, on a compiled grid dense enough that dozens of
+  radios stay locked across Wi-Fi edges, and with MACs that transmit from
+  inside a notification (nested edges) or while their radio is locked;
 * a hypothesis property test driving random transmit/advance/move/retune
   interleavings and comparing the incremental interference accumulators
   against a brute-force re-sum oracle after every step.
@@ -26,15 +30,20 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.context import build_context
-from repro.devices.base import Radio
+import dataclasses
+
+import repro.devices.base
+from repro.context import VECTOR_MEDIUM_MIN_RADIOS, build_context
+from repro.devices.base import Radio, RxInfo
 from repro.devices.interferers import Emitter
 from repro.experiments.scenario import ScenarioTrialConfig, run_scenario_trial
 from repro.mac.ble import BleConnection
-from repro.mac.frames import Frame, FrameType
+from repro.mac.frames import Frame, FrameType, wifi_data_frame
 from repro.phy.medium import Technology
 from repro.phy.medium_fast import VectorMedium
+from repro.phy.modulation import WIFI_RATES
 from repro.phy.propagation import FadingModel, Position
+from repro.scenarios import compile_scenario, get_scenario
 from repro.phy.spectrum import ble_channel, wifi_channel, zigbee_channel
 from repro.schemes import scheme_names
 
@@ -229,6 +238,202 @@ def test_radio_attached_mid_transmission(force_kernel):
     out = _dual_run(force_kernel, scenario, fading=FadingModel(2.0, 2.5))
     assert out["vector"] == out["legacy"]
     assert len(out["vector"][2]) == 3
+
+
+# ----------------------------------------------------------------------
+# Reception records: what each MAC is told, and each outcome stream
+# ----------------------------------------------------------------------
+def _info_fields(info):
+    return (info.rx_power_dbm, info.success_probability, info.min_sinr_db, info.overlaps)
+
+
+def _dense_receptions(force_kernel, monkeypatch, kernel, spec, seed):
+    """Run ``spec`` on ``kernel``: every RxInfo built, each rx stream, peak locks."""
+    force_kernel(kernel)
+    infos = []
+
+    class RecordingRxInfo(RxInfo):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            infos.append(_info_fields(self))
+
+    monkeypatch.setattr(repro.devices.base, "RxInfo", RecordingRxInfo)
+    locked = [0, 0]  # now, peak
+    set_lock = Radio._set_lock
+
+    def counting_set_lock(radio, lock):
+        locked[0] += (lock is not None) - (radio._lock is not None)
+        locked[1] = max(locked[1], locked[0])
+        return set_lock(radio, lock)
+
+    monkeypatch.setattr(Radio, "_set_lock", counting_set_lock)
+    compiled = compile_scenario(spec, seed)
+    assert isinstance(compiled.ctx.medium, VectorMedium) == (kernel == "vector")
+    result = compiled.run()
+    streams = [
+        (radio.name, radio._rx_rng.bit_generator.state, radio._rx_head)
+        for radio in compiled.ctx.medium.radios
+    ]
+    return result.trace_digest, infos, streams, locked[1]
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_dense_grid_reception_records_match(force_kernel, monkeypatch, seed):
+    """At the density the vector kernel is built for, each radio's reception
+    record (segments, overlap log, success draw) matches the oracle's."""
+    spec = dataclasses.replace(
+        get_scenario("grid", n_zigbee_links=16, n_wifi_pairs=4, duration=0.3), grace=0.0
+    )
+    assert 2 * (16 + 4) >= VECTOR_MEDIUM_MIN_RADIOS
+    legacy = _dense_receptions(force_kernel, monkeypatch, "legacy", spec, seed)
+    vector = _dense_receptions(force_kernel, monkeypatch, "vector", spec, seed)
+    assert vector[0] == legacy[0]
+    assert vector[1] == legacy[1]
+    assert vector[2] == legacy[2]
+    infos = legacy[1]
+    assert len(infos) > 1000
+    # Dozens of locks at once, and many receptions that overlapped Wi-Fi.
+    assert legacy[3] >= 24
+    assert sum(1 for info in infos if info[3]) > len(infos) // 2
+
+
+class _ScriptedMac:
+    """A MAC that logs each RxInfo and can transmit from inside a callback.
+
+    ``reply`` is sent from the next ``on_frame_received``; ``on_event`` from
+    the next ``on_medium_event``; either nests an edge inside the medium's
+    notification loop.
+    """
+
+    def __init__(self, radio, log, sensitive=False):
+        self.radio = radio
+        self.log = log
+        self.medium_event_sensitive = sensitive
+        self.reply = None
+        self.on_event = None
+        radio.mac = self
+
+    def _send(self, frame):
+        if not self.radio.is_transmitting:
+            self.radio.transmit_frame(frame, 15.0)
+
+    def on_frame_received(self, frame, info):
+        self.log.append((self.radio.name, "ok", frame.source, frame.seq) + _info_fields(info))
+        if self.reply is not None:
+            frame, self.reply = self.reply, None
+            self._send(frame)
+
+    def on_frame_lost(self, frame, info):
+        self.log.append((self.radio.name, "lost", frame.source, frame.seq) + _info_fields(info))
+
+    def on_medium_event(self):
+        if self.on_event is not None:
+            frame, self.on_event = self.on_event, None
+            self._send(frame)
+
+    def on_transmit_complete(self, frame):
+        pass
+
+
+def _nested_world(ctx):
+    """ZigBee receivers around one sender, Wi-Fi radios between them, a jammer."""
+    log = []
+    radios = {}
+    layout = [("z0", 1.0), ("z1", 1.5), ("w1", 2.0), ("z2", 2.5), ("w2", 3.0),
+              ("z3", 3.5), ("z4", 4.0), ("w0", 4.5), ("z5", 5.0)]
+    radios["a"] = _attach_radio(
+        ctx, "a", Position(0, 0), zigbee_channel(24), Technology.ZIGBEE)
+    for name, x in layout:
+        if name.startswith("z"):
+            radio = _attach_radio(
+                ctx, name, Position(x, 0.5), zigbee_channel(24), Technology.ZIGBEE)
+        else:
+            radio = _attach_radio(
+                ctx, name, Position(x, -0.5), wifi_channel(13), Technology.WIFI)
+        radios[name] = radio
+        _ScriptedMac(radio, log, sensitive=name.startswith("w"))
+    jammer = Emitter(ctx, "jam", Position(2.0, 1.0))
+    return log, radios, jammer
+
+
+def _wifi_frame(src, dst, seq, payload=1500, mbps=6.0):
+    frame = wifi_data_frame(src, dst, payload, WIFI_RATES[mbps])
+    frame.seq = seq
+    return frame
+
+
+def test_edges_nested_in_notification_loops(force_kernel):
+    """MACs that transmit synchronously, from ``on_frame_received`` (a start
+    nested in an end loop) and from ``on_medium_event`` (a start nested in a
+    start loop), while ZigBee receivers on both sides of them stay locked."""
+
+    def scenario(ctx):
+        log, radios, jammer = _nested_world(ctx)
+        a = radios["a"]
+
+        def long_zigbee(seq):
+            frame = _zigbee_frame("a", "z3", seq)
+            frame.mpdu_bytes = 127
+            a.transmit_frame(frame, 0.0)
+
+        def wifi_then_reply():
+            # w1 answers w0's frame from inside w0's end notifications.
+            radios["w1"].mac.reply = _wifi_frame("w1", "w0", 2, payload=400)
+            radios["w0"].transmit_frame(_wifi_frame("w0", "w1", 1, payload=300), 15.0)
+
+        def jam_then_react():
+            # w2 transmits from inside the jammer's start notifications, so
+            # radios after it open the two overlaps in the other order.
+            radios["w2"].mac.on_event = _wifi_frame("w2", "w1", 3, payload=600, mbps=1.0)
+            jammer.emit(6e-3, 10.0, wifi_channel(13), Technology.WIFI)
+
+        def zigbee_reply():
+            # z3 answers a's frame from inside its end notifications.
+            radios["z3"].mac.reply = _zigbee_frame("z3", "a", 9)
+
+        for k, t in enumerate((0.0, 6e-3, 12e-3, 20e-3)):
+            ctx.sim.schedule(t, long_zigbee, k)
+        ctx.sim.schedule(0.3e-3, wifi_then_reply)
+        ctx.sim.schedule(6.4e-3, jam_then_react)
+        ctx.sim.schedule(12.5e-3, jam_then_react)
+        ctx.sim.schedule(19.0e-3, zigbee_reply)
+        ctx.sim.run(until=30e-3)
+        return log
+
+    out = _dual_run(force_kernel, scenario, fading=FadingModel(2.0, 2.5))
+    assert out["vector"] == out["legacy"]
+    log = out["legacy"][2]
+    # Both orders of the still-open jammer/w2 overlaps occur: the radios
+    # after w2 saw its frame start before the jammer's.
+    orders = {tuple(o[1] for o in entry[7]) for entry in log if len(entry[7]) >= 2}
+    assert ("jam", "w2") in orders and ("w2", "jam") in orders
+    # Radios after z3 were still locked on a's frame when z3's reply began.
+    heard = {entry[0] for entry in log if entry[2:4] == ("z3", 9)}
+    assert {"z0", "z2"} <= heard and not heard & {"z4", "z5"}
+
+
+def test_locked_radio_transmits_half_duplex_abort(force_kernel):
+    """A radio that transmits while locked drops the frame; its next lock
+    starts with a clean record in both kernels."""
+
+    def scenario(ctx):
+        log, radios, jammer = _nested_world(ctx)
+        a = radios["a"]
+        for k in range(4):
+            ctx.sim.schedule(5e-3 * k, lambda k=k: a.transmit_frame(_zigbee_frame("a", "z1", k), 0.0))
+        ctx.sim.schedule(0.2e-3, lambda: jammer.emit(3e-3, 10.0, wifi_channel(13), Technology.WIFI))
+        ctx.sim.schedule(5.2e-3, lambda: jammer.emit(0.6e-3, 10.0, wifi_channel(13), Technology.WIFI))
+        # z2 and z4 transmit mid-frame, while locked on a's frames.
+        ctx.sim.schedule(0.9e-3, lambda: radios["z2"].transmit_frame(_zigbee_frame("z2", "a", 50), 0.0))
+        ctx.sim.schedule(10.7e-3, lambda: radios["z4"].transmit_frame(_zigbee_frame("z4", "a", 51), 0.0))
+        ctx.sim.run(until=25e-3)
+        return log, [(r.name, r.frames_received, r.frames_lost) for r in radios.values()]
+
+    out = _dual_run(force_kernel, scenario, fading=FadingModel(2.0, 2.5))
+    assert out["vector"] == out["legacy"]
+    log, counts = out["legacy"][2]
+    assert any(entry[0] == "z2" and entry[2] == "a" for entry in log)
+    assert any(name == "z2" and lost >= 1 for name, _, lost in counts)
 
 
 # ----------------------------------------------------------------------

@@ -279,7 +279,15 @@ def test_cached_sweep_rerun_reproduces_metric_values(tmp_path):
 
 def test_pre_telemetry_cache_entry_is_a_miss_when_telemetry_on(tmp_path):
     plain = SweepEngine(jobs=1, cache_dir=tmp_path, telemetry=False, quiet=True)
-    plain.run(_sweep_spec())  # caches entries without metrics
+    plain.run(_sweep_spec())
+    # Every engine caches the snapshot now; plant entries written before it did.
+    entries = sorted(tmp_path.glob("*/*.json"))
+    assert len(entries) == 2
+    for path in entries:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        del data["metrics"]
+        path.write_text(json.dumps(data), encoding="utf-8")
+    assert plain.run(_sweep_spec()).cached_hits == 2  # still hits without telemetry
     collecting = SweepEngine(jobs=1, cache_dir=tmp_path, telemetry=True, quiet=True)
     run = collecting.run(_sweep_spec())
     assert run.cached_hits == 0  # metric-less entries re-execute
