@@ -12,6 +12,7 @@ devices (Wi-Fi appliance, ZigBee node, interferers) live in sibling modules.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
@@ -84,13 +85,6 @@ class _ReceptionContext:
         entry = self.overlap_log.setdefault(source_name, [technology, rx_dbm, 0.0])
         entry[1] = max(entry[1], rx_dbm)
         entry[2] += now - start
-
-    def finalize(self, now: float) -> None:
-        self.change_interference(now, 0.0)
-        if self._overlap_open:
-            for opened in self._overlap_open.values():
-                self._log_overlap(now, opened)
-            self._overlap_open = None
 
 
 class Radio:
@@ -230,7 +224,7 @@ class Radio:
             and self.current_tx is None
             and tx.frame is not None
             and tx.technology is self.technology
-            and tx.band == self.band
+            and (tx.band is self._band or tx.band == self._band)
         ):
             rx_dbm = medium.rx_power_dbm(tx, self)
             if rx_dbm >= self.sensitivity_dbm:
@@ -288,7 +282,7 @@ class Radio:
         context = self._lock
         assert context is not None
         self._set_lock(None)
-        context.finalize(self.sim.now)
+        now = self.sim.now
         tx = context.tx
         frame = tx.frame
         ber = frame.ber
@@ -296,9 +290,13 @@ class Radio:
         noise_mw = self.noise_floor_mw
         total_bits = max(frame.bits, 1)
         duration = max(tx.duration, 1e-12)
-        success_p = 1.0
-        min_sinr = float("inf")
+        # The closed segments, then the one the frame's end closes.
         segments = context.segments
+        start, level = context.segment_start
+        if now > start:
+            segments.append((now - start, level))
+        success_p = 1.0
+        min_sinr = math.inf
         # SINR and BER are pure in the segment's interference level, so a
         # reception computes them once per distinct level.
         seen = {} if len(segments) > 1 else None
@@ -317,6 +315,11 @@ class Radio:
             if bit_error != 0.0:
                 seg_bits = max(1, round(total_bits * seg_duration / duration))
                 success_p *= packet_success_probability(bit_error, seg_bits)
+        # Overlaps still open at the frame's end are logged after the
+        # closed ones.
+        if context._overlap_open:
+            for opened in context._overlap_open.values():
+                context._log_overlap(now, opened)
         overlap_log = context.overlap_log
         overlaps = [] if overlap_log is None else [
             (tech, source_name, rx_dbm, seconds)
@@ -325,38 +328,38 @@ class Radio:
         info = RxInfo(
             rx_power_dbm=signal_dbm,
             success_probability=success_p,
-            min_sinr_db=min_sinr if min_sinr != float("inf") else 0.0,
+            min_sinr_db=min_sinr if min_sinr != math.inf else 0.0,
             overlaps=overlaps,
         )
         if self.energy_meter is not None:
             self.energy_meter.charge_rx(tx.duration)
-        delivered = self._rx_uniform() < success_p
-        mac = self._mac
-        if delivered:
-            self.frames_received += 1
-            self.trace.record(
-                self.sim.now, "phy.rx_ok", radio=self.name, source=frame.source,
-                frame_type=frame.frame_type.value,
-            )
-            if mac is not None:
-                mac.on_frame_received(frame, info)
-        else:
-            self.frames_lost += 1
-            self.trace.record(
-                self.sim.now, "phy.rx_lost", radio=self.name, source=frame.source,
-                frame_type=frame.frame_type.value, p=success_p,
-            )
-            if mac is not None:
-                mac.on_frame_lost(frame, info)
-
-    def _rx_uniform(self) -> float:
-        """The next draw of the ``phy/rx/<name>`` stream, taken in blocks."""
+        # The next draw of the ``phy/rx/<name>`` stream, taken in blocks.
         head = self._rx_head
         if head == len(self._rx_draws):
             self._rx_draws = self._rx_rng.random(_RX_BATCH).tolist()
             head = 0
         self._rx_head = head + 1
-        return self._rx_draws[head]
+        delivered = self._rx_draws[head] < success_p
+        mac = self._mac
+        trace = self.trace
+        if delivered:
+            self.frames_received += 1
+            if trace.note("phy.rx_ok"):
+                trace.store(
+                    now, "phy.rx_ok", radio=self.name, source=frame.source,
+                    frame_type=frame.frame_type.value,
+                )
+            if mac is not None:
+                mac.on_frame_received(frame, info)
+        else:
+            self.frames_lost += 1
+            if trace.note("phy.rx_lost"):
+                trace.store(
+                    now, "phy.rx_lost", radio=self.name, source=frame.source,
+                    frame_type=frame.frame_type.value, p=success_p,
+                )
+            if mac is not None:
+                mac.on_frame_lost(frame, info)
 
     def _notify_mac(self) -> None:
         if self._mac is not None:

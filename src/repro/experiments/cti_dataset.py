@@ -48,17 +48,29 @@ def _capture_many(
     n_traces: int,
     warmup: float = 50e-3,
 ) -> List[RssiTrace]:
-    """Capture ``n_traces`` back-to-back RSSI traces at the collector."""
+    """Capture ``n_traces`` back-to-back RSSI traces at the collector.
+
+    The run stops when the last trace is in: nothing after it is read.
+    """
     traces: List[RssiTrace] = []
+
+    def collect(trace: RssiTrace) -> None:
+        traces.append(trace)
+        if len(traces) == n_traces:
+            ctx.sim.stop()
 
     def driver():
         yield warmup
         while len(traces) < n_traces:
-            collector.rssi.capture(TRACE_DURATION, TRACE_RATE_HZ, traces.append)
+            collector.rssi.capture(TRACE_DURATION, TRACE_RATE_HZ, collect)
             yield CAPTURE_SPACING
 
-    Process(ctx.sim, driver(), name="rssi-capture")
+    capturing = driver()
+    Process(ctx.sim, capturing, name="rssi-capture")
     ctx.sim.run(until=warmup + n_traces * CAPTURE_SPACING + 0.1)
+    # The stopped driver still waits on the queue; closing it keeps the
+    # simulation, which is garbage now, from holding on to the traces.
+    capturing.close()
     return traces
 
 

@@ -78,7 +78,9 @@ from .topology import Calibration
 #: 10: entries keep the result's dict order instead of sorting keys, so a
 #:    cached ``ScenarioResult`` averages its links' delays in the fresh
 #:    run's order (its ``mean_delay`` no longer moves in the last bit).
-CACHE_SCHEMA = 10
+#: 11: a CTI collection stops at its last trace, so the ``cti`` and
+#:    ``device-id`` telemetry snapshots count fewer simulator events.
+CACHE_SCHEMA = 11
 
 _LOG = get_logger("sweep")
 

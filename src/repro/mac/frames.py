@@ -18,7 +18,6 @@ from ..phy.modulation import (
     ber_gfsk,
     ber_oqpsk_dsss,
     ble_frame_duration,
-    wifi_frame_duration,
     zigbee_frame_duration,
 )
 
@@ -77,7 +76,7 @@ class Frame:
         if self.technology is Technology.WIFI:
             if self.rate is None:
                 raise ValueError("Wi-Fi frame needs a rate")
-            return wifi_frame_duration(self.mpdu_bytes, self.rate)
+            return self.rate.airtime(self.mpdu_bytes)
         if self.technology is Technology.ZIGBEE:
             return zigbee_frame_duration(self.mpdu_bytes)
         if self.technology is Technology.BLE:

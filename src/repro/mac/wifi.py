@@ -27,7 +27,7 @@ from typing import Any, Callable, Deque, List, Optional
 
 from ..devices.base import Radio, RxInfo
 from ..phy.medium import Technology
-from ..phy.modulation import WifiRate, wifi_frame_duration, wifi_rate
+from ..phy.modulation import WifiRate, wifi_rate
 from ..sim.engine import Event, Simulator
 from ..sim.trace import TraceRecorder
 from ..sim.units import mw_to_dbm, usec
@@ -84,6 +84,10 @@ class WifiMac:
         self.trace = trace or TraceRecorder(enabled_kinds=set())
         self.data_rate: WifiRate = wifi_rate(data_rate_mbps)
         self.basic_rate: WifiRate = wifi_rate(basic_rate_mbps)
+        # How long after a unicast DATA frame's end its ACK may still come.
+        self._ack_timeout_s = (
+            SIFS_S + self.basic_rate.airtime(WIFI_ACK_MPDU_BYTES) + ACK_TIMEOUT_MARGIN_S
+        )
         self.tx_power_dbm = tx_power_dbm
         self.preamble_threshold_dbm = preamble_threshold_dbm
         #: Effective CCA-ED threshold applied to non-Wi-Fi in-band energy.
@@ -252,10 +256,12 @@ class WifiMac:
     def _transmit(self, frame: Frame) -> None:
         if frame.frame_type is FrameType.DATA:
             self.data_sent += 1
-        self.trace.record(
-            self.sim.now, "wifi.tx", mac=self.radio.name,
-            frame_type=frame.frame_type.value, dest=frame.destination, seq=frame.seq,
-        )
+        trace = self.trace
+        if trace.note("wifi.tx"):
+            trace.store(
+                self.sim.now, "wifi.tx", mac=self.radio.name,
+                frame_type=frame.frame_type.value, dest=frame.destination, seq=frame.seq,
+            )
         self.radio.transmit_frame(frame, self.tx_power_dbm)
 
     # ------------------------------------------------------------------
@@ -267,9 +273,7 @@ class WifiMac:
     def on_transmit_complete(self, frame: Frame) -> None:
         if frame.frame_type is FrameType.DATA and not frame.is_broadcast:
             self._awaiting_ack_for = frame
-            ack_duration = wifi_frame_duration(WIFI_ACK_MPDU_BYTES, self.basic_rate)
-            timeout = SIFS_S + ack_duration + ACK_TIMEOUT_MARGIN_S
-            self._ack_timer = self.sim.schedule(timeout, self._ack_timeout)
+            self._ack_timer = self.sim.schedule(self._ack_timeout_s, self._ack_timeout)
         elif frame.frame_type is FrameType.CTS:
             nav = frame.meta.get("nav_duration", 0.0)
             self.suppress_until(self.sim.now + nav)
@@ -327,7 +331,9 @@ class WifiMac:
         delay = self.sim.now - pending.created_at
         self.delays.append(delay)
         self.delay_records.append((delay, pending.priority))
-        self.trace.record(self.sim.now, "wifi.delivered", mac=self.radio.name, seq=pending.seq)
+        trace = self.trace
+        if trace.note("wifi.delivered"):
+            trace.store(self.sim.now, "wifi.delivered", mac=self.radio.name, seq=pending.seq)
         self._finish_transaction()
 
     def _send_ack(self, data: Frame) -> None:

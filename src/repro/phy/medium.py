@@ -40,6 +40,11 @@ class Technology(Enum):
     BLE = "ble"
     MICROWAVE = "microwave"
 
+    # Members are singletons and compare by identity, so they may hash by
+    # identity too: a dict probe keyed by a technology (the per-technology
+    # counts, ``VectorMedium``'s index) then runs no Python-level ``__hash__``.
+    __hash__ = object.__hash__
+
 
 #: Pre-frozen technology filters for the common energy queries.  Passing one
 #: of these (or any ``frozenset``) to :meth:`Medium.interference_mw` /
@@ -401,14 +406,16 @@ class Medium:
             }
         self._frame_rx[tx.tx_id] = rx_power
         self._bump_state()
-        self.trace.record(
-            self.sim.now,
-            "medium.tx_start",
-            source=source.name,
-            technology=technology.value,
-            duration=duration,
-            power_dbm=power_dbm,
-        )
+        trace = self.trace
+        if trace.note("medium.tx_start"):
+            trace.store(
+                self.sim.now,
+                "medium.tx_start",
+                source=source.name,
+                technology=technology.value,
+                duration=duration,
+                power_dbm=power_dbm,
+            )
         # A start notification does something only for a radio that holds a
         # lock, has an event-sensitive MAC, or could lock onto this frame
         # (same technology, rx power at or above its sensitivity; the radio
@@ -434,7 +441,9 @@ class Medium:
         if self._active.pop(tx.tx_id, None) is not None:
             self._tech_active[tx.technology] -= 1
         self._bump_state()
-        self.trace.record(self.sim.now, "medium.tx_end", source=tx.source_name)
+        trace = self.trace
+        if trace.note("medium.tx_end"):
+            trace.store(self.sim.now, "medium.tx_end", source=tx.source_name)
         # No lock is acquired on an end edge: only lock holders and
         # event-sensitive MACs can act on it.
         sensitive = self._event_sensitive

@@ -642,14 +642,16 @@ class VectorMedium(Medium):
                 acc.totals += cap
 
         self._bump_state()
-        self.trace.record(
-            self.sim.now,
-            "medium.tx_start",
-            source=source.name,
-            technology=technology.value,
-            duration=duration,
-            power_dbm=power_dbm,
-        )
+        trace = self.trace
+        if trace.note("medium.tx_start"):
+            trace.store(
+                self.sim.now,
+                "medium.tx_start",
+                source=source.name,
+                technology=technology.value,
+                duration=duration,
+                power_dbm=power_dbm,
+            )
         # Every lock the medium keeps crosses this edge in one fold.
         self._locks.fit(len(self.radios))
         held, held_locks = self._fold_locks(tx, js)
@@ -716,7 +718,9 @@ class VectorMedium(Medium):
                     default=len(self.radios),
                 )
         self._bump_state()
-        self.trace.record(self.sim.now, "medium.tx_end", source=tx.source_name)
+        trace = self.trace
+        if trace.note("medium.tx_end"):
+            trace.store(self.sim.now, "medium.tx_end", source=tx.source_name)
         src_j = self._index_of.get(tx.source_name, -1)
         if src_j >= 0 and self.radios[src_j] is not tx.source:
             src_j = -1
@@ -847,12 +851,12 @@ class VectorMedium(Medium):
     def _hand_over(self, j: int, radio: Any, handoff: "_Handoff") -> None:
         """Write radio ``j``'s lock record into its reception context.
 
-        The context ends up as the per-radio path leaves it just before
-        ``finalize``, except that the overlaps still open (the active
+        The context ends up as the per-radio path leaves it at the locked
+        frame's end, except that the overlaps still open (the active
         cross-technology transmissions) are already logged, after the ones
         closed during the lock, in the order the loop kernel opened them:
-        that is where ``finalize`` would log them.  The radio then finishes
-        the reception itself.
+        that is where ``Radio._finish_reception`` would log them.  The radio
+        then finishes the reception itself.
         """
         i = handoff.index[j]
         context = radio._lock

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Dict
 
 from scipy.special import erfc
@@ -133,6 +132,24 @@ class WifiRate:
     bits_per_symbol: int  # N_DBPS for OFDM; unused for DSSS
     kind: WifiPhyKind = WifiPhyKind.OFDM
 
+    def __post_init__(self) -> None:
+        # The airtime per MPDU size (filled on first use) and the OFDM BER
+        # constants, worked out once per rate.  Plain attributes: equality,
+        # hashing and ``replace`` see only the fields.
+        object.__setattr__(self, "_airtime", {})
+        if self.kind is WifiPhyKind.OFDM:
+            object.__setattr__(self, "_coding_gain_db", _CODING_GAIN_DB[self.code_rate])
+            object.__setattr__(
+                self, "_bits_per_subcarrier", _BITS_PER_SUBCARRIER[self.modulation]
+            )
+
+    def airtime(self, mpdu_bytes: int) -> float:
+        """:func:`wifi_frame_duration` of ``mpdu_bytes`` at this rate, memoized."""
+        duration = self._airtime.get(mpdu_bytes)
+        if duration is None:
+            duration = self._airtime[mpdu_bytes] = wifi_frame_duration(mpdu_bytes, self)
+        return duration
+
     def ber(self, sinr_db: float) -> float:
         """Post-decoding BER approximation at the given channel SINR.
 
@@ -150,9 +167,8 @@ class WifiRate:
                 return min(_ber_uncoded(WifiModulation.QPSK, snr_per_bit), 0.5)
             snr_per_bit = db_to_linear(sinr_db) * (20.0 / self.mbps)
             return min(_ber_uncoded(self.modulation, snr_per_bit), 0.5)
-        bits_per_subcarrier = _BITS_PER_SUBCARRIER[self.modulation]
-        effective_db = sinr_db + _CODING_GAIN_DB[self.code_rate]
-        snr_per_bit = db_to_linear(effective_db) / bits_per_subcarrier
+        effective_db = sinr_db + self._coding_gain_db
+        snr_per_bit = db_to_linear(effective_db) / self._bits_per_subcarrier
         return min(_ber_uncoded(self.modulation, snr_per_bit), 0.5)
 
 
@@ -231,7 +247,6 @@ BLE_BIT_S = 1 * USEC
 BLE_HEADER_S = 40 * USEC
 
 
-@lru_cache(maxsize=1024)
 def wifi_frame_duration(mpdu_bytes: int, rate: WifiRate) -> float:
     """Airtime of an 802.11 frame carrying ``mpdu_bytes`` of MPDU.
 

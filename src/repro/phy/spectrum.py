@@ -19,7 +19,13 @@ from typing import Dict
 
 @dataclass(frozen=True)
 class Band:
-    """A contiguous slice of spectrum, centered at ``center_mhz``."""
+    """A contiguous slice of spectrum, centered at ``center_mhz``.
+
+    ``low_mhz``, ``high_mhz`` and ``bandwidth_hz`` are worked out once, when
+    the band is made.  They are plain attributes, not fields: equality,
+    hashing, ``dataclasses.replace`` and serialization see only the center
+    and the width.
+    """
 
     center_mhz: float
     bandwidth_mhz: float
@@ -27,18 +33,10 @@ class Band:
     def __post_init__(self) -> None:
         if self.bandwidth_mhz <= 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth_mhz}")
-
-    @property
-    def low_mhz(self) -> float:
-        return self.center_mhz - self.bandwidth_mhz / 2.0
-
-    @property
-    def high_mhz(self) -> float:
-        return self.center_mhz + self.bandwidth_mhz / 2.0
-
-    @property
-    def bandwidth_hz(self) -> float:
-        return self.bandwidth_mhz * 1e6
+        half = self.bandwidth_mhz / 2.0
+        object.__setattr__(self, "low_mhz", self.center_mhz - half)
+        object.__setattr__(self, "high_mhz", self.center_mhz + half)
+        object.__setattr__(self, "bandwidth_hz", self.bandwidth_mhz * 1e6)
 
     def overlaps(self, other: "Band") -> bool:
         """True if the two bands share any spectrum."""

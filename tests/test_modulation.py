@@ -151,6 +151,29 @@ def test_wifi_ber_equals_full_formula_across_erfc_underflow(monkeypatch, mbps):
     assert expected[0] > 0.0 and expected[-1] == 0.0
 
 
+#: The OFDM rates' coding gains and bits per subcarrier, restated here so
+#: the constants a ``WifiRate`` works out once are checked against the rule.
+_OFDM_GAIN_DB = {"1/2": 5.0, "2/3": 4.0, "3/4": 3.5}
+_OFDM_BITS = {"bpsk": 1, "qpsk": 2, "qam16": 4, "qam64": 6}
+
+
+@pytest.mark.parametrize(
+    "mbps", sorted(m for m, r in WIFI_RATES.items() if r.kind is modulation.WifiPhyKind.OFDM)
+)
+def test_ofdm_ber_equals_its_formula_on_the_grid(mbps):
+    """Per-rate constants leave every OFDM BER bit for bit as the formula."""
+    rate = wifi_rate(mbps)
+    gain = _OFDM_GAIN_DB[rate.code_rate]
+    bits = _OFDM_BITS[rate.modulation.value]
+    grid = _grid(-10.0, 45.0)
+    expected = [
+        min(_reference_ber_uncoded(rate.modulation, db_to_linear(s + gain) / bits), 0.5)
+        for s in grid
+    ]
+    assert [rate.ber(s) for s in grid] == expected
+    assert expected[0] > 0.0 and expected[-1] == 0.0
+
+
 def test_scipy_erfc_underflows_to_zero_from_the_shortcut_on():
     """The Wi-Fi shortcut returns 0.0 for erfc arguments >= 27: it is exact
     only while scipy's erfc underflows to exactly 0.0 there."""
@@ -242,3 +265,32 @@ def test_wifi_duration_symbol_aligned(nbytes):
     duration = wifi_frame_duration(nbytes, wifi_rate(24.0))
     symbols = (duration - 20e-6) / 4e-6
     assert symbols == pytest.approx(round(symbols))
+
+
+def test_rate_airtime_equals_wifi_frame_duration():
+    """Every rate, every MPDU size up to the 802.11 maximum of 2346 B."""
+    sizes = range(2347)
+    for rate in WIFI_RATES.values():
+        expected = [wifi_frame_duration(n, rate) for n in sizes]
+        assert [rate.airtime(n) for n in sizes] == expected
+        assert [rate.airtime(n) for n in sizes] == expected  # memoized
+
+
+def test_wifi_rate_constants_stay_out_of_equality_and_copies():
+    import copy
+    import dataclasses
+    import pickle
+
+    rate = wifi_rate(24.0)
+    rate.airtime(100)
+    for other in (
+        copy.deepcopy(rate),
+        pickle.loads(pickle.dumps(rate)),
+        dataclasses.replace(rate),
+    ):
+        assert other == rate and hash(other) == hash(rate)
+        assert other.airtime(100) == rate.airtime(100)
+        assert other.ber(12.3) == rate.ber(12.3)
+    assert [f.name for f in dataclasses.fields(rate)] == [
+        "mbps", "modulation", "code_rate", "bits_per_symbol", "kind",
+    ]

@@ -93,3 +93,36 @@ def test_overlap_fraction_bounds_and_symmetric_overlap(c1, w1, c2, w2):
 def test_band_fully_overlaps_itself(c, w):
     band = Band(c, w)
     assert overlap_fraction(band, band) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "band",
+    [wifi_channel(11), zigbee_channel(24), ble_channel(7), Band(2458.0, 60.0), Band(2400.1, 0.3)],
+)
+def test_band_edges_are_exact_across_replace_deepcopy_and_pickle(band):
+    import copy
+    import dataclasses
+    import pickle
+
+    edges = (
+        band.center_mhz - band.bandwidth_mhz / 2.0,
+        band.center_mhz + band.bandwidth_mhz / 2.0,
+        band.bandwidth_mhz * 1e6,
+    )
+    copies = [
+        band,
+        dataclasses.replace(band),
+        copy.deepcopy(band),
+        copy.copy(band),
+        pickle.loads(pickle.dumps(band)),
+    ]
+    for other in copies:
+        assert (other.low_mhz, other.high_mhz, other.bandwidth_hz) == edges
+        assert other == band and hash(other) == hash(band)
+    moved = dataclasses.replace(band, center_mhz=band.center_mhz + 5.0)
+    assert moved.low_mhz == (band.center_mhz + 5.0) - band.bandwidth_mhz / 2.0
+    assert moved.high_mhz == (band.center_mhz + 5.0) + band.bandwidth_mhz / 2.0
+    assert [f.name for f in dataclasses.fields(band)] == ["center_mhz", "bandwidth_mhz"]
+    assert repr(band) == (
+        f"Band(center_mhz={band.center_mhz!r}, bandwidth_mhz={band.bandwidth_mhz!r})"
+    )
