@@ -79,10 +79,11 @@ class Transmission:
         )
 
 
-#: Fading draws taken per refill of a link's buffer.  One
-#: ``Generator.normal(size=_FADING_BATCH)`` call returns the same values as
-#: that many scalar draws from the stream.
-_FADING_BATCH = 16
+#: Fading draws taken per refill of a link's buffer.  A block of that many
+#: values from ``Channel.fading_draws`` is that many scalar draws from the
+#: link's stream.  Each refill also loads and stores the stream's state, a
+#: fixed cost the block is large enough to spread thin.
+_FADING_BATCH = 64
 
 
 def _mac_sensitive(radio: Any) -> bool:
@@ -102,26 +103,28 @@ class _Link:
 
     ``loss`` and ``shadow`` are the link budget at the row's epoch.
     ``draws[head:]`` are values already taken from the link's
-    ``fading/<tx>-><rx>`` stream and not yet used.  They are used in stream
-    order, so a frame sees exactly the draw a scalar call would return.
-    A link outlives the rows that hold it: its unused draws must.
+    ``fading/<src>-><name>`` stream (held by the channel) and not yet used.
+    They are used in stream order, so a frame sees exactly the draw a scalar
+    call would return.  A link outlives the rows that hold it: its unused
+    draws must.
     """
 
-    __slots__ = ("name", "loss", "shadow", "gen", "draws", "head")
+    __slots__ = ("src", "name", "loss", "shadow", "draws", "head")
 
-    def __init__(self, name: str, gen: Any):
+    def __init__(self, src: str, name: str):
+        self.src = src
         self.name = name
         self.loss = 0.0
         self.shadow = 0.0
-        self.gen = gen
         self.draws: List[float] = []
         self.head = 0
 
-    def fading_db(self, sigma: float) -> float:
+    def fading_db(self, channel: Channel) -> float:
         """The next draw of the link's fading stream."""
         head = self.head
         if head == len(self.draws):
-            self.draws = self.gen.normal(0.0, sigma, _FADING_BATCH).tolist()
+            block = channel.fading_draws(self.src, (self.name,), _FADING_BATCH)
+            self.draws = block[0].tolist()
             head = 0
         self.head = head + 1
         return self.draws[head]
@@ -154,10 +157,11 @@ class Medium:
 
     Its per-frame work is kept to what can change an outcome:
 
-    * a per-source :class:`_LinkRow` holds each link's path loss, shadowing
-      and fading stream, rebuilt only when the radio count, the position
-      epoch or the source's position object changes;
-    * fading is drawn 16 at a time per link (:class:`_Link`);
+    * a per-source :class:`_LinkRow` holds each link's path loss and
+      shadowing, rebuilt only when the radio count, the position epoch or
+      the source's position object changes;
+    * fading is drawn 64 at a time per link from the stream state the
+      channel holds (:class:`_Link`, :meth:`Channel.fading_draws`);
     * a transmission edge is passed only to radios it can affect: those
       holding a reception lock, those whose MAC is
       ``medium_event_sensitive`` and, on a start, those that could lock onto
@@ -340,7 +344,6 @@ class Medium:
         ):
             return row
         src_pos = source.position
-        fades = channel.fading.fading_sigma_db > 0.0
         links = []
         for radio in self.radios:
             if radio is source:
@@ -348,8 +351,7 @@ class Medium:
             rx_name = radio.name
             link = self._links.get((name, rx_name))
             if link is None:
-                gen = channel.fading_generator(name, rx_name) if fades else None
-                link = self._links[(name, rx_name)] = _Link(rx_name, gen)
+                link = self._links[(name, rx_name)] = _Link(name, rx_name)
             link.loss, link.shadow = channel.link_budget(
                 name, src_pos, rx_name, radio.position
             )
@@ -391,12 +393,12 @@ class Medium:
         self._broadcasts.inc()
         self._tx_touched[tx.tx_id] = set()
         links = self._link_row(source).links
-        sigma = self.channel.fading.fading_sigma_db
+        channel = self.channel
         # The operation order of ``Channel.rx_power_dbm``:
         # ((power - loss) + shadow) + fading.
-        if sigma > 0.0:
+        if channel.fading.fading_sigma_db > 0.0:
             rx_power = {
-                link.name: ((power_dbm - link.loss) + link.shadow) + link.fading_db(sigma)
+                link.name: ((power_dbm - link.loss) + link.shadow) + link.fading_db(channel)
                 for link in links
             }
         else:
@@ -484,10 +486,9 @@ class Medium:
         rx_dbm = self.channel.mean_rx_power_dbm(
             tx.power_dbm, tx.source_name, tx.source.position, radio.name, radio.position
         )
-        sigma = self.channel.fading.fading_sigma_db
         link = self._links.get((tx.source_name, radio.name))
-        if sigma > 0.0 and link is not None:
-            rx_dbm += link.fading_db(sigma)
+        if link is not None and self.channel.fading.fading_sigma_db > 0.0:
+            rx_dbm += link.fading_db(self.channel)
         else:
             rx_dbm += self.channel.frame_fading_db(tx.source_name, radio.name)
         self._rx_power[key] = rx_dbm

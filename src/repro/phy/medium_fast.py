@@ -14,9 +14,9 @@ index-aligned numpy arrays:
 * **Link matrix rows** (:class:`_SourceRow`) — path loss and shadowing from
   one source to every attached radio, rebuilt only when the position epoch,
   the radio count, or the source's position object changes.  Per-link fading
-  generators are batch-seeded and buffered: each transmission consumes one
-  pre-drawn sample per link (a single numpy gather) instead of N generator
-  calls.
+  is buffered: each transmission consumes one pre-drawn sample per link (a
+  single numpy gather), and empty buffers are refilled in blocks from the
+  stream state the channel keeps (``Channel.fading_draws``).
 * **Per-band overlap profiles** — ``overlap_fraction`` and its dB form for
   one transmit band against every radio's band, cached per (band, band
   version).  Zero-overlap radios are masked out of all power math.
@@ -45,8 +45,8 @@ index-aligned numpy arrays:
 Bitwise-exactness notes (all verified empirically): elementwise numpy
 add/sub/mul/div/min/max match the equivalent scalar operation sequences;
 ``10.0 ** x`` does **not** (SIMD), so the mW conversion runs as a scalar loop
-over the unmasked radios; batched ``Generator.normal(size=B)`` matches B
-scalar draws from the same stream; appending a new term to a running sum
+over the unmasked radios; a block of B fading values matches B scalar draws
+from the same stream; appending a new term to a running sum
 matches re-folding with the term last, but removing one does not.
 """
 
@@ -57,8 +57,12 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..sim.units import dbm_to_mw, linear_to_db
-from .medium import _FADING_BATCH, Medium, Technology, Transmission, _mac_sensitive
+from .medium import Medium, Technology, Transmission, _mac_sensitive
 from .spectrum import overlap_fraction, overlap_profile
+
+#: Fading values per refill of a link buffer.  Smaller than the loop
+#: kernel's block: a dense grid keeps one buffer row per link.
+_FADING_BATCH = 16
 
 #: Stable small-int code per technology, for the vectorized decode screen.
 _TECH_INDEX = {tech: i for i, tech in enumerate(Technology)}
@@ -74,11 +78,9 @@ class _SourceRow:
         "src_pos",
         "loss",
         "shadow",
-        "gens",
         "buf",
         "head",
         "count",
-        "warm",
     )
 
     def __init__(self, n: int, src_index: int, epoch: int, src_pos: Any):
@@ -88,13 +90,11 @@ class _SourceRow:
         self.src_pos = src_pos
         self.loss = np.zeros(n)
         self.shadow = np.zeros(n)
-        self.gens: List[Any] = [None] * n
+        # ``buf[j, head[j]:head[j] + count[j]]`` are link j's drawn, unused
+        # fading values; an empty buffer is refilled with one block.
         self.buf = np.zeros((n, _FADING_BATCH))
         self.head = np.zeros(n, dtype=np.intp)
         self.count = np.zeros(n, dtype=np.intp)
-        # The first transmission of a row draws scalars (cheap for one-shot
-        # sources); buffers engage from the second transmission on.
-        self.warm = False
 
 
 class _Slot:
@@ -455,7 +455,11 @@ class VectorMedium(Medium):
         new = _SourceRow(n, src_index, epoch, source.position)
         channel = self.channel
         radios = self.radios
-        channel.ensure_shadowing(name, [r.name for r in radios])
+        # The row's own index is skipped; an emitter sharing a radio's name
+        # (``src_index == -1``) still needs that pair.
+        channel.ensure_shadowing(
+            name, [r.name for j, r in enumerate(radios) if j != src_index]
+        )
         # Bypass the per-pair ``channel.link_budget`` wrapper: its cache probe
         # and tuple packing dominate a full-row build.  ``loss_db`` is the
         # exact scalar function the wrapper calls, and the shadowing terms
@@ -482,13 +486,6 @@ class VectorMedium(Medium):
                 if j != src_index:
                     loss_list[j] = loss_db(dist(radio.position))
             new.loss = np.asarray(loss_list)
-        if channel.fading.fading_sigma_db > 0.0:
-            rx_names = [r.name for j, r in enumerate(self.radios) if j != src_index]
-            gens = channel.ensure_fading_generators(name, rx_names)
-            it = iter(gens)
-            for j in range(n):
-                if j != src_index:
-                    new.gens[j] = next(it)
         if row is not None:
             # Unconsumed buffered fading samples are already drawn from the
             # per-link streams; they must survive a rebuild (radio indices
@@ -497,7 +494,6 @@ class VectorMedium(Medium):
             new.buf[:old_n] = row.buf
             new.head[:old_n] = row.head
             new.count[:old_n] = row.count
-            new.warm = row.warm
         self._rows[name] = new
         return new
 
@@ -521,36 +517,35 @@ class VectorMedium(Medium):
             self._profiles[key] = profile
         return profile
 
-    def _draw_fading_vector(self, row: _SourceRow, sigma: float) -> np.ndarray:
-        """One fading sample per link, consumed from the per-link buffers."""
+    def _draw_fading_vector(self, row: _SourceRow, name: str) -> np.ndarray:
+        """One fading sample per link, consumed from the per-link buffers.
+
+        Every empty buffer is refilled with one block per link, in a single
+        channel call (a row's first frame seeds and fills all of them).
+        """
         n = row.n
-        if not row.warm:
-            row.warm = True
-            fading = np.zeros(n)
-            for j in range(n):
-                if j != row.src_index:
-                    fading[j] = row.gens[j].normal(0.0, sigma)
-            return fading
+        js = row.src_index
         need = row.count == 0
-        if row.src_index >= 0:
-            need[row.src_index] = False
+        if js >= 0:
+            # No link to the source itself; its slot keeps the draws that an
+            # emitter of the same name (a row with ``src_index == -1``) left.
+            need[js] = False
+            kept = row.head[js], row.count[js]
+            row.head[js] = 0
         if need.any():
-            buf = row.buf
-            head = row.head
-            count = row.count
-            gens = row.gens
-            for j in np.nonzero(need)[0]:
-                buf[j] = gens[j].normal(0.0, sigma, _FADING_BATCH)
-                head[j] = 0
-                count[j] = _FADING_BATCH
+            picked = np.nonzero(need)[0]
+            radios = self.radios
+            row.buf[picked] = self.channel.fading_draws(
+                name, [radios[j].name for j in picked.tolist()], _FADING_BATCH
+            )
+            row.head[picked] = 0
+            row.count[picked] = _FADING_BATCH
         fading = row.buf[np.arange(n), row.head]
         row.head += 1
         row.count -= 1
-        if row.src_index >= 0:
-            js = row.src_index
+        if js >= 0:
             fading[js] = 0.0
-            row.head[js] = 0
-            row.count[js] = 0
+            row.head[js], row.count[js] = kept
         return fading
 
     def _draw_fading_scalar(self, src_name: str, rx_name: str) -> float:
@@ -566,7 +561,7 @@ class VectorMedium(Medium):
         row = self._rows.get(src_name)
         if row is not None:
             j = self._index_of.get(rx_name)
-            if j is not None and j < row.n and j != row.src_index and row.count[j] > 0:
+            if j is not None and j < row.n and row.count[j] > 0:
                 value = float(row.buf[j, row.head[j]])
                 row.head[j] += 1
                 row.count[j] -= 1
@@ -608,7 +603,7 @@ class VectorMedium(Medium):
         js = row.src_index
         sigma = self.channel.fading.fading_sigma_db
         if sigma > 0.0:
-            fading = self._draw_fading_vector(row, sigma)
+            fading = self._draw_fading_vector(row, source.name)
             # mean + fading, in the legacy operation order:
             # ((power - loss) + shadow) + fading.
             rx_dbm = ((power_dbm - row.loss) + row.shadow) + fading

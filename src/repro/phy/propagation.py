@@ -16,10 +16,15 @@ indoor log-distance path-loss model plus two random components:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from ..sim.rng import RandomStreams
+
+_MASK64 = (1 << 64) - 1
 
 #: Cache entry of :meth:`Channel.link_budget`:
 #: (tx position, rx position, path loss dB, shadowing dB, position epoch).
@@ -77,9 +82,12 @@ class Channel:
 
     The channel owns every link's randomness and is shared by the
     :class:`~repro.phy.medium.Medium` for all links in a scenario.  Each
-    shadowing term is one draw from a stream that is dropped right after it;
-    each fading stream is held here alone (the kernels' link rows reference
-    it), so :class:`~repro.sim.rng.RandomStreams` keeps no per-link state.
+    shadowing term is one draw from a stream that is dropped right after it.
+    Each fading stream lives here as its PCG64 state alone, in per-source
+    arrays: :meth:`fading_draws` loads it into one shared generator, draws a
+    block, and stores the advanced state, so no per-link generator outlives
+    a draw and :class:`~repro.sim.rng.RandomStreams` keeps no per-link state.
+    Both medium kernels draw link fading through that one method.
     Link identity for shadowing purposes is the *name pair* of the endpoints,
     so a mobile device keeps its shadowing term while its distance changes
     (the distance-dependent part is recomputed every frame).
@@ -106,9 +114,24 @@ class Channel:
         self.fading = fading
         self.streams = streams
         self._shadowing_cache: Dict[Tuple[str, str], float] = {}
-        # Per-link fading generators, keyed by (tx, rx) to avoid re-deriving
-        # the stream name string on every frame.
-        self._fading_streams: Dict[Tuple[str, str], Any] = {}
+        # Link fading streams as PCG64 state, not as generators: per source
+        # name a flat table of (state high, state low, inc high, inc low)
+        # words, four per receiver id in ``_fading_ids``.  An inc is always
+        # odd, so a zero low inc word marks a link not yet seeded.
+        self._fading_ids: Dict[str, int] = {}
+        self._fading_states: Dict[str, array] = {}
+        # The one generator every stored stream is drawn through: a block
+        # loads a link's state into it, draws, and reads the state back.
+        self._fading_bits = np.random.PCG64(0)
+        self._fading_gen = np.random.Generator(self._fading_bits)
+        self._fading_load = {
+            "bit_generator": "PCG64",
+            "state": {"state": 0, "inc": 0},
+            # Normal draws take whole 64-bit words, so no half word is ever
+            # buffered: a stream is its state and inc alone.
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         #: Advanced by :meth:`invalidate_gains`; cached link budgets from
         #: earlier epochs are recomputed on next use.
         self.position_epoch = 0
@@ -193,37 +216,58 @@ class Channel:
         loss, shadow = self.link_budget(tx_name, tx_pos, rx_name, rx_pos)
         return tx_power_dbm - loss + shadow
 
-    def fading_generator(self, tx_name: str, rx_name: str) -> Any:
-        """The per-link fading stream (created on first use, then kept)."""
-        rng = self._fading_streams.get((tx_name, rx_name))
-        if rng is None:
-            rng = self.ensure_fading_generators(tx_name, [rx_name])[0]
-        return rng
+    def fading_draws(self, tx_name: str, rx_names: Sequence[str], size: int) -> np.ndarray:
+        """The next ``size`` fading values of each link from ``tx_name``.
 
-    def ensure_fading_generators(self, tx_name: str, rx_names: list) -> list:
-        """Fading streams for ``tx_name`` toward every name in ``rx_names``.
-
-        Missing streams are batch-seeded (see ``RandomStreams.new_streams``),
-        which matters when a new transmitter lights up O(radios) links at once,
-        and stored only here.
+        Row ``k`` of the result continues the ``fading/<tx>-><rx_names[k]>``
+        stream where the previous call left it (``rx_names`` are distinct),
+        so blocks of any sizes read the stream's scalar draws in order.  A
+        link's first call seeds its stream through
+        ``RandomStreams.new_streams`` (batch-seeded when a row lights up
+        many links at once); every call keeps only the stream's state.
         """
-        owned = self._fading_streams
-        missing = [rx for rx in rx_names if (tx_name, rx) not in owned]
-        if missing:
-            gens = self.streams.new_streams([f"fading/{tx_name}->{rx}" for rx in missing])
-            for rx, gen in zip(missing, gens):
-                owned[(tx_name, rx)] = gen
-        return [owned[(tx_name, rx)] for rx in rx_names]
+        ids = self._fading_ids
+        cols = [4 * ids.setdefault(rx, len(ids)) for rx in rx_names]
+        table = self._fading_states.get(tx_name)
+        if table is None:
+            table = self._fading_states[tx_name] = array("Q")
+        if len(table) < 4 * len(ids):
+            table.frombytes(bytes(32 * len(ids) - 8 * len(table)))
+        sigma = self.fading.fading_sigma_db
+        out = np.empty((len(cols), size))
+        bits, gen, load = self._fading_bits, self._fading_gen, self._fading_load
+        loaded = load["state"]
+        fresh = []
+        for k, c in enumerate(cols):
+            inc_low = table[c + 3]
+            if not inc_low:
+                fresh.append(k)
+                continue
+            loaded["state"] = (table[c] << 64) | table[c + 1]
+            loaded["inc"] = (table[c + 2] << 64) | inc_low
+            bits.state = load
+            out[k] = gen.normal(0.0, sigma, size)
+            s = bits.state["state"]["state"]
+            table[c] = s >> 64
+            table[c + 1] = s & _MASK64
+        if fresh:
+            gens = self.streams.new_streams([f"fading/{tx_name}->{rx_names[k]}" for k in fresh])
+            for k, new in zip(fresh, gens):
+                out[k] = new.normal(0.0, sigma, size)
+                state = new.bit_generator.state["state"]
+                s, inc = state["state"], state["inc"]
+                c = cols[k]
+                table[c] = s >> 64
+                table[c + 1] = s & _MASK64
+                table[c + 2] = inc >> 64
+                table[c + 3] = inc & _MASK64
+        return out
 
     def frame_fading_db(self, tx_name: str, rx_name: str) -> float:
         """Draw the per-frame fading term for one (frame, link) pair."""
         if self.fading.fading_sigma_db <= 0.0:
             return 0.0
-        return float(
-            self.fading_generator(tx_name, rx_name).normal(
-                0.0, self.fading.fading_sigma_db
-            )
-        )
+        return float(self.fading_draws(tx_name, (rx_name,), 1)[0, 0])
 
     def rx_power_dbm(
         self,

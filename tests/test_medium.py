@@ -4,9 +4,12 @@ import dataclasses
 
 import pytest
 
-from repro.context import build_context
+from repro.context import VECTOR_MEDIUM_MIN_RADIOS, build_context
 from repro.devices.base import Radio
+from repro.devices.interferers import Emitter
+from repro.phy.medium import _FADING_BATCH as LOOP_FADING_BATCH
 from repro.phy.medium import Medium, Technology, _mac_sensitive
+from repro.phy.medium_fast import _FADING_BATCH as VECTOR_FADING_BATCH
 from repro.phy.medium_fast import VectorMedium
 from repro.scenarios import compile_scenario, get_scenario
 from repro.phy.spectrum import wifi_channel, zigbee_channel
@@ -149,7 +152,7 @@ def test_transmit_rejects_nonpositive_duration():
 
 
 def test_block_fading_draws_match_scalar_stream_draws():
-    """Fading is drawn 16 at a time per link; every frame still sees the
+    """Fading is drawn a block at a time per link; every frame still sees the
     link's next scalar draw, across refills, a ``move_many`` rebuild, a
     radio attached mid-transmission and a query after a frame ended."""
     seed, sigma = 7, 2.5
@@ -165,13 +168,14 @@ def test_block_fading_draws_match_scalar_stream_draws():
         mean = channel.mean_rx_power_dbm(0.0, "a", a.position, name, radio.position)
         return mean + float(draws[name].normal(0.0, sigma))
 
+    block = LOOP_FADING_BATCH
     late = None
-    for k in range(44):  # refills at frames 0, 16 and 32
-        if k == 20:
+    for k in range(2 * block + 12):  # refills at frames 0, block and 2 * block
+        if k == block + 4:
             medium.move_many([(b, Position(9, 1))])
         tx = medium.transmit(a, 1e-3, 0.0, a.band, Technology.ZIGBEE)
         assert medium.rx_power_dbm(tx, b) == expected("b", b)
-        if k == 25:
+        if k == block + 9:
             late = make_radio(ctx, "late", Position(3, 3), zigbee_channel(24),
                               Technology.ZIGBEE)
         if late is not None:
@@ -179,6 +183,82 @@ def test_block_fading_draws_match_scalar_stream_draws():
         ctx.sim.run(until=ctx.sim.now + 2e-3)
     # The frame has ended: a query draws afresh, from the buffer first.
     assert medium.rx_power_dbm(tx, b) == expected("b", b)
+
+
+def test_vector_block_fading_draws_match_scalar_stream_draws():
+    """The vector kernel's twin of the test above, plus a source that is not
+    an attached radio: every link's rx power is its mean plus the link
+    stream's next scalar draw, whatever the buffers and the channel's stored
+    stream state hold."""
+    seed, sigma = 7, 2.5
+    ctx = build_context(seed=seed, fading=FadingModel(2.0, sigma), trace_kinds=set(),
+                        n_radios=VECTOR_MEDIUM_MIN_RADIOS)
+    assert type(ctx.medium) is VectorMedium
+    medium, channel = ctx.medium, ctx.channel
+    band = zigbee_channel(24)
+    a = make_radio(ctx, "a", Position(0, 0), band, Technology.ZIGBEE)
+    b = make_radio(ctx, "b", Position(5, 0), band, Technology.ZIGBEE)
+    c = make_radio(ctx, "c", Position(0, 4), band, Technology.ZIGBEE)
+    emitter = Emitter(ctx, "e", Position(2, 2))
+    reference = RandomStreams(seed=seed)
+    draws = {}
+
+    def expected(src, radio):
+        stream = draws.get((src.name, radio.name))
+        if stream is None:
+            stream = draws[(src.name, radio.name)] = reference.stream(
+                f"fading/{src.name}->{radio.name}"
+            )
+        mean = channel.mean_rx_power_dbm(0.0, src.name, src.position, radio.name,
+                                         radio.position)
+        return mean + float(stream.normal(0.0, sigma))
+
+    block = VECTOR_FADING_BATCH
+    late = None
+    for k in range(2 * block + 12):  # refills at frames 0, block and 2 * block
+        if k == block + 4:
+            medium.move_many([(b, Position(9, 1))])
+        receivers = [b, c] if late is None else [b, c, late]
+        tx = medium.transmit(a, 1e-3, 0.0, a.band, Technology.ZIGBEE)
+        for radio in receivers:
+            assert medium.rx_power_dbm(tx, radio) == expected(a, radio)
+        if k == block + 9:
+            late = make_radio(ctx, "late", Position(3, 3), band, Technology.ZIGBEE)
+            assert medium.rx_power_dbm(tx, late) == expected(a, late)
+        if k % 2 == 0:
+            # Rows keyed by a source that no attached radio is: no link skipped.
+            etx = emitter.emit(5e-4, 0.0, band, Technology.ZIGBEE)
+            assert medium._rows["e"].src_index == -1
+            for radio in [a] + receivers:
+                assert medium.rx_power_dbm(etx, radio) == expected(emitter, radio)
+        ctx.sim.run(until=ctx.sim.now + 2e-3)
+    # The frames have ended: a query draws afresh, from the buffer first.
+    assert medium.rx_power_dbm(tx, b) == expected(a, b)
+    assert medium.rx_power_dbm(etx, c) == expected(emitter, c)
+
+
+@pytest.mark.parametrize("n_radios", [0, VECTOR_MEDIUM_MIN_RADIOS])
+def test_emitter_sharing_a_radio_name_keeps_its_link_draws(n_radios):
+    """An emitter named like radio ``a`` has a link ``a->a``; frames of the
+    radio ``a`` itself must neither consume nor drop that link's draws, and
+    only the emitter's rows need the ``a|a`` shadowing pair."""
+    seed, sigma = 7, 2.5
+    ctx = build_context(seed=seed, fading=FadingModel(2.0, sigma), trace_kinds=set(),
+                        n_radios=n_radios)
+    medium, channel = ctx.medium, ctx.channel
+    band = zigbee_channel(24)
+    a = make_radio(ctx, "a", Position(0, 0), band, Technology.ZIGBEE)
+    make_radio(ctx, "b", Position(5, 0), band, Technology.ZIGBEE)
+    emitter = Emitter(ctx, "a", Position(2, 2))
+    stream = RandomStreams(seed=seed).stream("fading/a->a")
+    medium.transmit(a, 1e-3, 0.0, band, Technology.ZIGBEE)
+    assert ("a", "a") not in channel._shadowing_cache
+    for _ in range(40):
+        medium.transmit(a, 1e-3, 0.0, band, Technology.ZIGBEE)
+        etx = emitter.emit(5e-4, 0.0, band, Technology.ZIGBEE)
+        mean = channel.mean_rx_power_dbm(0.0, "a", emitter.position, "a", a.position)
+        assert medium.rx_power_dbm(etx, a) == mean + float(stream.normal(0.0, sigma))
+        ctx.sim.run(until=ctx.sim.now + 2e-3)
 
 
 def test_vector_medium_calls_a_locked_radio_only_at_its_frame_end(monkeypatch):

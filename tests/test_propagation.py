@@ -1,6 +1,6 @@
 """Tests for propagation: path loss, shadowing, fading."""
 
-import weakref
+import gc
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from repro.phy.medium import Medium
 from repro.phy.medium_fast import VectorMedium
 from repro.phy.propagation import Channel, FadingModel, PathLossModel, Position
 from repro.scenarios import compile_scenario, get_scenario
+from repro.sim import rng
 from repro.sim.rng import RandomStreams
 
 
@@ -112,61 +113,82 @@ def test_mobility_changes_distance_term_not_shadowing():
 
 
 # ----------------------------------------------------------------------
-# Link streams: the channel owns them, ``RandomStreams`` keeps none
+# Link streams: the channel keeps their state, ``RandomStreams`` none
 # ----------------------------------------------------------------------
-def _row_generators(medium):
-    """(tx, rx, generator) of every link row the medium has built."""
-    if isinstance(medium, VectorMedium):
-        return [
-            (tx, medium.radios[j].name, gen)
-            for tx, row in medium._rows.items()
-            for j, gen in enumerate(row.gens)
-            if gen is not None
-        ]
-    return [
-        (tx, link.name, link.gen)
-        for tx, row in medium._link_rows.items()
-        for link in row.links
-    ]
+_KERNEL_RUNS = [
+    ("grid", {"n_zigbee_links": VECTOR_MEDIUM_MIN_RADIOS // 2, "n_wifi_pairs": 1},
+     VectorMedium),
+    ("office", {}, Medium),
+]
 
 
-@pytest.mark.parametrize(
-    "name, params, kernel",
-    [
-        ("grid", {"n_zigbee_links": VECTOR_MEDIUM_MIN_RADIOS // 2, "n_wifi_pairs": 1},
-         VectorMedium),
-        ("office", {}, Medium),
-    ],
-)
-def test_link_streams_are_not_resident(name, params, kernel):
+def _live_generators():
+    gc.collect()
+    return [o for o in gc.get_objects() if type(o) is np.random.Generator]
+
+
+def _run_without_link_generators(name, params, kernel):
+    """Run ``name`` for 0.05 s; check it left no per-link generator alive."""
+    before = _live_generators()
     compiled = compile_scenario(get_scenario(name, **params), seed=3)
     compiled.run(until=0.05)
     ctx = compiled.ctx
     assert type(ctx.medium) is kernel
     assert not [k for k in ctx.streams._streams if k.startswith(("shadowing/", "fading/"))]
-    owned = ctx.channel._fading_streams
-    rows = _row_generators(ctx.medium)
-    assert rows
-    for tx, rx, gen in rows:
-        assert gen is owned[(tx, rx)]
+    known = {id(g) for g in before}
+    made = [g for g in _live_generators() if id(g) not in known]
+    links = sum(len(table) // 4 for table in ctx.channel._fading_states.values())
+    assert links > len(ctx.streams._streams)
+    # The named streams and the channel's one shared generator, whatever
+    # the link count.
+    assert len(made) == len(ctx.streams._streams) + 1
+    return ctx
 
 
-def test_shadowing_streams_are_dropped_after_their_draw(monkeypatch):
-    class Tracked(np.random.Generator):  # weakref-able, unlike numpy's own
-        pass
+@pytest.mark.parametrize("name, params, kernel", _KERNEL_RUNS)
+def test_link_streams_are_not_resident(name, params, kernel):
+    _run_without_link_generators(name, params, kernel)
 
-    made = []
 
-    def tracked(bit_generator):
-        gen = Tracked(bit_generator)
-        made.append(weakref.ref(gen))
-        return gen
+def test_shadowing_streams_are_dropped_after_their_draw():
+    for name, params, kernel in _KERNEL_RUNS:
+        ctx = _run_without_link_generators(name, params, kernel)
+        cache = ctx.channel._shadowing_cache
+        # Only pairs some link reads: no row seeds a source's pair with itself.
+        assert cache and not [pair for pair in cache if pair[0] == pair[1]]
+        sigma = ctx.channel.fading.shadowing_sigma_db
+        for a, b in sorted(cache)[:10]:
+            stream = RandomStreams(seed=ctx.streams.seed).stream(f"shadowing/{a}|{b}")
+            assert cache[(a, b)] == stream.normal(0.0, sigma)
 
-    monkeypatch.setattr(np.random, "Generator", tracked)
-    channel = make_channel(shadowing=4.0, seed=5)
-    channel.ensure_shadowing("a", ["b", "c", "d"])
-    assert len(made) == 3
-    assert [ref() for ref in made] == [None] * 3
-    monkeypatch.undo()
-    expected = RandomStreams(seed=5).stream("shadowing/a|c").normal(0.0, 4.0)
-    assert channel._shadowing_db("c", "a") == expected
+
+@pytest.mark.parametrize(
+    "seed, reference_seeding", [(0, False), (7, False), (2**63 - 1, False), (7, True)]
+)
+def test_stored_fading_state_continues_each_stream(seed, reference_seeding, monkeypatch):
+    """Blocks of mixed sizes, scalar draws between them, links seeded in
+    batches and alone: every value is the link stream's next scalar draw."""
+    # None re-verifies the batched seeding; False forces the reference path.
+    monkeypatch.setattr(rng, "_FAST_SEEDING_OK", False if reference_seeding else None)
+    sigma = 2.5
+    channel = make_channel(fading=sigma, seed=seed)
+    rows = {"A": ["F", "B", "C"], "F": ["A", "B"], "B": ["A"]}
+    got = {(tx, rx): [] for tx, rxs in rows.items() for rx in rxs}
+    for step, size in enumerate([1, 16, 5, 16, 3, 64, 2]):
+        if step == 3:
+            rows["A"].append("late")  # a fresh link in a row of stored ones
+            got[("A", "late")] = []
+        for tx, rxs in rows.items():
+            order = rxs[::-1] if step % 2 else rxs
+            block = channel.fading_draws(tx, order, size)
+            assert block.shape == (len(rxs), size)
+            for rx, values in zip(order, block.tolist()):
+                got[(tx, rx)].extend(values)
+            # A scalar fallback between blocks, for one link of the row.
+            rx = rxs[step % len(rxs)]
+            got[(tx, rx)].append(channel.frame_fading_db(tx, rx))
+    reference = RandomStreams(seed=seed)
+    for (tx, rx), values in got.items():
+        stream = reference.stream(f"fading/{tx}->{rx}")
+        assert values == stream.normal(0.0, sigma, len(values)).tolist(), (tx, rx)
+    assert rng._FAST_SEEDING_OK is not reference_seeding
