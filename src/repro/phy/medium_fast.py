@@ -457,35 +457,21 @@ class VectorMedium(Medium):
         radios = self.radios
         # The row's own index is skipped; an emitter sharing a radio's name
         # (``src_index == -1``) still needs that pair.
-        channel.ensure_shadowing(
-            name, [r.name for j, r in enumerate(radios) if j != src_index]
-        )
+        others = [r for j, r in enumerate(radios) if j != src_index]
+        shadow = channel.ensure_shadowing(name, [r.name for r in others])
         # Bypass the per-pair ``channel.link_budget`` wrapper: its cache probe
         # and tuple packing dominate a full-row build.  ``loss_db`` is the
-        # exact scalar function the wrapper calls, and the shadowing terms
-        # were just prefetched by ``ensure_shadowing`` from the same per-pair
-        # streams, so the values are bitwise-identical to the legacy path.
+        # exact scalar function the wrapper calls, and ``ensure_shadowing``
+        # returns the same per-pair terms, so the values are bitwise-identical
+        # to the legacy path.
         loss_db = channel.path_loss.loss_db
         dist = source.position.distance_to
-        if channel.fading.shadowing_sigma_db > 0.0:
-            shadow_cache = channel._shadowing_cache
-            loss_list = [0.0] * n
-            shadow_list = [0.0] * n
-            for j, radio in enumerate(radios):
-                if j == src_index:
-                    continue
-                rx_name = radio.name
-                loss_list[j] = loss_db(dist(radio.position))
-                key = (name, rx_name) if name <= rx_name else (rx_name, name)
-                shadow_list[j] = shadow_cache[key]
-            new.loss = np.asarray(loss_list)
-            new.shadow = np.asarray(shadow_list)
-        else:
-            loss_list = [0.0] * n
-            for j, radio in enumerate(radios):
-                if j != src_index:
-                    loss_list[j] = loss_db(dist(radio.position))
-            new.loss = np.asarray(loss_list)
+        loss = [loss_db(dist(r.position)) for r in others]
+        if src_index >= 0:
+            loss.insert(src_index, 0.0)
+            shadow.insert(src_index, 0.0)
+        new.loss = np.asarray(loss)
+        new.shadow = np.asarray(shadow)
         if row is not None:
             # Unconsumed buffered fading samples are already drawn from the
             # per-link streams; they must survive a rebuild (radio indices

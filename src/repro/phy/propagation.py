@@ -16,19 +16,17 @@ indoor log-distance path-loss model plus two random components:
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..sim.rng import RandomStreams
-
-_MASK64 = (1 << 64) - 1
+from ..sim.rng import RandomStreams, state_slot
 
 #: Cache entry of :meth:`Channel.link_budget`:
 #: (tx position, rx position, path loss dB, shadowing dB, position epoch).
 _LinkBudget = Tuple["Position", "Position", float, float, int]
+_NO_WORDS = np.zeros(0, dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -81,13 +79,12 @@ class Channel:
     """Computes received power between positions.
 
     The channel owns every link's randomness and is shared by the
-    :class:`~repro.phy.medium.Medium` for all links in a scenario.  Each
-    shadowing term is one draw from a stream that is dropped right after it.
-    Each fading stream lives here as its PCG64 state alone, in per-source
-    arrays: :meth:`fading_draws` loads it into one shared generator, draws a
-    block, and stores the advanced state, so no per-link generator outlives
-    a draw and :class:`~repro.sim.rng.RandomStreams` keeps no per-link state.
-    Both medium kernels draw link fading through that one method.
+    :class:`~repro.phy.medium.Medium` for all links in a scenario.  No link
+    gets a generator: its streams are seeded as raw PCG64 words
+    (:meth:`~repro.sim.rng.RandomStreams.initial_states`) and drawn through
+    one shared generator.  A shadowing term is one draw; a fading stream
+    lives here as its PCG64 state alone, and both medium kernels draw link
+    fading through :meth:`fading_draws`.
     Link identity for shadowing purposes is the *name pair* of the endpoints,
     so a mobile device keeps its shadowing term while its distance changes
     (the distance-dependent part is recomputed every frame).
@@ -114,24 +111,13 @@ class Channel:
         self.fading = fading
         self.streams = streams
         self._shadowing_cache: Dict[Tuple[str, str], float] = {}
-        # Link fading streams as PCG64 state, not as generators: per source
-        # name a flat table of (state high, state low, inc high, inc low)
+        # Per source name a flat table of (state lo, state hi, inc lo, inc hi)
         # words, four per receiver id in ``_fading_ids``.  An inc is always
         # odd, so a zero low inc word marks a link not yet seeded.
         self._fading_ids: Dict[str, int] = {}
-        self._fading_states: Dict[str, array] = {}
-        # The one generator every stored stream is drawn through: a block
-        # loads a link's state into it, draws, and reads the state back.
-        self._fading_bits = np.random.PCG64(0)
-        self._fading_gen = np.random.Generator(self._fading_bits)
-        self._fading_load = {
-            "bit_generator": "PCG64",
-            "state": {"state": 0, "inc": 0},
-            # Normal draws take whole 64-bit words, so no half word is ever
-            # buffered: a stream is its state and inc alone.
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._fading_states: Dict[str, np.ndarray] = {}
+        # The one generator every link stream is drawn through.
+        self._fading_gen = np.random.Generator(np.random.PCG64(0))
         #: Advanced by :meth:`invalidate_gains`; cached link budgets from
         #: earlier epochs are recomputed on next use.
         self.position_epoch = 0
@@ -168,41 +154,35 @@ class Channel:
             return entry[2], entry[3]
         self.gain_misses += 1
         loss = self.path_loss.loss_db(tx_pos.distance_to(rx_pos))
-        shadow = self._shadowing_db(tx_name, rx_name)
+        pair = (tx_name, rx_name) if tx_name <= rx_name else (rx_name, tx_name)
+        shadow = self._shadowing_cache.get(pair)
+        if shadow is None:
+            shadow = self.ensure_shadowing(tx_name, (rx_name,))[0]
         self._gain_cache[key] = (tx_pos, rx_pos, loss, shadow, self.position_epoch)
         return loss, shadow
 
-    def ensure_shadowing(self, tx_name: str, rx_names: list) -> None:
-        """Draw the shadowing terms for ``tx_name`` toward ``rx_names``.
+    def ensure_shadowing(self, tx_name: str, rx_names: Sequence[str]) -> List[float]:
+        """The shadowing terms from ``tx_name`` toward ``rx_names``, in order.
 
-        Each missing pair gets one normal from its dedicated stream, which is
-        batch-seeded and then dropped: the drawn value is all that is kept.
-        A no-op when shadowing is disabled.
+        Each missing pair is seeded as its ``shadowing/<a>|<b>`` stream and
+        gets one normal through the shared generator: the drawn value is all
+        that is kept.  All zeros when shadowing is disabled.
         """
-        if self.fading.shadowing_sigma_db <= 0.0:
-            return
-        missing = []
-        seen = set()
-        cache = self._shadowing_cache
-        for rx_name in rx_names:
-            key = (tx_name, rx_name) if tx_name <= rx_name else (rx_name, tx_name)
-            if key not in cache and key not in seen:
-                seen.add(key)
-                missing.append(key)
-        if not missing:
-            return
-        gens = self.streams.new_streams([f"shadowing/{a}|{b}" for a, b in missing])
+        keys = [(tx_name, rx) if tx_name <= rx else (rx, tx_name) for rx in rx_names]
         sigma = self.fading.shadowing_sigma_db
-        for key, rng in zip(missing, gens):
-            cache[key] = float(rng.normal(0.0, sigma))
-
-    def _shadowing_db(self, tx_name: str, rx_name: str) -> float:
-        key = (tx_name, rx_name) if tx_name <= rx_name else (rx_name, tx_name)
-        value = self._shadowing_cache.get(key)
-        if value is None:
-            self.ensure_shadowing(tx_name, [rx_name])
-            value = self._shadowing_cache.setdefault(key, 0.0)
-        return value
+        if sigma <= 0.0:
+            return [0.0] * len(keys)
+        cache = self._shadowing_cache
+        missing = list(dict.fromkeys(key for key in keys if key not in cache))
+        if missing:
+            seeded = self.streams.initial_states([f"shadowing/{a}|{b}" for a, b in missing])
+            words = memoryview(seeded).cast("B").cast("Q")
+            gen = self._fading_gen
+            slot, normal = state_slot(gen.bit_generator), gen.normal
+            for c, key in enumerate(missing):
+                slot[:] = words[4 * c : 4 * c + 4]
+                cache[key] = float(normal(0.0, sigma))
+        return [cache[key] for key in keys]
 
     def mean_rx_power_dbm(
         self,
@@ -222,45 +202,30 @@ class Channel:
         Row ``k`` of the result continues the ``fading/<tx>-><rx_names[k]>``
         stream where the previous call left it (``rx_names`` are distinct),
         so blocks of any sizes read the stream's scalar draws in order.  A
-        link's first call seeds its stream through
-        ``RandomStreams.new_streams`` (batch-seeded when a row lights up
-        many links at once); every call keeps only the stream's state.
+        link's first call seeds its words; every block loads them into the
+        shared generator, draws, and stores the advanced state back.
         """
         ids = self._fading_ids
-        cols = [4 * ids.setdefault(rx, len(ids)) for rx in rx_names]
-        table = self._fading_states.get(tx_name)
-        if table is None:
-            table = self._fading_states[tx_name] = array("Q")
+        rows = [ids.setdefault(rx, len(ids)) for rx in rx_names]
+        table = self._fading_states.get(tx_name, _NO_WORDS)
         if len(table) < 4 * len(ids):
-            table.frombytes(bytes(32 * len(ids) - 8 * len(table)))
-        sigma = self.fading.fading_sigma_db
-        out = np.empty((len(cols), size))
-        bits, gen, load = self._fading_bits, self._fading_gen, self._fading_load
-        loaded = load["state"]
-        fresh = []
-        for k, c in enumerate(cols):
-            inc_low = table[c + 3]
-            if not inc_low:
-                fresh.append(k)
-                continue
-            loaded["state"] = (table[c] << 64) | table[c + 1]
-            loaded["inc"] = (table[c + 2] << 64) | inc_low
-            bits.state = load
-            out[k] = gen.normal(0.0, sigma, size)
-            s = bits.state["state"]["state"]
-            table[c] = s >> 64
-            table[c + 1] = s & _MASK64
+            grown = np.zeros(4 * len(ids) - len(table), dtype=np.uint64)
+            table = self._fading_states[tx_name] = np.concatenate([table, grown])
+        words = memoryview(table).cast("B").cast("Q")
+        fresh = [k for k, r in enumerate(rows) if not words[4 * r + 2]]
         if fresh:
-            gens = self.streams.new_streams([f"fading/{tx_name}->{rx_names[k]}" for k in fresh])
-            for k, new in zip(fresh, gens):
-                out[k] = new.normal(0.0, sigma, size)
-                state = new.bit_generator.state["state"]
-                s, inc = state["state"], state["inc"]
-                c = cols[k]
-                table[c] = s >> 64
-                table[c + 1] = s & _MASK64
-                table[c + 2] = inc >> 64
-                table[c + 3] = inc & _MASK64
+            table.reshape(-1, 4)[[rows[k] for k in fresh]] = self.streams.initial_states(
+                [f"fading/{tx_name}->{rx_names[k]}" for k in fresh]
+            )
+        sigma = self.fading.fading_sigma_db
+        out = np.empty((len(rows), size))
+        gen = self._fading_gen
+        slot, normal = state_slot(gen.bit_generator), gen.normal
+        for k, r in enumerate(rows):
+            c = 4 * r
+            slot[:] = words[c : c + 4]
+            out[k] = normal(0.0, sigma, size)
+            words[c : c + 2] = slot[:2]
         return out
 
     def frame_fading_db(self, tx_name: str, rx_name: str) -> float:

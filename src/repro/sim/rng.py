@@ -12,8 +12,11 @@ has two consequences that matter for experiments:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
-from typing import Dict, List, Optional, Sequence
+from array import array
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,152 +28,190 @@ def _stable_hash(name: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# Batched stream seeding
+# Link streams as raw PCG64 state
 # ----------------------------------------------------------------------
-# ``SeedSequence`` construction dominates the cost of creating a stream
-# (~15 µs each), and a new transmitter lights up O(radios) link streams at
-# once.  The mixing algorithm behind ``SeedSequence.generate_state``
-# (O'Neill's seed_seq hash) is simple 32-bit arithmetic, so we replicate it
-# *vectorized across stream names* and hand the resulting state words to
-# ``PCG64`` through one reused ``ISeedSequence`` shim — the bit generator
-# then seeds itself through its normal C path.  The replication is verified
-# against ``numpy.random.SeedSequence`` at first use (per process); on any
-# mismatch :meth:`RandomStreams.new_streams` takes the one-at-a-time
-# reference path, so stream values can never drift.  Only link streams are
-# batch-seeded, and ``Channel`` owns them: ``RandomStreams`` caches none.
-_XSHIFT = np.uint32(16)
+# A link stream is seeded as the words its ``PCG64`` would start from
+# (``initial_states``) and drawn through one shared generator, loaded and
+# stored in place (``state_slot``).  Each replication of numpy here is
+# verified once per process; on a mismatch numpy's own path is taken.
 _MASK32 = 0xFFFFFFFF
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_L = np.uint32(0xCA01F9DD)
-_MIX_R = np.uint32(0x4973F715)
-_POOL_SIZE = 4
-
-#: Tri-state: None = unverified, True = replication verified, False = the
-#: installed numpy disagrees with the replication (use the reference path).
-_FAST_SEEDING_OK: Optional[bool] = None
-
-
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Minimal ``ISeedSequence`` handing precomputed state words to PCG64.
-
-    A *real* subclass (not an ABC ``register``): the ``isinstance`` check in
-    the ``PCG64`` constructor resolves through the MRO in nanoseconds, where
-    a virtual subclass pays the ABC registry path on every construction.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self._words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or dtype is not np.uint64:  # pragma: no cover - guard
-            raise ValueError("precomputed seed words serve PCG64 only")
-        return self._words
+_MASK64 = (1 << 64) - 1
+_MIX_L = 0xCA01F9DD
+_MIX_R = 0x4973F715
+#: seed_seq's hash constants ``init * mult**k``: mixing a 128-bit entropy and
+#: two spawn words into the pool takes 25 of the first kind, output 9.
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) & _MASK32 for k in range(25)]
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK32 for k in range(9)]
+#: PCG64's 128-bit LCG multiplier (``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: Fewest names ``initial_states`` seeds in one vectorized batch: a batch
+#: costs about 65 µs whatever its size, one name alone about 10 µs
+#: (measured in docs/architecture.md §1).
+_BATCH_MIN = 8
+_STATE_BYTES = ctypes.c_char * 32
+# Normal draws buffer no half word: a stream is its state and inc alone.
+_PCG64_STATE = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
 
 
-def _entropy_words(value: int) -> List[int]:
-    """``value`` as little-endian uint32 words (numpy's int coercion)."""
-    if value == 0:
-        return [0]
-    words = []
-    while value > 0:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _hashmix(value, xor, mul):
+    """seed_seq's ``hashmix`` on ints or uint64 arrays of 32-bit values."""
+    value = (value ^ xor) * mul & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (x * _MIX_L - y * _MIX_R) & _MASK32
+    return result ^ result >> 16
+
+
+@functools.lru_cache(maxsize=8)
+def _entropy_pool(entropy: int) -> Tuple[int, ...]:
+    """seed_seq's pool once ``entropy < 2**128`` is mixed in: every key's start."""
+    # numpy zero-pads the run entropy to the pool size whenever a spawn key
+    # is present, so spawn words never alias entropy words.
+    pool = [_hashmix(entropy >> 32 * i & _MASK32, _HASH_A[i], _HASH_A[i + 1]) for i in range(4)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A[k], _HASH_A[k + 1]))
+                k += 1
+    return tuple(pool)
+
+
+def _seed_words(entropy: int, h: int) -> List[int]:
+    """``SeedSequence(entropy, spawn_key=(h,)).generate_state(4, np.uint64)``."""
+    pool, k = list(_entropy_pool(entropy)), 16
+    for word in (h & _MASK32, h >> 32) if h >> 32 else (h,):
+        # _mix(pool[dst], _hashmix(word, ...)), inlined: it runs per link.
+        for dst in range(4):
+            value = (word ^ _HASH_A[k + dst]) * _HASH_A[k + dst + 1] & _MASK32
+            value = (pool[dst] * _MIX_L - (value ^ value >> 16) * _MIX_R) & _MASK32
+            pool[dst] = value ^ value >> 16
+        k += 4
+    out = [_hashmix(pool[i % 4], _HASH_B[i], _HASH_B[i + 1]) for i in range(8)]
+    return [out[i] | out[i + 1] << 32 for i in (0, 2, 4, 6)]
 
 
 def _batch_seed_words(entropy: int, hashes: Sequence[int]) -> np.ndarray:
-    """State words of ``SeedSequence(entropy, spawn_key=(h,))`` for many ``h``.
-
-    Returns an ``(len(hashes), 4)`` uint64 array, vectorizing the seed_seq
-    pool mixing across all spawn keys at once.  Every hash must need exactly
-    two uint32 words (i.e. ``h >= 2**32``); the caller routes rarer shapes to
-    the reference path.
-    """
+    """:func:`_seed_words` of many ``h >= 2**32`` as an ``(m, 4)`` array, each
+    spawn word mixed into all four pool words at once."""
     hs = np.asarray(hashes, dtype=np.uint64)
-    m = hs.shape[0]
-    run = _entropy_words(entropy)
-    if len(run) < _POOL_SIZE:
-        # numpy zero-pads the run entropy to the pool size whenever a spawn
-        # key is present, so spawn words never alias entropy words.
-        run = run + [0] * (_POOL_SIZE - len(run))
-    assembled = [np.full(m, w, dtype=np.uint32) for w in run]
-    assembled.append((hs & np.uint64(_MASK32)).astype(np.uint32))
-    assembled.append((hs >> np.uint64(32)).astype(np.uint32))
-
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = x * _MIX_L - y * _MIX_R
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(assembled[i]) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL_SIZE, len(assembled)):
-        for i_dst in range(_POOL_SIZE):
-            # hashmix advances its constant per (src, dst) pair, exactly as
-            # the reference implementation does — it cannot be hoisted.
-            pool[i_dst] = mix(pool[i_dst], hashmix(assembled[i_src]))
-
-    hash_const = _INIT_B
-    out32 = np.empty((8, m), dtype=np.uint64)
-    src = 0
-    for k in range(8):
-        value = pool[src]
-        src = (src + 1) % _POOL_SIZE
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        out32[k] = (value ^ (value >> _XSHIFT)).astype(np.uint64)
-    words = np.empty((m, 4), dtype=np.uint64)
-    for i in range(4):
-        words[:, i] = out32[2 * i] | (out32[2 * i + 1] << np.uint64(32))
-    return words
+    pool = np.array(_entropy_pool(entropy), dtype=np.uint64)[:, None]
+    a, b = (np.array(c, dtype=np.uint64)[:, None] for c in (_HASH_A, _HASH_B))
+    for k, word in ((16, hs & _MASK32), (20, hs >> 32)):
+        pool = _mix(pool, _hashmix(word, a[k : k + 4], a[k + 1 : k + 5]))
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], b[:8], b[1:])
+    return (out[0::2] | out[1::2] << np.uint64(32)).T
 
 
-def _verify_fast_seeding() -> bool:
-    """One-time self check of the batched replication against numpy."""
-    probes = [
-        (0, [2**32, 2**64 - 1]),
-        (7, [0x9E3779B97F4A7C15, 0xD1B54A32D192ED03]),
-        (2**63 - 1, [0x123456789ABCDEF0, 2**32 + 1]),
-        (123456789, [_stable_hash("fading/A->B"), _stable_hash("shadowing/A|B")]),
-    ]
+def _pcg64_words(seed: np.ndarray) -> np.ndarray:
+    """PCG64's seeding step on ``(m, 4)`` seed words, in 64-bit limbs.
+
+    A seed row is (initial hi, initial lo, seq hi, seq lo); PCG64 sets ``inc
+    = seq << 1 | 1`` and ``state = (inc + initial) * _PCG_MULT + inc`` (mod
+    ``2**128``).  Rows of the result: (state lo, state hi, inc lo, inc hi).
+    """
+    one, s32, m32 = np.uint64(1), np.uint64(32), np.uint64(_MASK32)
+    inc_lo = (seed[:, 3] << one) | one
+    inc_hi = (seed[:, 2] << one) | (seed[:, 3] >> np.uint64(63))
+    lo = inc_lo + seed[:, 1]
+    hi = inc_hi + seed[:, 0] + (lo < inc_lo)
+    m_lo, m_hi = np.uint64(_PCG_MULT & _MASK64), np.uint64(_PCG_MULT >> 64)
+    a0, a1, b0, b1 = lo & m32, lo >> s32, m_lo & m32, m_lo >> s32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> s32) + (p01 & m32) + (p10 & m32)
+    hi = a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32) + lo * m_hi + hi * m_lo
+    lo = lo * m_lo + inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+
+
+def _words(state: int, inc: int) -> List[int]:
+    return [state & _MASK64, state >> 64, inc & _MASK64, inc >> 64]
+
+
+def _seeded_words(entropy: int, h: int, replicate: bool) -> List[int]:
+    """The words ``PCG64(SeedSequence(entropy, spawn_key=(h,)))`` starts from;
+    ``replicate`` (for ``entropy < 2**128``) works them out on ints instead."""
+    if not replicate:
+        state = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=(h,))).state
+        return _words(state["state"]["state"], state["state"]["inc"])
+    w0, w1, w2, w3 = _seed_words(entropy, h)
+    inc = (w2 << 65 | w3 << 1 | 1) & (1 << 128) - 1
+    return _words(((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & (1 << 128) - 1, inc)
+
+
+@functools.lru_cache(maxsize=None)
+def _seeding_ok(batch: bool = False) -> bool:
+    """Whether seeding one name on ints, or many vectorized (``batch``), gives
+    numpy's own words: checked once per process, the batch at its first use
+    (its numpy kernels cost a process about 0.3 MB once touched)."""
+    hashes = [2**32, 2**64 - 1, _stable_hash("fading/A->B")]
+    if not batch:
+        hashes += [0, 2**32 - 1]  # one-word spawn keys, which no batch takes
     try:
-        for entropy, hashes in probes:
-            words = _batch_seed_words(entropy, hashes)
-            for j, h in enumerate(hashes):
-                seq = np.random.SeedSequence(entropy=entropy, spawn_key=(h,))
-                if list(map(int, seq.generate_state(4, np.uint64))) != [
-                    int(w) for w in words[j]
-                ]:
-                    return False
-                ref = np.random.PCG64(seq).state["state"]
-                fast = np.random.PCG64(_SeedWords(words[j])).state["state"]
-                if ref != fast:
-                    return False
+        for entropy in (0, 2**63 - 1, 2**96 + 5):
+            if batch:
+                words = _pcg64_words(_batch_seed_words(entropy, hashes)).tolist()
+            else:
+                words = [_seeded_words(entropy, h, True) for h in hashes]
+            if words != [_seeded_words(entropy, h, False) for h in hashes]:
+                return False
     except Exception:  # pragma: no cover - any surprise disables the fast path
         return False
     return True
 
 
-def _fast_seeding_ok() -> bool:
-    global _FAST_SEEDING_OK
-    if _FAST_SEEDING_OK is None:
-        _FAST_SEEDING_OK = _verify_fast_seeding()
-    return _FAST_SEEDING_OK
+def _struct_words(bits: np.random.PCG64) -> memoryview:
+    """The four state words of ``bits``: a writable uint64 view of its struct."""
+    address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value
+    return memoryview(_STATE_BYTES.from_address(address)).cast("B").cast("Q")
+
+
+@functools.lru_cache(maxsize=None)
+def _state_copy_ok() -> bool:
+    """Whether ``_struct_words`` matches the ``state`` property, checked once."""
+    bits = np.random.PCG64(1)
+    # Dereference nothing outside the bit generator object itself.
+    address = ctypes.c_void_p.from_address(bits.ctypes.state_address).value or 0
+    if not id(bits) <= address <= id(bits) + type(bits).__basicsize__ - 32:
+        return False
+    try:
+        for h in (2**40 + 3, 2**64 - 1):
+            words = _seeded_words(7, h, False)
+            slot = _struct_words(bits)
+            slot[:] = array("Q", words)
+            state = bits.state["state"]
+            np.random.Generator(bits).random(3)
+            stored = list(slot[:2]) == list(_StateDict(bits)[:2])
+            if _words(state["state"], state["inc"]) != words or not stored:
+                return False
+    except Exception:  # pragma: no cover - any surprise disables the copy
+        return False
+    return True
+
+
+class _StateDict:
+    """:func:`state_slot` through the ``state`` property, for any layout."""
+
+    def __init__(self, bits: np.random.PCG64):
+        self.bits = bits
+
+    def __setitem__(self, _all: slice, words: Sequence[int]) -> None:
+        s_lo, s_hi, i_lo, i_hi = words
+        state = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
+        self.bits.state = dict(_PCG64_STATE, state=state)
+
+    def __getitem__(self, _state: slice) -> array:
+        return array("Q", _words(self.bits.state["state"]["state"], 0)[:2])
+
+
+def state_slot(bits: np.random.PCG64):
+    """``slot[:] = words`` loads a stream's four uint64 words into ``bits``,
+    ``slot[:2]`` reads its two state words: a view of the verified state
+    struct, else through ``state``.  One per call: the address is ``bits``'."""
+    return _struct_words(bits) if _state_copy_ok() else _StateDict(bits)
 
 
 class RandomStreams:
@@ -198,32 +239,20 @@ class RandomStreams:
             self._streams[name] = generator
         return generator
 
-    def new_streams(self, names: Sequence[str]) -> List[np.random.Generator]:
-        """New, uncached generators for ``names``: the caller owns them.
+    def initial_states(self, names: Sequence[str]) -> np.ndarray:
+        """Row ``j``: the (state lo, state hi, inc lo, inc hi) words the PCG64
+        of :meth:`stream(names[j]) <stream>` starts from; no cache, no generator.
 
-        Each is seeded exactly as :meth:`stream` would first seed it, but the
-        cache is neither read nor written.  Two or more names are batch-seeded
-        (about 6× cheaper per stream at 480 names); names whose stable hash
-        fits in 32 bits (probability ``2**-32`` each) take the reference path.
+        ``_BATCH_MIN`` names or more are seeded in one vectorized batch (unless
+        a stable hash fits in 32 bits, probability ``2**-32`` each), fewer one
+        by one on ints; seeds ``>= 2**128`` take numpy's own seeding.
         """
-        out: list = [None] * len(names)
         hashes = [_stable_hash(n) for n in names]
-        if len(names) >= 2 and _fast_seeding_ok():
-            batch = [j for j, h in enumerate(hashes) if h >= 2**32]
-            if batch:
-                words = _batch_seed_words(self.seed, [hashes[j] for j in batch])
-                pcg64 = np.random.PCG64
-                generator = np.random.Generator
-                # Every PCG64 keeps its seed sequence alive: share one shim.
-                shim = _SeedWords(words[0])
-                for j, row in zip(batch, words):
-                    shim._words = row
-                    out[j] = generator(pcg64(shim))
-        for j, g in enumerate(out):
-            if g is None:
-                seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(hashes[j],))
-                out[j] = np.random.Generator(np.random.PCG64(seq))
-        return out
+        fast = _seeding_ok() and self.seed < 2**128
+        if fast and len(hashes) >= _BATCH_MIN and min(hashes) >= 2**32 and _seeding_ok(True):
+            return _pcg64_words(_batch_seed_words(self.seed, hashes))
+        words = [_seeded_words(self.seed, h, fast) for h in hashes]
+        return np.array(words, dtype=np.uint64).reshape(-1, 4)
 
     def fork(self, salt: str) -> "RandomStreams":
         """Derive an independent family of streams (e.g. per repetition).

@@ -13,6 +13,7 @@ from repro.phy.medium_fast import _FADING_BATCH as VECTOR_FADING_BATCH
 from repro.phy.medium_fast import VectorMedium
 from repro.scenarios import compile_scenario, get_scenario
 from repro.phy.spectrum import wifi_channel, zigbee_channel
+from repro.sim import rng
 from repro.sim.rng import RandomStreams
 from repro.sim.units import dbm_to_mw, mw_to_dbm
 from repro.phy.propagation import FadingModel, Position
@@ -235,6 +236,24 @@ def test_vector_block_fading_draws_match_scalar_stream_draws():
     # The frames have ended: a query draws afresh, from the buffer first.
     assert medium.rx_power_dbm(tx, b) == expected(a, b)
     assert medium.rx_power_dbm(etx, c) == expected(emitter, c)
+
+
+@pytest.mark.parametrize("state_copy", [None, False], ids=["struct", "state-dict"])
+@pytest.mark.parametrize(
+    "check",
+    [test_block_fading_draws_match_scalar_stream_draws,
+     test_vector_block_fading_draws_match_scalar_stream_draws],
+    ids=["loop", "vector"],
+)
+def test_block_fading_draws_on_both_state_paths(check, state_copy, monkeypatch):
+    """Both kernels' block tests with link states loaded and stored through
+    the verified in-place state copy (None) and through the ``state`` dict
+    (False forces it)."""
+    if state_copy is None:
+        assert rng._state_copy_ok()
+    else:
+        monkeypatch.setattr(rng, "_state_copy_ok", lambda: False)
+    check()
 
 
 @pytest.mark.parametrize("n_radios", [0, VECTOR_MEDIUM_MIN_RADIOS])

@@ -1,6 +1,9 @@
 """Tests for propagation: path loss, shadowing, fading."""
 
+import copy
+import functools
 import gc
+from array import array
 
 import numpy as np
 import pytest
@@ -162,14 +165,18 @@ def test_shadowing_streams_are_dropped_after_their_draw():
             assert cache[(a, b)] == stream.normal(0.0, sigma)
 
 
-@pytest.mark.parametrize(
-    "seed, reference_seeding", [(0, False), (7, False), (2**63 - 1, False), (7, True)]
-)
-def test_stored_fading_state_continues_each_stream(seed, reference_seeding, monkeypatch):
-    """Blocks of mixed sizes, scalar draws between them, links seeded in
-    batches and alone: every value is the link stream's next scalar draw."""
-    # None re-verifies the batched seeding; False forces the reference path.
-    monkeypatch.setattr(rng, "_FAST_SEEDING_OK", False if reference_seeding else None)
+def _check_stored_fading_state(seed, reference_seeding, state_copy, monkeypatch):
+    # The verified replications and in-place state copy, or numpy's own
+    # seeding (``reference_seeding``) and the state dict (``state_copy``
+    # False).
+    if reference_seeding:
+        monkeypatch.setattr(rng, "_seeding_ok", lambda batch=False: False)
+    else:
+        assert rng._seeding_ok()
+    if state_copy is False:
+        monkeypatch.setattr(rng, "_state_copy_ok", lambda: False)
+    else:
+        assert rng._state_copy_ok()
     sigma = 2.5
     channel = make_channel(fading=sigma, seed=seed)
     rows = {"A": ["F", "B", "C"], "F": ["A", "B"], "B": ["A"]}
@@ -191,4 +198,98 @@ def test_stored_fading_state_continues_each_stream(seed, reference_seeding, monk
     for (tx, rx), values in got.items():
         stream = reference.stream(f"fading/{tx}->{rx}")
         assert values == stream.normal(0.0, sigma, len(values)).tolist(), (tx, rx)
-    assert rng._FAST_SEEDING_OK is not reference_seeding
+
+
+@pytest.mark.parametrize(
+    "seed, reference_seeding", [(0, False), (7, False), (2**63 - 1, False), (7, True)]
+)
+def test_stored_fading_state_continues_each_stream(seed, reference_seeding, monkeypatch):
+    """Blocks of mixed sizes, scalar draws between them, links seeded in
+    batches and alone: every value is the link stream's next scalar draw,
+    loaded and stored through the verified in-place state copy."""
+    _check_stored_fading_state(seed, reference_seeding, None, monkeypatch)
+
+
+@pytest.mark.parametrize("seed, reference_seeding", [(0, False), (7, True)])
+def test_stored_fading_state_continues_through_the_state_dict(
+    seed, reference_seeding, monkeypatch
+):
+    """The same streams when the state copy is off: the ``state`` dict path."""
+    _check_stored_fading_state(seed, reference_seeding, False, monkeypatch)
+
+
+_WRONG_LAYOUTS = {
+    "reversed-words": lambda real, bits: real(bits)[::-1],
+    "detached-buffer": lambda real, bits: memoryview(array("Q", [0] * 4)),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_WRONG_LAYOUTS))
+def test_a_wrong_state_layout_falls_back_to_the_state_dict(layout, monkeypatch):
+    real = rng._struct_words
+    monkeypatch.setattr(rng, "_struct_words", lambda bits: _WRONG_LAYOUTS[layout](real, bits))
+    # A fresh once-per-process check, so the probe's verdict ends with the test.
+    fresh_check = functools.lru_cache()(rng._state_copy_ok.__wrapped__)
+    monkeypatch.setattr(rng, "_state_copy_ok", fresh_check)
+    assert not rng._state_copy_ok()
+    assert isinstance(rng.state_slot(np.random.PCG64(0)), rng._StateDict)
+    channel = make_channel(shadowing=2.0, fading=2.5, seed=7)
+    first = channel.fading_draws("a", ["b", "c"], 5)
+    again = channel.fading_draws("a", ["c", "b"], 3)
+    reference = RandomStreams(seed=7)
+    for k, rx in enumerate(["b", "c"]):
+        expected = reference.stream(f"fading/a->{rx}").normal(0.0, 2.5, 8).tolist()
+        assert first[k].tolist() + again[1 - k].tolist() == expected
+    shadow = reference.stream("shadowing/a|b").normal(0.0, 2.0)
+    assert channel.ensure_shadowing("b", ["a"]) == [shadow]
+
+
+def test_channel_copies_draw_through_their_own_generator():
+    """A deep copy of a channel, or a second channel, loads its link states
+    into its own generator, never into another channel's."""
+    sigma = 2.5
+    channel = make_channel(fading=sigma, seed=7)
+    first = channel.fading_draws("x", ["y", "z"], 3)
+    copied = copy.deepcopy(channel)
+    other = make_channel(fading=sigma, seed=7)
+    assert copied._fading_gen.bit_generator is not channel._fading_gen.bit_generator
+    before = channel._fading_gen.bit_generator.state
+    copied_block = copied.fading_draws("x", ["y", "z"], 4)
+    other_block = other.fading_draws("x", ["z", "y"], 7)
+    other.ensure_shadowing("x", ["y"])
+    assert channel._fading_gen.bit_generator.state == before
+    block = channel.fading_draws("x", ["y", "z"], 4)
+    assert block.tolist() == copied_block.tolist()
+    reference = RandomStreams(seed=7)
+    for k, rx in enumerate(["y", "z"]):
+        expected = reference.stream(f"fading/x->{rx}").normal(0.0, sigma, 7).tolist()
+        assert first[k].tolist() + block[k].tolist() == expected
+        assert other_block[1 - k].tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "name, params, kernel",
+    [("grid", {"n_zigbee_links": 18, "n_wifi_pairs": 2}, VectorMedium),
+     ("office", {}, Medium)],
+)
+def test_no_link_bit_generator_is_built(name, params, kernel, monkeypatch):
+    """Only the named streams and the channel's shared generator build a
+    PCG64, however many links a run seeds and draws."""
+    assert rng._seeding_ok() and rng._seeding_ok(True) and rng._state_copy_ok()
+    built = []
+    real = np.random.PCG64
+
+    def counted(*args, **kwargs):
+        built.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "PCG64", counted)
+    compiled = compile_scenario(get_scenario(name, **params), seed=3)
+    compiled.run(until=0.05)
+    ctx = compiled.ctx
+    assert type(ctx.medium) is kernel
+    if kernel is VectorMedium:
+        assert len(ctx.medium.radios) == 40
+    links = sum(len(table) // 4 for table in ctx.channel._fading_states.values())
+    assert links + len(ctx.channel._shadowing_cache) > len(ctx.streams._streams)
+    assert len(built) == len(ctx.streams._streams) + 1

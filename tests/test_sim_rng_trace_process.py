@@ -1,5 +1,6 @@
 """Tests for RNG streams, the trace recorder, and generator processes."""
 
+import numpy as np
 import pytest
 
 from repro.sim import rng
@@ -81,54 +82,94 @@ def test_negative_seed_is_rejected_with_its_value():
 
 
 _LINK_NAMES = ["fading/A->F", "fading/F->A", "shadowing/A|F", "shadowing/E|ZS"]
+#: Batch sizes on either side of the vectorized-seeding crossover and at it.
+_BATCH_SIZES = [1, rng._BATCH_MIN - 1, rng._BATCH_MIN, rng._BATCH_MIN + 1, 64]
 
 
-def _draws(generators):
-    return [list(g.random(4)) for g in generators]
+def _names(size):
+    return (_LINK_NAMES + [f"fading/n{j}->m{j}" for j in range(size)])[:size]
 
 
-def _reference_draws(seed, names):
-    return _draws(RandomStreams(seed=seed).stream(n) for n in names)
+def _pcg64_words(seed, names):
+    """(state lo, state hi, inc lo, inc hi) of numpy's own seeding of each name."""
+    out = []
+    for name in names:
+        seq = np.random.SeedSequence(seed, spawn_key=(rng._stable_hash(name),))
+        state = np.random.PCG64(seq).state["state"]
+        s, inc = state["state"], state["inc"]
+        out.append([s % 2**64, s >> 64, inc % 2**64, inc >> 64])
+    return out
 
 
+@pytest.fixture
+def batch_calls(monkeypatch):
+    """Counts the vectorized seeding batches taken (after the self checks)."""
+    assert rng._seeding_ok() and rng._seeding_ok(True)
+    calls = []
+    real = rng._batch_seed_words
+
+    def counted(entropy, hashes):
+        calls.append(len(hashes))
+        return real(entropy, hashes)
+
+    monkeypatch.setattr(rng, "_batch_seed_words", counted)
+    return calls
+
+
+@pytest.mark.parametrize("size", _BATCH_SIZES)
 @pytest.mark.parametrize("seed", [0, 7, 2**63 - 1])
-def test_new_streams_draw_what_stream_draws(seed):
+def test_initial_states_match_pcg64_seeding(seed, size, batch_calls):
     streams = RandomStreams(seed=seed)
-    assert rng._fast_seeding_ok()
-    assert _draws(streams.new_streams(_LINK_NAMES)) == _reference_draws(seed, _LINK_NAMES)
+    names = _names(size)
+    words = streams.initial_states(names)
+    assert words.dtype == np.uint64 and words.shape == (size, 4)
+    assert words.tolist() == _pcg64_words(seed, names)
+    assert batch_calls == ([size] if size >= rng._BATCH_MIN else [])
     assert streams._streams == {}  # neither read nor written
 
 
-def test_new_streams_route_short_hashes_to_the_reference_path(monkeypatch):
+def test_initial_states_route_short_hashes_one_at_a_time(monkeypatch, batch_calls):
+    names = _names(rng._BATCH_MIN + 1)
+    short = {names[1]: 12345, names[2]: 0}
     real_hash = rng._stable_hash
-    monkeypatch.setattr(
-        rng, "_stable_hash", lambda name: 12345 if name == "fading/F->A" else real_hash(name)
-    )
-    assert _draws(RandomStreams(seed=7).new_streams(_LINK_NAMES)) == _reference_draws(
-        7, _LINK_NAMES
-    )
+    monkeypatch.setattr(rng, "_stable_hash", lambda name: short.get(name) or real_hash(name))
+    words = RandomStreams(seed=7).initial_states(names)
+    assert words.tolist() == _pcg64_words(7, names)
+    assert batch_calls == []
 
 
-def test_new_streams_reference_path_matches(monkeypatch):
-    monkeypatch.setattr(rng, "_FAST_SEEDING_OK", False)
-    assert _draws(RandomStreams(seed=7).new_streams(_LINK_NAMES)) == _reference_draws(
-        7, _LINK_NAMES
-    )
+@pytest.mark.parametrize("size", [1, rng._BATCH_MIN + 1])
+def test_initial_states_reference_path_matches(size, monkeypatch, batch_calls):
+    monkeypatch.setattr(rng, "_seeding_ok", lambda batch=False: False)
+    names = _names(size)
+    assert RandomStreams(seed=7).initial_states(names).tolist() == _pcg64_words(7, names)
+    assert batch_calls == []
 
 
-def test_new_streams_one_name():
-    assert _draws(RandomStreams(seed=7).new_streams(["fading/A->F"])) == _reference_draws(
-        7, ["fading/A->F"]
-    )
+def test_initial_states_one_name():
+    words = RandomStreams(seed=7).initial_states(["fading/A->F"])
+    assert words.shape == (1, 4)
+    assert words.tolist() == _pcg64_words(7, ["fading/A->F"])
+    assert RandomStreams(seed=7).initial_states([]).shape == (0, 4)
 
 
-def test_new_streams_returns_distinct_generators():
-    """One shared seeding shim per call must not alias the generators."""
-    gens = RandomStreams(seed=7).new_streams(_LINK_NAMES)
-    assert len({id(g) for g in gens}) == len(gens)
-    assert len({id(g.bit_generator) for g in gens}) == len(gens)
-    states = [g.bit_generator.state["state"]["state"] for g in gens]
-    assert len(set(states)) == len(states)
+@pytest.mark.parametrize("state_copy", [None, False])
+@pytest.mark.parametrize("size", [1, rng._BATCH_MIN + 1])
+def test_initial_states_draw_what_stream_draws(size, state_copy, monkeypatch):
+    """Loaded into one shared generator, each row draws its stream's values."""
+    # None takes the verified in-place state copy; False forces the state dict.
+    if state_copy is None:
+        assert rng._state_copy_ok()
+    else:
+        monkeypatch.setattr(rng, "_state_copy_ok", lambda: False)
+    names = _names(size)
+    words = RandomStreams(seed=7).initial_states(names)
+    gen = np.random.Generator(np.random.PCG64(0))
+    reference = RandomStreams(seed=7)
+    for name, row in zip(names, words):
+        slot = rng.state_slot(gen.bit_generator)
+        slot[:] = memoryview(row).cast("B").cast("Q")
+        assert list(gen.random(4)) == list(reference.stream(name).random(4))
 
 
 # ----------------------------------------------------------------------
