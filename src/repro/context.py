@@ -24,15 +24,22 @@ from .telemetry import MetricsRegistry
 
 #: Radio count from which :func:`build_context` builds the struct-of-arrays
 #: :class:`~repro.phy.medium_fast.VectorMedium` instead of the per-radio
-#: loops of :class:`~repro.phy.medium.Medium`.  Measured on the ``grid``
-#: generator (0.3 s simulated, seeds 1-2, median of 5 interleaved rounds,
-#: Python 3.11, numpy 2.4, 2-vCPU Xeon), repeated 2-6 times per size,
-#: vector/loop wall time ranged 0.99-1.54 at 10 radios, 0.88-1.34 at 16,
-#: 0.94-1.22 at 20, 0.89-1.19 at 24, 0.81-1.00 at 26 and 0.83-0.91 at 28.
-#: Vector wins in every repeat only from 28 radios.  The paper's
-#: deployments (4-7 radios) stay on the loops; the 480-radio dense grid
-#: does not.
-VECTOR_MEDIUM_MIN_RADIOS = 28
+#: loops of :class:`~repro.phy.medium.Medium`.  Measured with
+#: ``python -m benchmarks.kernel_crossover`` (``grid`` with one link in five
+#: Wi-Fi, 0.3 s simulated, build and run timed, seeds 1-2 summed per round,
+#: interleaved rounds; Python 3.11, numpy 2.4, 2-vCPU Xeon), the median
+#: vector/loop wall time of each repeat (7, 7 and 9 rounds) was:
+#:
+#: ======  =========  =========  =========  =========  =========  =========
+#: radios  28         32         36         40         44         48-56
+#: ratio   1.16-1.23  1.11-1.24  1.03-1.04  0.98-0.99  0.92-0.96  0.90-1.04
+#: ======  =========  =========  =========  =========  =========  =========
+#:
+#: (two repeats below 40 radios).  The vector median wins in every repeat
+#: from 44 radios; 40 is break-even.  The paper's deployments (4-7 radios)
+#: and the scenario library (4-20) stay on the loops; the 480-radio dense
+#: grid does not.
+VECTOR_MEDIUM_MIN_RADIOS = 44
 
 
 @dataclass

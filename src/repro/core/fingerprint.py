@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..ml.kmeans import KMeans, manhattan_distances
+from ..ml.kmeans import KMeans
 from ..phy.rssi import RssiTrace
 
 
@@ -109,9 +109,3 @@ class DeviceIdentifier:
         X = np.asarray([fingerprint.as_vector()], dtype=float)
         return int(self._kmeans.predict(self._standardize(X))[0])
 
-    def distance_to_centers(self, fingerprint: Fingerprint) -> np.ndarray:
-        """Manhattan distances to each cluster center (diagnostics)."""
-        if self._kmeans.result is None:
-            raise RuntimeError("identifier is not fitted")
-        X = self._standardize(np.asarray([fingerprint.as_vector()], dtype=float))
-        return manhattan_distances(X, self._kmeans.result.centers)[0]

@@ -163,9 +163,8 @@ class Radio:
         """The attached MAC layer.
 
         Assigning notifies the medium (:meth:`Medium.on_radio_mac_changed
-        <repro.phy.medium.Medium.on_radio_mac_changed>`): kernels that skip
-        no-op medium-event notifications re-read the MAC's
-        ``medium_event_sensitive`` flag on every assignment.
+        <repro.phy.medium.Medium.on_radio_mac_changed>`): the kernels decide
+        on every assignment whether the MAC listens for medium events.
         """
         return self._mac
 
@@ -241,7 +240,10 @@ class Radio:
             )
             if tx.technology is not self.technology:
                 lock.open_overlap(now, tx, medium.rx_power_dbm(tx, self))
-        self._notify_mac()
+        # The MAC's flag is read live (see ``Medium``).
+        mac = self._mac
+        if mac is not None and getattr(mac, "medium_event_sensitive", True):
+            mac.on_medium_event()
 
     def on_transmission_end(self, tx: Transmission) -> None:
         lock = self._lock
@@ -255,22 +257,30 @@ class Radio:
                 )
                 if tx.technology is not self.technology:
                     lock.close_overlap(now, tx)
-        self._notify_mac()
+        mac = self._mac
+        if mac is not None and getattr(mac, "medium_event_sensitive", True):
+            mac.on_medium_event()
 
     def _set_lock(self, lock: Optional[_ReceptionContext]) -> bool:
         """Install/clear the reception lock, keeping the medium informed.
 
-        Kernels that skip no-op notifications track the locked set through
-        :meth:`Medium.on_radio_lock_changed
-        <repro.phy.medium.Medium.on_radio_lock_changed>`; every lock
-        transition must go through here.  Returns True when the medium keeps
-        the lock's record: it then notifies this radio of no edge but the
-        locked frame's end, and writes the segments and overlaps into the
-        context just before it (``VectorMedium._hand_over``).
+        Every lock transition must go through here.  A kernel that
+        :attr:`~repro.phy.medium.Medium.keeps_lock_records` hears of it
+        through :meth:`VectorMedium.on_radio_lock_changed
+        <repro.phy.medium_fast.VectorMedium.on_radio_lock_changed>`; the
+        loop kernel reads ``_lock`` at each edge.  Returns True when the
+        medium keeps the lock's record: it then notifies this radio of no
+        edge but the locked frame's end, and writes the segments and
+        overlaps into the context just before it
+        (``VectorMedium._hand_over``).
         """
         self._lock = lock
         medium = self.medium
-        return medium is not None and bool(medium.on_radio_lock_changed(self, lock is not None))
+        return (
+            medium is not None
+            and medium.keeps_lock_records
+            and bool(medium.on_radio_lock_changed(self, lock is not None))
+        )
 
     def _abort_lock(self) -> None:
         if self._lock is None:
@@ -285,11 +295,8 @@ class Radio:
         now = self.sim.now
         tx = context.tx
         frame = tx.frame
-        ber = frame.ber
         signal_dbm = context.signal_dbm
         noise_mw = self.noise_floor_mw
-        total_bits = max(frame.bits, 1)
-        duration = max(tx.duration, 1e-12)
         # The closed segments, then the one the frame's end closes.
         segments = context.segments
         start, level = context.segment_start
@@ -297,24 +304,20 @@ class Radio:
             segments.append((now - start, level))
         success_p = 1.0
         min_sinr = math.inf
-        # SINR and BER are pure in the segment's interference level, so a
-        # reception computes them once per distinct level.
-        seen = {} if len(segments) > 1 else None
+        # At or above the frame's cutoff a segment's BER is exactly 0.0 and
+        # its success factor exactly 1.0: only the SINR is worked out.
+        cutoff = frame.ber_zero_sinr_db
         for seg_duration, interference_mw in segments:
-            known = None if seen is None else seen.get(interference_mw)
-            if known is None:
-                sinr_db = signal_dbm - mw_to_dbm(noise_mw + interference_mw)
-                bit_error = ber(sinr_db)
-                if seen is not None:
-                    seen[interference_mw] = (sinr_db, bit_error)
-            else:
-                sinr_db, bit_error = known
+            sinr_db = signal_dbm - mw_to_dbm(noise_mw + interference_mw)
             if sinr_db < min_sinr:
                 min_sinr = sinr_db
-            # A zero BER's success factor is exactly 1.0.
-            if bit_error != 0.0:
-                seg_bits = max(1, round(total_bits * seg_duration / duration))
-                success_p *= packet_success_probability(bit_error, seg_bits)
+            if not sinr_db >= cutoff:
+                bit_error = frame.ber(sinr_db)
+                if bit_error != 0.0:
+                    total_bits = max(frame.bits, 1)
+                    duration = max(tx.duration, 1e-12)
+                    seg_bits = max(1, round(total_bits * seg_duration / duration))
+                    success_p *= packet_success_probability(bit_error, seg_bits)
         # Overlaps still open at the frame's end are logged after the
         # closed ones.
         if context._overlap_open:
@@ -361,10 +364,6 @@ class Radio:
             if mac is not None:
                 mac.on_frame_lost(frame, info)
 
-    def _notify_mac(self) -> None:
-        if self._mac is not None:
-            self._mac.on_medium_event()
-
     # ------------------------------------------------------------------
     # Measurements
     # ------------------------------------------------------------------
@@ -379,9 +378,6 @@ class Radio:
     @property
     def is_receiving(self) -> bool:
         return self._lock is not None
-
-    def receiving_frame(self) -> Optional[Any]:
-        return self._lock.tx.frame if self._lock is not None else None
 
     def receiving_transmission(self) -> Optional[Transmission]:
         """The transmission currently locked for reception, if any."""

@@ -27,7 +27,6 @@ _TX_CURRENT_MA: List[Tuple[float, float]] = [
 
 RX_CURRENT_MA = 18.8
 IDLE_CURRENT_MA = 0.426
-SLEEP_CURRENT_MA = 0.02
 SUPPLY_VOLTAGE = 3.0
 
 
@@ -52,7 +51,6 @@ class EnergyMeter:
     tx_mj: float = 0.0
     rx_mj: float = 0.0
     listen_mj: float = 0.0
-    sleep_mj: float = 0.0
     tx_seconds: float = 0.0
     rx_seconds: float = 0.0
     listen_seconds: float = 0.0
@@ -79,9 +77,6 @@ class EnergyMeter:
         if label:
             self.by_label[label] = self.by_label.get(label, 0.0) + energy
 
-    def charge_sleep(self, duration: float) -> None:
-        self.sleep_mj += duration * SLEEP_CURRENT_MA * SUPPLY_VOLTAGE
-
     @property
     def total_mj(self) -> float:
-        return self.tx_mj + self.rx_mj + self.listen_mj + self.sleep_mj
+        return self.tx_mj + self.rx_mj + self.listen_mj

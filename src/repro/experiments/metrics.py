@@ -147,14 +147,6 @@ class CoexistenceResult(ResultBase):
             return 0.0
         return self.zigbee_packets_delivered / self.zigbee_packets_offered
 
-    @property
-    def mean_wifi_delay_low_priority(self) -> float:
-        return _mean(self.wifi_delays_low_priority)
-
-    @property
-    def mean_wifi_delay_high_priority(self) -> float:
-        return _mean(self.wifi_delays_high_priority)
-
     def summary(self) -> Dict[str, float]:
         """Flat dict for table printing."""
         return {

@@ -14,6 +14,8 @@ from typing import Any, Dict, Optional
 
 from ..phy.medium import Technology
 from ..phy.modulation import (
+    DSSS_BER_ZERO_SINR_DB,
+    GFSK_BER_ZERO_SINR_DB,
     WifiRate,
     ber_gfsk,
     ber_oqpsk_dsss,
@@ -92,6 +94,18 @@ class Frame:
             return ber_oqpsk_dsss(sinr_db)
         if self.technology is Technology.BLE:
             return ber_gfsk(sinr_db)
+        raise ValueError(f"no BER model for {self.technology}")
+
+    @property
+    def ber_zero_sinr_db(self) -> float:
+        """SINR (dB) at and above which :meth:`ber` is exactly 0.0."""
+        if self.technology is Technology.WIFI:
+            assert self.rate is not None
+            return self.rate.ber_zero_sinr_db
+        if self.technology is Technology.ZIGBEE:
+            return DSSS_BER_ZERO_SINR_DB
+        if self.technology is Technology.BLE:
+            return GFSK_BER_ZERO_SINR_DB
         raise ValueError(f"no BER model for {self.technology}")
 
 

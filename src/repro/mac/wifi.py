@@ -61,8 +61,11 @@ RETRY_LIMIT = 7
 class WifiMac:
     """DCF MAC bound to one Wi-Fi radio."""
 
-    #: DCF re-evaluates its pending backoff/transmit plan on every medium
-    #: event, so Wi-Fi radios must always be notified.
+    #: Whether a medium event could change the DCF plan, read live by the
+    #: medium at every edge.  It is false exactly while :meth:`_evaluate`'s
+    #: last pass took its idle return (no countdown; an ACK pending or an
+    #: empty queue): every way out of idle (a queued frame, an ACK or its
+    #: timeout, a countdown) runs :meth:`_evaluate` again, which sets it.
     medium_event_sensitive = True
 
     def __init__(
@@ -210,8 +213,11 @@ class WifiMac:
         countdown = self._countdown_event
         if countdown is None and (self._awaiting_ack_for is not None or not self.queue):
             # Idle: nothing to contend for and no countdown to freeze, so the
-            # carrier-sense verdict could change nothing.
+            # carrier-sense verdict could change nothing, nor could a medium
+            # event until the next pass.
+            self.medium_event_sensitive = False
             return
+        self.medium_event_sensitive = True
         if self._medium_busy() or not self._tx_allowed():
             if countdown is not None:
                 self._freeze()

@@ -87,15 +87,16 @@ _FADING_BATCH = 64
 
 
 def _mac_sensitive(radio: Any) -> bool:
-    """Whether ``radio``'s MAC re-plans on every medium event.
+    """Whether ``radio``'s MAC is a listener: it may want medium events.
 
-    MACs without the ``medium_event_sensitive`` flag count as sensitive; a
-    radio with no MAC does not (its notifications reach no MAC).
+    A MAC whose class declares ``medium_event_sensitive = False`` never
+    does; a radio with no MAC has none to pass events to.  Every other MAC
+    is a listener, whose flag the kernels read live at each edge.
     """
     mac = radio.mac
     if mac is None:
         return False
-    return bool(getattr(mac, "medium_event_sensitive", True))
+    return bool(getattr(type(mac), "medium_event_sensitive", True))
 
 
 class _Link:
@@ -163,10 +164,23 @@ class Medium:
     * fading is drawn 64 at a time per link from the stream state the
       channel holds (:class:`_Link`, :meth:`Channel.fading_draws`);
     * a transmission edge is passed only to radios it can affect: those
-      holding a reception lock, those whose MAC is
-      ``medium_event_sensitive`` and, on a start, those that could lock onto
-      the frame.  For every other radio the notification is a no-op.
+      holding a reception lock (read from the radio's ``_lock``), those
+      whose MAC is ``medium_event_sensitive`` at the edge and, on a start,
+      those that could lock onto the frame.  For every other radio the
+      notification is a no-op.
+
+    A MAC whose class declares ``medium_event_sensitive = False`` (ZigBee,
+    BLE) is never passed an edge it could not act on.  Any other MAC is a
+    *listener*: its flag is read live at every edge, so it can drop out
+    while it has nothing to re-plan (``WifiMac`` does while idle).  A MAC
+    without the flag is a listener that is always sensitive.
     """
+
+    #: Whether the kernel keeps the record of reception locks itself and so
+    #: must hear of every lock transition (:meth:`Radio._set_lock
+    #: <repro.devices.base.Radio._set_lock>`).  This kernel reads each
+    #: radio's ``_lock`` at the edge instead.
+    keeps_lock_records = False
 
     def __init__(
         self,
@@ -182,9 +196,13 @@ class Medium:
         self.telemetry = registry
         self._broadcasts = registry.counter("medium.broadcasts")
         self.radios: List[Any] = []
-        # Name-indexed view of ``radios`` (O(1) lookup and duplicate check);
-        # the list is kept for deterministic ordered iteration.
-        self._radio_index: Dict[str, Any] = {}
+        # Index of each radio in ``radios`` by name (O(1) lookup and
+        # duplicate check); the list is kept for deterministic ordered
+        # iteration.
+        self._index_of: Dict[str, int] = {}
+        # Per radio, in attach order: its MAC when that MAC is a listener
+        # (see the class docstring), else None.
+        self._listeners: List[Any] = []
         self._active: Dict[int, Transmission] = {}
         self._tx_ids = itertools.count(1)
         # rx power of each active transmission at each attached radio, dBm.
@@ -217,27 +235,22 @@ class Medium:
         # frozen at transmit time: tx id -> {radio name: dBm}.  Radios
         # missing here (attached mid-transmission) go through ``_rx_power``.
         self._frame_rx: Dict[int, Dict[str, float]] = {}
-        # Names of attached radios whose MAC is event-sensitive, and of
-        # those holding a reception lock: they see every transmission edge.
-        self._event_sensitive: set = set()
-        self._lock_holders: set = set()
 
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
     def attach(self, radio: Any) -> None:
         """Register a radio.  The radio's ``medium`` attribute is set."""
-        if radio.name in self._radio_index:
+        if radio.name in self._index_of:
             raise ValueError(f"duplicate radio name {radio.name!r}")
+        self._index_of[radio.name] = len(self.radios)
         self.radios.append(radio)
-        self._radio_index[radio.name] = radio
+        self._listeners.append(radio.mac if _mac_sensitive(radio) else None)
         radio.medium = self
-        if _mac_sensitive(radio):
-            self._event_sensitive.add(radio.name)
 
     def radio_by_name(self, name: str) -> Any:
         try:
-            return self._radio_index[name]
+            return self.radios[self._index_of[name]]
         except KeyError:
             raise KeyError(name) from None
 
@@ -268,31 +281,18 @@ class Medium:
         its band arrays.
         """
 
-    def on_radio_mac_changed(self, radio: Any) -> None:
+    def on_radio_mac_changed(self, radio: Any) -> Optional[int]:
         """Hook called when a radio's MAC layer is (re)assigned.
 
-        Both kernels re-read the MAC's ``medium_event_sensitive`` flag here
-        to decide whether the radio can be skipped when its notification
-        would be a no-op.
+        Both kernels decide here whether the new MAC is a listener
+        (:func:`_mac_sensitive`).  Returns the radio's index, or None when
+        ``radio`` is not attached here.
         """
-        if self._radio_index.get(radio.name) is radio:
-            if _mac_sensitive(radio):
-                self._event_sensitive.add(radio.name)
-            else:
-                self._event_sensitive.discard(radio.name)
-
-    def on_radio_lock_changed(self, radio: Any, locked: bool) -> None:
-        """Hook called on every reception-lock transition of ``radio``.
-
-        A locked radio must see every transmission edge (interference
-        segments, cross-technology overlap log); both kernels prune no-op
-        notifications, so both track the locked set through this hook.
-        """
-        if self._radio_index.get(radio.name) is radio:
-            if locked:
-                self._lock_holders.add(radio.name)
-            else:
-                self._lock_holders.discard(radio.name)
+        j = self._index_of.get(radio.name)
+        if j is None or self.radios[j] is not radio:
+            return None
+        self._listeners[j] = radio.mac if _mac_sensitive(radio) else None
+        return j
 
     # ------------------------------------------------------------------
     # State epochs and energy observers
@@ -395,17 +395,22 @@ class Medium:
         links = self._link_row(source).links
         channel = self.channel
         # The operation order of ``Channel.rx_power_dbm``:
-        # ((power - loss) + shadow) + fading.
+        # ((power - loss) + shadow) + fading.  Each link's fading is its
+        # next buffered draw (``_Link.fading_db``, inlined).
+        rx_power = {}
         if channel.fading.fading_sigma_db > 0.0:
-            rx_power = {
-                link.name: ((power_dbm - link.loss) + link.shadow) + link.fading_db(channel)
-                for link in links
-            }
+            for link in links:
+                head = link.head
+                draws = link.draws
+                if head == len(draws):
+                    block = channel.fading_draws(link.src, (link.name,), _FADING_BATCH)
+                    draws = link.draws = block[0].tolist()
+                    head = 0
+                link.head = head + 1
+                rx_power[link.name] = ((power_dbm - link.loss) + link.shadow) + draws[head]
         else:
-            rx_power = {
-                link.name: ((power_dbm - link.loss) + link.shadow) + 0.0
-                for link in links
-            }
+            for link in links:
+                rx_power[link.name] = ((power_dbm - link.loss) + link.shadow) + 0.0
         self._frame_rx[tx.tx_id] = rx_power
         self._bump_state()
         trace = self.trace
@@ -419,23 +424,26 @@ class Medium:
                 power_dbm=power_dbm,
             )
         # A start notification does something only for a radio that holds a
-        # lock, has an event-sensitive MAC, or could lock onto this frame
-        # (same technology, rx power at or above its sensitivity; the radio
-        # re-checks the rest).  The sets are read live, radio by radio, in
-        # attach order, so a radio skipped here would have run a no-op.
-        sensitive = self._event_sensitive
-        locked = self._lock_holders
-        for radio in self.radios:
+        # lock, could lock onto this frame (same technology, rx power at or
+        # above its sensitivity; the radio re-checks the rest) or has a MAC
+        # that wants medium events.  Locks and flags are read live, radio by
+        # radio, in attach order, so a radio skipped here would have run a
+        # no-op; one that can neither hold nor take a lock would only pass
+        # the edge on to its MAC, so the MAC is called directly.
+        for radio, mac in zip(self.radios, self._listeners):
             if radio is source:
                 continue
-            name = radio.name
-            if name in sensitive or name in locked:
+            if radio._lock is not None:
                 radio.on_transmission_start(tx)
-            elif frame is not None and radio.technology is technology:
-                rx_dbm = rx_power.get(name)
+            elif (
+                frame is not None
+                and radio.technology is technology
                 # A radio missing from ``rx_power`` attached after the draw.
-                if rx_dbm is None or rx_dbm >= radio.sensitivity_dbm:
-                    radio.on_transmission_start(tx)
+                and rx_power.get(radio.name, radio.sensitivity_dbm) >= radio.sensitivity_dbm
+            ):
+                radio.on_transmission_start(tx)
+            elif mac is not None and getattr(mac, "medium_event_sensitive", True):
+                mac.on_medium_event()
         self.sim.schedule(duration, self._finish, tx)
         return tx
 
@@ -446,21 +454,24 @@ class Medium:
         trace = self.trace
         if trace.note("medium.tx_end"):
             trace.store(self.sim.now, "medium.tx_end", source=tx.source_name)
-        # No lock is acquired on an end edge: only lock holders and
-        # event-sensitive MACs can act on it.
-        sensitive = self._event_sensitive
-        locked = self._lock_holders
-        for radio in self.radios:
-            if radio is not tx.source and (radio.name in sensitive or radio.name in locked):
+        # No lock is acquired on an end edge: only lock holders and MACs
+        # that want medium events can act on it.
+        source = tx.source
+        for radio, mac in zip(self.radios, self._listeners):
+            if radio is source:
+                continue
+            if radio._lock is not None:
                 radio.on_transmission_end(tx)
+            elif mac is not None and getattr(mac, "medium_event_sensitive", True):
+                mac.on_medium_event()
         # The frozen powers outlive the end notifications: receivers reading
         # them from ``on_transmission_end`` see the frame's values.
         self._frame_rx.pop(tx.tx_id, None)
         for name in self._tx_touched.pop(tx.tx_id, ()):
             self._rx_power.pop((tx.tx_id, name), None)
             self._captured_mw.pop((tx.tx_id, name), None)
-        if tx.source is not None and hasattr(tx.source, "on_own_transmission_end"):
-            tx.source.on_own_transmission_end(tx)
+        if source is not None and hasattr(source, "on_own_transmission_end"):
+            source.on_own_transmission_end(tx)
 
     def active_transmissions(self) -> Iterable[Transmission]:
         return self._active.values()

@@ -57,7 +57,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..sim.units import dbm_to_mw, linear_to_db
-from .medium import Medium, Technology, Transmission, _mac_sensitive
+from .medium import Medium, Technology, Transmission
 from .spectrum import overlap_fraction, overlap_profile
 
 #: Fading values per refill of a link buffer.  Smaller than the loop
@@ -285,6 +285,8 @@ class VectorMedium(Medium):
     least :data:`repro.context.VECTOR_MEDIUM_MIN_RADIOS` radios.
     """
 
+    keeps_lock_records = True
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         registry = self.telemetry
@@ -295,18 +297,15 @@ class VectorMedium(Medium):
         # topology-churn cost visible (see ``move_many``).  The loop kernel
         # does not count its row rebuilds.
         self._link_rows_rebuilt = registry.counter("medium.link_rows_rebuilt")
-        self._index_of: Dict[str, int] = {}
         self._noise_mw = np.zeros(0)
         self._band_low = np.zeros(0)
         self._band_high = np.zeros(0)
         self._band_bw = np.zeros(0)
         self._sens = np.zeros(0)
         self._tech_code = np.zeros(0, dtype=np.int64)
-        #: Radios whose MAC re-plans on medium events (or has no known flag);
-        #: they are notified on every transmission edge.  ``_listeners``
-        #: holds each such radio's MAC (None for the others).
+        #: Radios whose MAC is a listener (``Medium._listeners``): they are
+        #: visited on every transmission edge, where the MAC's flag is read.
         self._sensitive = np.zeros(0, dtype=bool)
-        self._listeners: List[Any] = []
         #: Reception locks of covered radios (index < ``_cover_n`` when the
         #: lock was taken): the medium keeps their record and folds them
         #: across every edge at once.
@@ -337,7 +336,6 @@ class VectorMedium(Medium):
     # ------------------------------------------------------------------
     def attach(self, radio: Any) -> None:
         super().attach(radio)
-        self._index_of[radio.name] = len(self.radios) - 1
         self._noise_mw = np.append(self._noise_mw, dbm_to_mw(radio.noise_floor_dbm))
         band = radio.band
         self._band_low = np.append(self._band_low, band.low_mhz)
@@ -347,8 +345,7 @@ class VectorMedium(Medium):
         self._tech_code = np.append(
             self._tech_code, _TECH_INDEX.get(radio.technology, -1)
         )
-        self._sensitive = np.append(self._sensitive, _mac_sensitive(radio))
-        self._listeners.append(radio.mac if self._sensitive[-1] else None)
+        self._sensitive = np.append(self._sensitive, self._listeners[-1] is not None)
         self._band_version += 1
         for acc in self._all_accs():
             acc.totals = np.append(acc.totals, 0.0)
@@ -386,11 +383,11 @@ class VectorMedium(Medium):
         for acc in self._all_accs():
             acc.dirty.add(j)
 
-    def on_radio_mac_changed(self, radio: Any) -> None:
-        j = self._index_of.get(radio.name)
-        if j is not None and self.radios[j] is radio:
-            self._sensitive[j] = _mac_sensitive(radio)
-            self._listeners[j] = radio.mac if self._sensitive[j] else None
+    def on_radio_mac_changed(self, radio: Any) -> Optional[int]:
+        j = super().on_radio_mac_changed(radio)
+        if j is not None:
+            self._sensitive[j] = self._listeners[j] is not None
+        return j
 
     def on_radio_lock_changed(self, radio: Any, locked: bool) -> bool:
         """Keep the record of a new lock when ``radio`` is covered by every slot.
@@ -398,7 +395,9 @@ class VectorMedium(Medium):
         A covered radio stays covered (later slots span it too), so its lock
         is folded across edges here and handed back to the radio only when
         the locked frame ends (:meth:`_hand_over`).  Returns True for such a
-        lock; the loop kernel's hook returns None.
+        lock.  :meth:`Radio._set_lock <repro.devices.base.Radio._set_lock>`
+        calls it on every lock transition, because this kernel
+        :attr:`keeps_lock_records`.
         """
         j = self._index_of.get(radio.name)
         if j is None or self.radios[j] is not radio:
@@ -638,15 +637,16 @@ class VectorMedium(Medium):
         held, held_locks = self._fold_locks(tx, js)
         # Notification pruning: a start notification only *does* anything for
         # a radio that (a) could lock onto this transmission, (b) holds a lock
-        # the medium does not keep, or (c) has an event-sensitive MAC.  (a) is
-        # screened vectorized with the exact checks Radio.on_transmission_start
-        # performs (technology, band equality, rx power vs. sensitivity) —
-        # false positives are re-filtered by the radio, false negatives are
-        # impossible.  A radio whose lock the medium keeps, or that cannot
-        # lock, would only pass the edge to its MAC, so (c) reaches the MAC
-        # directly.  Everyone else would run a provably empty no-op, so the
-        # legacy behavior is preserved bit-for-bit.  Index order == attach
-        # order, matching the legacy iteration order.
+        # the medium does not keep, or (c) has a listener MAC, whose flag is
+        # read live as its turn comes.  (a) is screened vectorized with the
+        # exact checks Radio.on_transmission_start performs (technology, band
+        # equality, rx power vs. sensitivity) — false positives are
+        # re-filtered by the radio, false negatives are impossible.  A radio
+        # whose lock the medium keeps, or that cannot lock, would only pass
+        # the edge to its MAC, so (c) reaches the MAC directly.  Everyone else
+        # would run a provably empty no-op, so the legacy behavior is
+        # preserved bit-for-bit.  Index order == attach order, matching the
+        # legacy iteration order.
         notify = self._sensitive.copy()
         candidates: Any = ()
         if frame is not None:
@@ -673,7 +673,7 @@ class VectorMedium(Medium):
                 radios[j].on_transmission_start(tx)
             else:
                 mac = listeners[j]
-                if mac is not None:
+                if mac is not None and getattr(mac, "medium_event_sensitive", True):
                     mac.on_medium_event()
             if self.state_epoch != epoch:
                 self._open_late(tx, held, held_locks, j)
@@ -734,7 +734,7 @@ class VectorMedium(Medium):
                 radios[j].on_transmission_end(tx)
                 continue
             mac = listeners[j]
-            if mac is not None:
+            if mac is not None and getattr(mac, "medium_event_sensitive", True):
                 mac.on_medium_event()
         # The slot outlives the end notifications, exactly as the legacy
         # per-tx dict entries do: receivers reading this transmission's power

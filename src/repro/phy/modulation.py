@@ -16,13 +16,53 @@ Durations follow the corresponding PHY framing (OFDM symbol math for Wi-Fi,
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
+from typing import Callable, Dict
 
 from scipy.special import erfc
 
 from ..sim.units import USEC, db_to_linear
+
+
+# ----------------------------------------------------------------------
+# Zero-BER cutoffs
+# ----------------------------------------------------------------------
+
+
+def _float_rank(x: float) -> int:
+    """An integer that orders finite floats as their values (±0.0 tie)."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def _rank_float(rank: int) -> float:
+    """The float :func:`_float_rank` maps to ``rank``."""
+    if rank < 0:
+        return -_rank_float(-rank)
+    return struct.unpack("<d", struct.pack("<q", rank))[0]
+
+
+def ber_zero_cutoff(ber: Callable[[float], float]) -> float:
+    """The least float SINR (dB) at which ``ber`` returns exactly 0.0.
+
+    A BER curve falls with SINR, so the SINRs it maps to 0.0 start at one
+    float and run up from there: bisecting over the floats in order (one
+    ``ber`` call per bit, about 64) finds that float, and ``ber`` is
+    positive one float below it.  Receivers skip the BER of a segment at or
+    above its cutoff, whose success factor is exactly 1.0.
+    """
+    low, high = _float_rank(-1000.0), _float_rank(1000.0)
+    if not ber(_rank_float(low)) > 0.0 or ber(_rank_float(high)) != 0.0:
+        raise ValueError("BER curve is not positive at -1000 dB and zero at 1000 dB")
+    while high - low > 1:
+        middle = (low + high) // 2
+        if ber(_rank_float(middle)) == 0.0:
+            high = middle
+        else:
+            low = middle
+    return _rank_float(high)
 
 
 # ----------------------------------------------------------------------
@@ -62,6 +102,10 @@ def ber_oqpsk_dsss(sinr_db: float) -> float:
     return min(max(ber, 0.0), 0.5)
 
 
+#: :func:`ber_oqpsk_dsss` is exactly 0.0 at and above this SINR (dB).
+DSSS_BER_ZERO_SINR_DB = ber_zero_cutoff(ber_oqpsk_dsss)
+
+
 # ----------------------------------------------------------------------
 # 802.11 OFDM
 # ----------------------------------------------------------------------
@@ -96,7 +140,8 @@ def _ber_uncoded(modulation: WifiModulation, snr_per_bit: float) -> float:
         raise ValueError(f"unknown modulation {modulation}")
     if arg >= _ERFC_ZERO_FROM:
         return 0.0
-    return scale * erfc(arg)
+    # ``float`` of scipy's float64 is exact: the BER is a Python float.
+    return scale * float(erfc(arg))
 
 
 #: Approximate convolutional coding gain at useful BERs, by code rate.
@@ -142,6 +187,8 @@ class WifiRate:
             object.__setattr__(
                 self, "_bits_per_subcarrier", _BITS_PER_SUBCARRIER[self.modulation]
             )
+        #: :meth:`ber` is exactly 0.0 at and above this SINR (dB).
+        object.__setattr__(self, "ber_zero_sinr_db", ber_zero_cutoff(self.ber))
 
     def airtime(self, mpdu_bytes: int) -> float:
         """:func:`wifi_frame_duration` of ``mpdu_bytes`` at this rate, memoized."""
@@ -206,6 +253,10 @@ def ber_gfsk(sinr_db: float) -> float:
     """BLE 1 Mbps GFSK bit error rate (non-coherent FSK approximation)."""
     sinr = db_to_linear(sinr_db)
     return min(0.5 * math.exp(-0.35 * sinr), 0.5)
+
+
+#: :func:`ber_gfsk` is exactly 0.0 at and above this SINR (dB).
+GFSK_BER_ZERO_SINR_DB = ber_zero_cutoff(ber_gfsk)
 
 
 # ----------------------------------------------------------------------

@@ -179,10 +179,10 @@ class Simulator:
         """Pop cancelled events off the head; return the pending head entry.
 
         This is the single source of truth for "what fires next":
-        :meth:`peek`, :meth:`run` and :meth:`step` all consult it, so they
-        always agree.  Note it *mutates* the queue (cancelled heads are
-        discarded), which is what makes the follow-up pop O(log n) rather
-        than a rescan.
+        :meth:`peek` and :meth:`step` consult it and :meth:`run` inlines it,
+        so they always agree.  Note it *mutates* the queue (cancelled heads
+        are discarded), which is what makes the follow-up pop O(log n)
+        rather than a rescan.
         """
         queue = self._queue
         while queue:
@@ -224,20 +224,23 @@ class Simulator:
         self._running = True
         self._stopped = False
         fired = 0
+        budget = _INF if max_events is None else max_events
+        horizon = _INF if until is None else until
         queue = self._queue
         pop = heapq.heappop
         wall_start = time.perf_counter()
         try:
-            while not self._stopped:
-                if max_events is not None and fired >= max_events:
-                    break
-                head = self._prune_cancelled_head()
-                if head is None:
-                    break
-                if until is not None and head[0] > until:
+            while not self._stopped and fired < budget and queue:
+                head = queue[0]
+                event = head[2]
+                if event.cancelled:
+                    # ``_prune_cancelled_head``, one entry at a time.
+                    pop(queue)
+                    self._cancelled_in_queue -= 1
+                    continue
+                if head[0] > horizon:
                     break
                 pop(queue)
-                event = head[2]
                 self.now = head[0]
                 event.fired = True
                 self._pending -= 1

@@ -18,7 +18,7 @@ from repro.mac.frames import (
     zigbee_data_frame,
 )
 from repro.phy.medium import Technology
-from repro.phy.modulation import wifi_rate
+from repro.phy.modulation import WIFI_RATES, wifi_rate
 
 
 def test_wifi_data_frame_sizes_and_bits():
@@ -83,6 +83,18 @@ def test_ber_dispatch():
     assert 0.0 <= w.ber(0.0) <= 0.5
     # ZigBee's DSSS decodes at SINRs that kill 24 Mbps OFDM.
     assert z.ber(3.0) < w.ber(3.0)
+
+
+def test_ber_is_a_python_float_for_every_rate_and_technology():
+    frames = [wifi_data_frame("a", "b", 100, rate) for rate in WIFI_RATES.values()] + [
+        zigbee_data_frame("a", "b", 50),
+        Frame(FrameType.DATA, Technology.BLE, "a", "b", mpdu_bytes=20),
+    ]
+    for frame in frames:
+        cutoff = frame.ber_zero_sinr_db
+        for sinr in (-20.0, 0.0, 5.0, 12.5, 20.0, cutoff - 1.0, cutoff, 80.0):
+            assert type(frame.ber(sinr)) is float
+        assert frame.ber(cutoff) == 0.0 and frame.ber(cutoff - 1.0) > 0.0
 
 
 def test_microwave_frames_have_no_models():

@@ -295,7 +295,7 @@ def test_vector_medium_calls_a_locked_radio_only_at_its_frame_end(monkeypatch):
 
         monkeypatch.setattr(Radio, name, recording)
     spec = dataclasses.replace(
-        get_scenario("grid", n_zigbee_links=16, n_wifi_pairs=4, duration=0.1), grace=0.0
+        get_scenario("grid", n_zigbee_links=18, n_wifi_pairs=4, duration=0.1), grace=0.0
     )
     compiled = compile_scenario(spec, 3)
     assert isinstance(compiled.ctx.medium, VectorMedium)

@@ -21,7 +21,9 @@ Three layers of evidence:
   inside a notification (nested edges) or while their radio is locked;
 * a hypothesis property test driving random transmit/advance/move/retune
   interleavings and comparing the incremental interference accumulators
-  against a brute-force re-sum oracle after every step.
+  against a brute-force re-sum oracle after every step;
+* a guard, on both kernels, that a Wi-Fi MAC is skipped on an edge only
+  while it is idle.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.devices.interferers import Emitter
 from repro.experiments.scenario import ScenarioTrialConfig, run_scenario_trial
 from repro.mac.ble import BleConnection
 from repro.mac.frames import Frame, FrameType, wifi_data_frame
+from repro.mac.wifi import WifiMac
 from repro.phy.medium import Technology
 from repro.phy.medium_fast import VectorMedium
 from repro.phy.modulation import WIFI_RATES
@@ -282,9 +285,9 @@ def test_dense_grid_reception_records_match(force_kernel, monkeypatch, seed):
     """At the density the vector kernel is built for, each radio's reception
     record (segments, overlap log, success draw) matches the oracle's."""
     spec = dataclasses.replace(
-        get_scenario("grid", n_zigbee_links=16, n_wifi_pairs=4, duration=0.3), grace=0.0
+        get_scenario("grid", n_zigbee_links=18, n_wifi_pairs=4, duration=0.3), grace=0.0
     )
-    assert 2 * (16 + 4) >= VECTOR_MEDIUM_MIN_RADIOS
+    assert 2 * (18 + 4) >= VECTOR_MEDIUM_MIN_RADIOS
     legacy = _dense_receptions(force_kernel, monkeypatch, "legacy", spec, seed)
     vector = _dense_receptions(force_kernel, monkeypatch, "vector", spec, seed)
     assert vector[0] == legacy[0]
@@ -532,3 +535,51 @@ def test_accumulators_match_bruteforce_oracle(force_kernel, ops, seed):
     ctx.sim.run(until=ctx.sim.now + 20e-3)  # drain; end-edge accounting
     for radio in radios:
         assert medium.interference_mw(radio) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Idle Wi-Fi MACs off the fan-out
+# ----------------------------------------------------------------------
+#: The paper's office under every scheme, both roaming scenarios and a
+#: 40-radio grid, all shortened.
+IDLE_GUARD_SCENARIOS = [
+    ("office", {"scheme": name, "n_bursts": 10}) for name in scheme_names()
+] + [
+    ("campus-roaming", {"duration": 2.0}),
+    ("vehicular-corridor", {"duration": 2.0}),
+    ("grid", {"n_zigbee_links": 16, "n_wifi_pairs": 4, "duration": 0.2}),
+]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("scenario,params", IDLE_GUARD_SCENARIOS)
+def test_wifi_mac_is_skipped_only_while_idle(force_kernel, monkeypatch, kernel, scenario, params):
+    """Every time a kernel or a radio reads a ``WifiMac``'s flag as false and
+    so skips its ``on_medium_event``, ``_evaluate`` would have taken its idle
+    return: no countdown, and an ACK pending or an empty queue."""
+    reads = {False: 0, True: 0}
+    busy = []
+
+    def get(mac):
+        flag = mac.__dict__.get("_flag", True)
+        reads[flag] += 1
+        idle = mac._countdown_event is None and (
+            mac._awaiting_ack_for is not None or not mac.queue
+        )
+        if not flag and not idle:
+            busy.append((mac.radio.name, mac.sim.now))
+        return flag
+
+    def set_(mac, flag):
+        mac.__dict__["_flag"] = flag
+
+    monkeypatch.setattr(WifiMac, "medium_event_sensitive", property(get, set_))
+    force_kernel(kernel)
+    spec = get_scenario(scenario, **params)
+    compiled = compile_scenario(spec, 1)
+    assert isinstance(compiled.ctx.medium, VectorMedium) == (kernel == "vector")
+    compiled.run()
+    assert busy == []
+    # Both outcomes occur: idle MACs are skipped, busy ones still notified.
+    assert reads[False] > 0 and reads[True] > 0
+

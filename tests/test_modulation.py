@@ -185,6 +185,50 @@ def test_scipy_erfc_underflows_to_zero_from_the_shortcut_on():
 
 
 # ----------------------------------------------------------------------
+# Zero-BER cutoffs
+# ----------------------------------------------------------------------
+#: (BER function, its cutoff) for every rate and technology.
+_CUTOFFS = {
+    **{f"wifi-{mbps:g}": (rate.ber, rate.ber_zero_sinr_db) for mbps, rate in WIFI_RATES.items()},
+    "dsss": (ber_oqpsk_dsss, modulation.DSSS_BER_ZERO_SINR_DB),
+    "gfsk": (ber_gfsk, modulation.GFSK_BER_ZERO_SINR_DB),
+}
+
+
+def _floats_around(x, n):
+    """``x`` and the ``n`` floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+@pytest.mark.parametrize("name", sorted(_CUTOFFS))
+def test_ber_is_zero_from_its_cutoff_and_positive_one_float_below(name):
+    ber, cutoff = _CUTOFFS[name]
+    assert ber(cutoff) == 0.0
+    assert ber(math.nextafter(cutoff, -math.inf)) > 0.0
+
+
+@pytest.mark.parametrize("name", sorted(_CUTOFFS))
+def test_ber_is_zero_exactly_at_and_above_its_cutoff(name):
+    """``sinr >= cutoff`` iff the BER is 0.0, on a 10^5-point sweep over
+    -50..100 dB and on the 64 floats either side of the cutoff."""
+    ber, cutoff = _CUTOFFS[name]
+    sinrs = np.linspace(-50.0, 100.0, 100_000).tolist() + _floats_around(cutoff, 64)
+    assert [sinr >= cutoff for sinr in sinrs] == [ber(sinr) == 0.0 for sinr in sinrs]
+
+
+def test_ber_zero_cutoff_is_the_least_zero_float():
+    """On a step function the cutoff is the step, to the float."""
+    step = 3.25
+    assert modulation.ber_zero_cutoff(lambda s: 0.0 if s >= step else 0.1) == step
+    with pytest.raises(ValueError):
+        modulation.ber_zero_cutoff(lambda s: 0.1)
+
+
+# ----------------------------------------------------------------------
 # Packet success probability
 # ----------------------------------------------------------------------
 @given(

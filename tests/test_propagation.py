@@ -269,7 +269,7 @@ def test_channel_copies_draw_through_their_own_generator():
 
 @pytest.mark.parametrize(
     "name, params, kernel",
-    [("grid", {"n_zigbee_links": 18, "n_wifi_pairs": 2}, VectorMedium),
+    [("grid", {"n_zigbee_links": 20, "n_wifi_pairs": 2}, VectorMedium),
      ("office", {}, Medium)],
 )
 def test_no_link_bit_generator_is_built(name, params, kernel, monkeypatch):
@@ -289,7 +289,7 @@ def test_no_link_bit_generator_is_built(name, params, kernel, monkeypatch):
     ctx = compiled.ctx
     assert type(ctx.medium) is kernel
     if kernel is VectorMedium:
-        assert len(ctx.medium.radios) == 40
+        assert len(ctx.medium.radios) == 44
     links = sum(len(table) // 4 for table in ctx.channel._fading_states.values())
     assert links + len(ctx.channel._shadowing_cache) > len(ctx.streams._streams)
     assert len(built) == len(ctx.streams._streams) + 1

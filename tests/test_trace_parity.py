@@ -32,7 +32,7 @@ def _specs():
     specs = [(f"office-{s}", scenarios.get_scenario("office", scheme=s)) for s in SCHEMES]
     specs.append(("campus-roaming", scenarios.get_scenario("campus-roaming")))
     # Enough radios for the vector kernel, whose record sites are its own.
-    grid = scenarios.get_scenario("grid", n_zigbee_links=16, n_wifi_pairs=4, duration=0.1)
+    grid = scenarios.get_scenario("grid", n_zigbee_links=18, n_wifi_pairs=4, duration=0.1)
     specs.append(("grid", dataclasses.replace(grid, grace=0.0)))
     return specs
 
