@@ -62,10 +62,12 @@ class WifiMac:
     """DCF MAC bound to one Wi-Fi radio."""
 
     #: Whether a medium event could change the DCF plan, read live by the
-    #: medium at every edge.  It is false exactly while :meth:`_evaluate`'s
-    #: last pass took its idle return (no countdown; an ACK pending or an
-    #: empty queue): every way out of idle (a queued frame, an ACK or its
-    #: timeout, a countdown) runs :meth:`_evaluate` again, which sets it.
+    #: medium at every edge.  It is false exactly while the MAC is idle (no
+    #: countdown; an ACK pending or an empty queue): :meth:`_evaluate` sets
+    #: it on every pass, and runs on construction, on every way into idle
+    #: (a countdown that finds or leaves the queue empty, the start of an
+    #: ACK wait) and on every way out (a queued frame, an ACK or its
+    #: timeout, a countdown).
     medium_event_sensitive = True
 
     def __init__(
@@ -125,6 +127,7 @@ class WifiMac:
         #: (delay, priority) per delivered frame — feeds the Fig. 13 split.
         self.delay_records: List[tuple] = []
         self.delivered_payload_bytes = 0
+        self._evaluate()  # idle: nothing queued yet
 
     # ------------------------------------------------------------------
     # Public API
@@ -214,7 +217,7 @@ class WifiMac:
         if countdown is None and (self._awaiting_ack_for is not None or not self.queue):
             # Idle: nothing to contend for and no countdown to freeze, so the
             # carrier-sense verdict could change nothing, nor could a medium
-            # event until the next pass.
+            # event until the MAC leaves idle.
             self.medium_event_sensitive = False
             return
         self.medium_event_sensitive = True
@@ -251,13 +254,11 @@ class WifiMac:
         self._countdown_event = None
         self._countdown_started = None
         self._backoff_slots = None
-        if not self.queue:
-            return
-        if self._medium_busy(min_age=SENSE_DELAY_S) or not self._tx_allowed():
-            self._evaluate()
-            return
-        frame = self.queue.popleft()
-        self._transmit(frame)
+        if self.queue and not self._medium_busy(min_age=SENSE_DELAY_S) and self._tx_allowed():
+            self._transmit(self.queue.popleft())
+        # Idle when the queue is empty.  Right after a transmission it is
+        # otherwise a no-op: carrier sense says busy while the radio sends.
+        self._evaluate()
 
     def _transmit(self, frame: Frame) -> None:
         if frame.frame_type is FrameType.DATA:
@@ -280,6 +281,7 @@ class WifiMac:
         if frame.frame_type is FrameType.DATA and not frame.is_broadcast:
             self._awaiting_ack_for = frame
             self._ack_timer = self.sim.schedule(self._ack_timeout_s, self._ack_timeout)
+            self._evaluate()  # idle until the ACK or its timeout
         elif frame.frame_type is FrameType.CTS:
             nav = frame.meta.get("nav_duration", 0.0)
             self.suppress_until(self.sim.now + nav)

@@ -48,8 +48,7 @@ class Technology(Enum):
 
 #: Pre-frozen technology filters for the common energy queries.  Passing one
 #: of these (or any ``frozenset``) to :meth:`Medium.interference_mw` /
-#: :meth:`Medium.inband_energy_dbm` skips the per-call set build *and* makes
-#: the query cacheable per medium state epoch.
+#: :meth:`Medium.inband_energy_dbm` skips the per-call set build.
 WIFI_ONLY: FrozenSet[Technology] = frozenset((Technology.WIFI,))
 ZIGBEE_ONLY: FrozenSet[Technology] = frozenset((Technology.ZIGBEE,))
 
@@ -212,7 +211,8 @@ class Medium:
         self._tx_touched: Dict[int, set] = {}
         #: Bumped on every transmission start/end.  The in-band energy at any
         #: radio is **piecewise-constant between epochs**, which is what the
-        #: segment-based RSSI capture and the per-epoch energy cache rely on.
+        #: segment-based RSSI capture and ``WifiMac``'s carrier-sense memo
+        #: rely on.
         self.state_epoch = 0
         self._energy_observers: List[Callable[[], None]] = []
         # Per-technology count of active transmissions (O(1) busy_with).
@@ -222,11 +222,6 @@ class Medium:
         # stored band reference guards against receivers retuning mid-flight
         # (BLE hops reassign ``radio.band``).
         self._captured_mw: Dict[Tuple[int, str], Tuple[Any, float]] = {}
-        # Summed interference per (radio name, technology filter), valid for
-        # one state epoch and one receive band: (epoch, band, mw).
-        self._interference_cache: Dict[
-            Tuple[str, Optional[FrozenSet[Technology]]], Tuple[int, Any, float]
-        ] = {}
         # Link rows per source name, and every link built so far by
         # (source name, receiver name).
         self._link_rows: Dict[str, _LinkRow] = {}
@@ -545,9 +540,10 @@ class Medium:
         additional transmission ids (typically the frame being received).
 
         ``technologies`` is ideally a ``frozenset`` (see :data:`WIFI_ONLY` /
-        :data:`ZIGBEE_ONLY`): other iterables are frozen per call.  Queries
-        without ``exclude`` are memoized per medium state epoch — repeated
-        CCA checks between transmission boundaries cost one dict probe.
+        :data:`ZIGBEE_ONLY`): other iterables are frozen per call.  Both
+        kernels answer with this fold; each term is one
+        :meth:`captured_power_mw` read, which is cached per (transmission,
+        radio).
         """
         if technologies is None:
             wanted = None
@@ -555,15 +551,6 @@ class Medium:
             wanted = technologies
         else:
             wanted = frozenset(technologies)
-        if not exclude:
-            cache_key = (radio.name, wanted)
-            cached = self._interference_cache.get(cache_key)
-            if (
-                cached is not None
-                and cached[0] == self.state_epoch
-                and cached[1] is radio.band
-            ):
-                return cached[2]
         total = 0.0
         for tx in self._active.values():
             if tx.source is radio or tx.tx_id in exclude:
@@ -571,8 +558,6 @@ class Medium:
             if wanted is not None and tx.technology not in wanted:
                 continue
             total += self.captured_power_mw(tx, radio)
-        if not exclude:
-            self._interference_cache[cache_key] = (self.state_epoch, radio.band, total)
         return total
 
     def decoding_interference_mw(
@@ -617,8 +602,8 @@ class Medium:
         the captured power of every active transmission at least ``min_age``
         old (excluding the radio's own), split by whether the transmitter is
         Wi-Fi.  This is the fold behind Wi-Fi preamble/energy detection
-        (``WifiMac._medium_busy``); it lives on the medium so faster kernels
-        can serve it from their accumulators.
+        (``WifiMac._medium_busy``), which memoizes its verdict per state
+        epoch; both kernels answer with this fold.
         """
         noise_mw = radio.noise_floor_mw
         wifi_mw = noise_mw

@@ -3,9 +3,8 @@
 The loop kernel, :class:`~repro.phy.medium.Medium`, keeps per-source link
 rows and buffered fading too, but walks them in Python: every transmission
 start computes each link's rx power as a float and screens every radio for
-notification one by one, and every interference query folds the active set
-per radio.  At the densities of the scale-ceiling bench (hundreds of radios)
-those loops dominate the run time.
+notification one by one.  At the densities of the scale-ceiling bench
+(hundreds of radios) those loops dominate the run time.
 
 This kernel keeps the *same numbers* (bit-identical traces, enforced by
 ``tests/test_medium_equivalence.py``) while restructuring the hot path around
@@ -22,14 +21,10 @@ index-aligned numpy arrays:
   version).  Zero-overlap radios are masked out of all power math.
 * **Slots** (:class:`_Slot`) — per-transmission rx-power and captured-power
   arrays indexed by radio position, replacing the ``(tx_id, radio.name)``
-  tuple-key dicts.
-* **Interference accumulators** (:class:`_Accum`) — per-radio running sums
-  per technology filter, updated with one vectorized add at transmission
-  start.  Removals re-fold lazily (float addition is not invertible
-  bitwise), which is the *drift re-sum policy*: a transmission end marks the
-  accumulator dirty and the next query rebuilds it from the surviving slots
-  in active-set order, reproducing the legacy left-fold exactly.  Re-sums
-  are counted by the ``medium.accumulator_resyncs`` telemetry counter.
+  tuple-key dicts.  Energy queries (``interference_mw``, ``cca_power_mw``)
+  are :class:`Medium`'s own folds over the active set; they read each
+  covered radio's captured power from its slot through
+  :meth:`VectorMedium.captured_power_mw`.
 * **Reception locks** (:class:`_Locks`) — the record a locked radio would
   keep in its ``_ReceptionContext`` (locked frame, open interference
   segment, closed segments, closed cross-technology overlaps), one row per
@@ -46,13 +41,14 @@ Bitwise-exactness notes (all verified empirically): elementwise numpy
 add/sub/mul/div/min/max match the equivalent scalar operation sequences;
 ``10.0 ** x`` does **not** (SIMD), so the mW conversion runs as a scalar loop
 over the unmasked radios; a block of B fading values matches B scalar draws
-from the same stream; appending a new term to a running sum
-matches re-folding with the term last, but removing one does not.
+from the same stream; adding the slot columns one at a time in active-set
+order (the lock fold) matches each radio's scalar left-fold, but
+subtracting a term does not undo adding it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -125,35 +121,6 @@ class _Slot:
         self.dec = dec
         self.tx = tx
         self.late: Optional[Dict[int, Tuple[int, float]]] = None
-
-
-class _Accum:
-    """A per-radio running interference sum for one technology filter.
-
-    ``kind`` selects which transmissions contribute: ``"all"`` (no filter),
-    ``"set"`` (technology in ``techs``), ``"wifi"`` / ``"other"`` (the two
-    noise-seeded carrier-sense buckets).  ``seed`` is the per-radio base
-    value each re-fold starts from (zero, or the noise floor for CCA).
-    """
-
-    __slots__ = ("kind", "techs", "seed", "totals", "dirty_all", "dirty")
-
-    def __init__(self, kind: str, techs: Optional[FrozenSet[Technology]], n: int):
-        self.kind = kind
-        self.techs = techs
-        self.seed: Optional[np.ndarray] = None  # None means zeros
-        self.totals = np.zeros(n)
-        self.dirty_all = True
-        self.dirty: set = set()
-
-    def matches(self, technology: Technology) -> bool:
-        if self.kind == "all":
-            return True
-        if self.kind == "set":
-            return technology in self.techs
-        if self.kind == "wifi":
-            return technology is Technology.WIFI
-        return technology is not Technology.WIFI
 
 
 def _widen(table: np.ndarray) -> np.ndarray:
@@ -292,12 +259,10 @@ class VectorMedium(Medium):
         registry = self.telemetry
         self._vector_links = registry.counter("medium.vector_links")
         self._masked_radios = registry.counter("medium.masked_radios")
-        self._accumulator_resyncs = registry.counter("medium.accumulator_resyncs")
         # Link-state rows rebuilt after a position-epoch advance, making
         # topology-churn cost visible (see ``move_many``).  The loop kernel
         # does not count its row rebuilds.
         self._link_rows_rebuilt = registry.counter("medium.link_rows_rebuilt")
-        self._noise_mw = np.zeros(0)
         self._band_low = np.zeros(0)
         self._band_high = np.zeros(0)
         self._band_bw = np.zeros(0)
@@ -327,16 +292,12 @@ class VectorMedium(Medium):
         #: slot (attached mid-transmission); their queries take the exact
         #: legacy fallback path.
         self._cover_n = 0
-        self._accs: Dict[Any, _Accum] = {}
-        self._cca_wifi: Optional[_Accum] = None
-        self._cca_other: Optional[_Accum] = None
 
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
     def attach(self, radio: Any) -> None:
         super().attach(radio)
-        self._noise_mw = np.append(self._noise_mw, dbm_to_mw(radio.noise_floor_dbm))
         band = radio.band
         self._band_low = np.append(self._band_low, band.low_mhz)
         self._band_high = np.append(self._band_high, band.high_mhz)
@@ -347,10 +308,6 @@ class VectorMedium(Medium):
         )
         self._sensitive = np.append(self._sensitive, self._listeners[-1] is not None)
         self._band_version += 1
-        for acc in self._all_accs():
-            acc.totals = np.append(acc.totals, 0.0)
-            if acc.seed is not None:
-                acc.seed = self._noise_mw
         if not self._slots:
             self._cover_n = len(self.radios)
 
@@ -380,8 +337,6 @@ class VectorMedium(Medium):
             slot.dec[j] = float(slot.cap[j]) * min(
                 1.0, tx.band.overlapped_mhz(band) / band.bandwidth_mhz
             )
-        for acc in self._all_accs():
-            acc.dirty.add(j)
 
     def on_radio_mac_changed(self, radio: Any) -> Optional[int]:
         j = super().on_radio_mac_changed(radio)
@@ -420,13 +375,6 @@ class VectorMedium(Medium):
         locks.ov_n[j] = 0
         return True
 
-    def _all_accs(self) -> Iterable[_Accum]:
-        yield from self._accs.values()
-        if self._cca_wifi is not None:
-            yield self._cca_wifi
-        if self._cca_other is not None:
-            yield self._cca_other
-
     # ------------------------------------------------------------------
     # Link rows and band profiles
     # ------------------------------------------------------------------
@@ -458,8 +406,8 @@ class VectorMedium(Medium):
         # (``src_index == -1``) still needs that pair.
         others = [r for j, r in enumerate(radios) if j != src_index]
         shadow = channel.ensure_shadowing(name, [r.name for r in others])
-        # Bypass the per-pair ``channel.link_budget`` wrapper: its cache probe
-        # and tuple packing dominate a full-row build.  ``loss_db`` is the
+        # Bypass the per-pair ``channel.link_budget`` wrapper: its shadowing
+        # probe and tuple packing dominate a full-row build.  ``loss_db`` is the
         # exact scalar function the wrapper calls, and ``ensure_shadowing``
         # returns the same per-pair terms, so the values are bitwise-identical
         # to the legacy path.
@@ -614,13 +562,6 @@ class VectorMedium(Medium):
         if js >= 0 and mask[js]:
             masked -= 1
         self._masked_radios.inc(masked)
-
-        # Appending a term to a running float sum is exact; every clean
-        # accumulator picks the new transmission up in O(radios).
-        for acc in self._all_accs():
-            if not acc.dirty_all and acc.matches(technology):
-                acc.totals += cap
-
         self._bump_state()
         trace = self.trace
         if trace.note("medium.tx_start"):
@@ -685,11 +626,6 @@ class VectorMedium(Medium):
         if self._active.pop(tx.tx_id, None) is not None:
             self._tech_active[tx.technology] -= 1
             if tx.tx_id in self._slots:
-                # Float subtraction would not reproduce the legacy left-fold;
-                # mark every matching accumulator for a lazy exact re-sum.
-                for acc in self._all_accs():
-                    if acc.matches(tx.technology):
-                        acc.dirty_all = True
                 self._cover_n = min(
                     (
                         self._slots[tx_id].n
@@ -937,12 +873,12 @@ class VectorMedium(Medium):
         j = self._index_of.get(radio.name)
         if j is None or j >= self._cover_n:
             return super().decoding_interference_mw(radio, exclude)
-        # Fold over the precomputed per-slot demodulator-weighted powers in
-        # active-set order.  The radio's own transmissions contribute an
-        # exact 0.0 (source column masked), matching the legacy skip; so do
-        # zero-capture entries (0.0 × dilution).
-        # Fold over the *active* set (a slot lingers through its transmission's
-        # end notifications and must not contribute there), in insertion order.
+        # Fold over the precomputed per-slot demodulator-weighted powers of
+        # the *active* set, in insertion order (a slot lingers through its
+        # transmission's end notifications and must not contribute there).
+        # The radio's own transmissions contribute an exact 0.0 (source
+        # column masked), matching the legacy skip; so do zero-capture
+        # entries (0.0 × dilution).
         total = 0.0
         slots = self._slots
         if exclude:
@@ -958,94 +894,3 @@ class VectorMedium(Medium):
                 if slot is not None:
                     total += slot.dec[j]
         return float(total)
-
-    def _repair(self, acc: _Accum) -> None:
-        """Exact re-sum: rebuild ``acc.totals`` from the surviving slots.
-
-        Each slot contributes over its own radio range: a radio outside some
-        active slot's range (attached mid-transmission) is below ``_cover_n``
-        and served by the legacy fallback, so entries here only need the
-        slots that cover them.
-        """
-        if acc.seed is None:
-            totals = np.zeros(len(self.radios))
-        else:
-            totals = acc.seed.copy()
-        for tx_id, tx in self._active.items():
-            if not acc.matches(tx.technology):
-                continue
-            slot = self._slots.get(tx_id)
-            if slot is None:
-                continue
-            totals[: slot.n] += slot.cap
-        acc.totals = totals
-        acc.dirty_all = False
-        acc.dirty.clear()
-        self._accumulator_resyncs.inc()
-
-    def _repair_radio(self, acc: _Accum, j: int) -> None:
-        if acc.seed is None:
-            total = 0.0
-        else:
-            total = float(acc.seed[j])
-        for tx_id, tx in self._active.items():
-            if not acc.matches(tx.technology):
-                continue
-            slot = self._slots.get(tx_id)
-            if slot is not None and j < slot.n:
-                total += float(slot.cap[j])
-        acc.totals[j] = total
-        acc.dirty.discard(j)
-
-    def _acc_value(self, acc: _Accum, j: int) -> float:
-        if acc.dirty_all:
-            self._repair(acc)
-        elif j in acc.dirty:
-            self._repair_radio(acc, j)
-        return float(acc.totals[j])
-
-    def interference_mw(
-        self,
-        radio: Any,
-        exclude: Tuple[int, ...] = (),
-        technologies: Optional[Iterable[Technology]] = None,
-    ) -> float:
-        if exclude:
-            return super().interference_mw(radio, exclude, technologies)
-        j = self._index_of.get(radio.name)
-        if j is None or j >= self._cover_n:
-            return super().interference_mw(radio, exclude, technologies)
-        if technologies is None:
-            wanted = None
-        elif type(technologies) is frozenset:
-            wanted = technologies
-        else:
-            wanted = frozenset(technologies)
-        acc = self._accs.get(wanted)
-        if acc is None:
-            if wanted is None:
-                acc = _Accum("all", None, len(self.radios))
-            else:
-                acc = _Accum("set", wanted, len(self.radios))
-            self._accs[wanted] = acc
-        return self._acc_value(acc, j)
-
-    def cca_power_mw(
-        self,
-        radio: Any,
-        now: float,
-        min_age: float = 0.0,
-    ) -> Tuple[float, float]:
-        j = self._index_of.get(radio.name)
-        if min_age != 0.0 or j is None or j >= self._cover_n:
-            return super().cca_power_mw(radio, now, min_age)
-        if self._cca_wifi is None:
-            n = len(self.radios)
-            self._cca_wifi = _Accum("wifi", None, n)
-            self._cca_wifi.seed = self._noise_mw
-            self._cca_other = _Accum("other", None, n)
-            self._cca_other.seed = self._noise_mw
-        return (
-            self._acc_value(self._cca_wifi, j),
-            self._acc_value(self._cca_other, j),
-        )

@@ -23,9 +23,6 @@ import numpy as np
 
 from ..sim.rng import RandomStreams, state_slot
 
-#: Cache entry of :meth:`Channel.link_budget`:
-#: (tx position, rx position, path loss dB, shadowing dB, position epoch).
-_LinkBudget = Tuple["Position", "Position", float, float, int]
 _NO_WORDS = np.zeros(0, dtype=np.uint64)
 
 
@@ -87,18 +84,14 @@ class Channel:
     fading through :meth:`fading_draws`.
     Link identity for shadowing purposes is the *name pair* of the endpoints,
     so a mobile device keeps its shadowing term while its distance changes
-    (the distance-dependent part is recomputed every frame).
+    (the distance-dependent part follows every move).
 
-    The deterministic part of each link budget (log-distance path loss plus
-    the static shadowing term) is cached per (tx, rx) name pair and keyed on
-    a **position epoch**: static topologies compute the ``log10`` once per
-    link and reuse it for every subsequent frame, while a call to
-    :meth:`invalidate_gains` (issued by :meth:`Radio.move_to
-    <repro.devices.base.Radio.move_to>` whenever an endpoint moves) advances
-    the epoch and lazily discards every cached budget.  Entries additionally
-    pin the exact :class:`Position` objects they were computed from, so even
-    a position swap that bypasses the epoch (e.g. constructing a fresh
-    ``Position`` in a unit test) can never be served a stale loss.
+    :meth:`link_budget` computes the path loss from the two positions on
+    every call; only the shadowing term is kept.  The medium kernels hold
+    each link's loss in per-source link rows keyed on the **position
+    epoch**, which :meth:`invalidate_gains` advances (:meth:`Radio.move_to
+    <repro.devices.base.Radio.move_to>` calls it whenever an endpoint
+    moves), so static topologies compute the ``log10`` once per link.
     """
 
     def __init__(
@@ -118,19 +111,17 @@ class Channel:
         self._fading_states: Dict[str, np.ndarray] = {}
         # The one generator every link stream is drawn through.
         self._fading_gen = np.random.Generator(np.random.PCG64(0))
-        #: Advanced by :meth:`invalidate_gains`; cached link budgets from
-        #: earlier epochs are recomputed on next use.
+        #: Advanced by :meth:`invalidate_gains`; the medium kernels rebuild
+        #: link rows from earlier epochs on next use.
         self.position_epoch = 0
-        self._gain_cache: Dict[Tuple[str, str], _LinkBudget] = {}
-        self.gain_hits = 0
-        self.gain_misses = 0
 
     def invalidate_gains(self) -> None:
         """Advance the position epoch after any endpoint moved.
 
         Mobility updates go through here (see ``Radio.move_to``) so the
-        Fig. 12 experiment keeps recomputing distances while static
-        topologies pay the path-loss ``log10`` once per link.
+        medium kernels' link rows keep recomputing distances in the Fig. 12
+        experiment while static topologies pay the path-loss ``log10`` once
+        per link.
         """
         self.position_epoch += 1
 
@@ -141,24 +132,12 @@ class Channel:
         rx_name: str,
         rx_pos: Position,
     ) -> Tuple[float, float]:
-        """(path loss dB, shadowing dB) for one link, cached per epoch."""
-        key = (tx_name, rx_name)
-        entry = self._gain_cache.get(key)
-        if (
-            entry is not None
-            and entry[4] == self.position_epoch
-            and entry[0] is tx_pos
-            and entry[1] is rx_pos
-        ):
-            self.gain_hits += 1
-            return entry[2], entry[3]
-        self.gain_misses += 1
+        """(path loss dB, shadowing dB) for one link."""
         loss = self.path_loss.loss_db(tx_pos.distance_to(rx_pos))
         pair = (tx_name, rx_name) if tx_name <= rx_name else (rx_name, tx_name)
         shadow = self._shadowing_cache.get(pair)
         if shadow is None:
             shadow = self.ensure_shadowing(tx_name, (rx_name,))[0]
-        self._gain_cache[key] = (tx_pos, rx_pos, loss, shadow, self.position_epoch)
         return loss, shadow
 
     def ensure_shadowing(self, tx_name: str, rx_names: Sequence[str]) -> List[float]:

@@ -19,11 +19,11 @@ Three layers of evidence:
   reception-outcome stream, on a compiled grid dense enough that dozens of
   radios stay locked across Wi-Fi edges, and with MACs that transmit from
   inside a notification (nested edges) or while their radio is locked;
-* a hypothesis property test driving random transmit/advance/move/retune
-  interleavings and comparing the incremental interference accumulators
-  against a brute-force re-sum oracle after every step;
-* a guard, on both kernels, that a Wi-Fi MAC is skipped on an edge only
-  while it is idle.
+* a hypothesis property test driving the same random
+  transmit/advance/move/retune interleavings on both kernels and comparing
+  every radio's energy queries bitwise after every step;
+* a guard, on both kernels, that a Wi-Fi MAC is skipped on an edge
+  exactly while it is idle.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from repro.devices.interferers import Emitter
 from repro.experiments.scenario import ScenarioTrialConfig, run_scenario_trial
 from repro.mac.ble import BleConnection
 from repro.mac.frames import Frame, FrameType, wifi_data_frame
-from repro.mac.wifi import WifiMac
-from repro.phy.medium import Technology
+from repro.mac.wifi import SENSE_DELAY_S, WifiMac
+from repro.phy.medium import WIFI_ONLY, Technology
 from repro.phy.medium_fast import VectorMedium
 from repro.phy.modulation import WIFI_RATES
 from repro.phy.propagation import FadingModel, Position
@@ -440,7 +440,7 @@ def test_locked_radio_transmits_half_duplex_abort(force_kernel):
 
 
 # ----------------------------------------------------------------------
-# Incremental interference accumulators vs brute-force re-sum
+# Energy queries, step by step, on both kernels
 # ----------------------------------------------------------------------
 _BANDS = [
     ("zigbee", zigbee_channel(24), Technology.ZIGBEE),
@@ -472,69 +472,75 @@ _OPS = st.lists(
 )
 
 
-def _oracle_interference(medium, radio, exclude=(), wanted=None):
-    """The legacy fold, re-run from scratch against the live active set."""
-    total = 0.0
-    for tx in medium._active.values():
-        if tx.source is radio or tx.tx_id in exclude:
-            continue
-        if wanted is not None and tx.technology not in wanted:
-            continue
-        total += medium.captured_power_mw(tx, radio)
-    return total
+def _energy_readings(ctx, radios):
+    """Every energy query of every radio, as exact float bit patterns."""
+    medium = ctx.medium
+    now = ctx.sim.now
+    first = tuple(list(medium._active)[:1])
+    readings = []
+    for radio in radios:
+        values = [
+            medium.interference_mw(radio),
+            medium.interference_mw(radio, technologies=WIFI_ONLY),
+            medium.interference_mw(radio, exclude=first),
+            *medium.cca_power_mw(radio, now),
+            *medium.cca_power_mw(radio, now, SENSE_DELAY_S),
+            medium.decoding_interference_mw(radio),
+            medium.decoding_interference_mw(radio, exclude=first),
+        ]
+        readings.append([float(v).hex() for v in values])
+    return readings
 
 
-# ``force_kernel`` sets the same threshold for every example, so sharing the
-# function-scoped fixture across examples is safe.
+# ``force_kernel`` only picks the kernel of the contexts built next, so
+# sharing the function-scoped fixture across examples is safe.
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(ops=_OPS, seed=st.integers(min_value=0, max_value=9))
-def test_accumulators_match_bruteforce_oracle(force_kernel, ops, seed):
-    force_kernel("vector")
-    ctx = build_context(seed=seed, fading=FadingModel(2.0, 2.5), trace_kinds=set())
-    assert isinstance(ctx.medium, VectorMedium)
-    medium = ctx.medium
-    radios = [
-        _attach_radio(ctx, f"r{i}", Position(1.5 * i, 0.7 * (i % 3)), band, tech)
-        for i, (_, band, tech) in enumerate(_BANDS)
-    ]
-    busy_until = {}
+def test_kernels_answer_energy_queries_bitwise_alike(force_kernel, ops, seed):
+    """The same random interleaving on both kernels: after every step each
+    radio's ``interference_mw`` (unfiltered, Wi-Fi only, one frame
+    excluded), ``cca_power_mw`` and ``decoding_interference_mw`` agree bit
+    for bit, and a drained medium reads zero everywhere."""
+    worlds = []
+    for kernel in KERNELS:
+        force_kernel(kernel)
+        ctx = build_context(seed=seed, fading=FadingModel(2.0, 2.5), trace_kinds=set())
+        assert isinstance(ctx.medium, VectorMedium) == (kernel == "vector")
+        radios = [
+            _attach_radio(ctx, f"r{i}", Position(1.5 * i, 0.7 * (i % 3)), band, tech)
+            for i, (_, band, tech) in enumerate(_BANDS)
+        ]
+        worlds.append((ctx, radios, {}))
     for op, a, b, c in ops:
-        if op == "tx":
-            src = radios[a]
-            if busy_until.get(a, -1.0) > ctx.sim.now:
-                continue
-            busy_until[a] = ctx.sim.now + c
-            medium.transmit(src, c, b, src.band, src.technology)
-        elif op == "advance":
-            ctx.sim.run(until=ctx.sim.now + a)
-        elif op == "move":
-            radios[a].move_to(Position(radios[a].position.x + b,
-                                       radios[a].position.y))
-        elif op == "move_many":
-            # Batched churn: one epoch advance for a platoon of movers.
-            medium.move_many(
-                (radio, Position(radio.position.x + b, radio.position.y + 0.3))
-                for radio in radios[a:a + 3]
-            )
-        elif op == "retune":
-            radios[a].retune(_BANDS[b][1])
-        active_ids = list(medium._active)
-        for radio in radios:
-            expected = _oracle_interference(medium, radio)
-            assert medium.interference_mw(radio) == expected
-            wanted = frozenset({Technology.WIFI})
-            assert medium.interference_mw(radio, technologies=wanted) == (
-                _oracle_interference(medium, radio, wanted=wanted)
-            )
-            if active_ids:
-                excl = (active_ids[0],)
-                assert medium.interference_mw(radio, exclude=excl) == (
-                    _oracle_interference(medium, radio, exclude=excl)
+        for ctx, radios, busy_until in worlds:
+            if op == "tx":
+                src = radios[a]
+                if busy_until.get(a, -1.0) > ctx.sim.now:
+                    continue
+                busy_until[a] = ctx.sim.now + c
+                ctx.medium.transmit(src, c, b, src.band, src.technology)
+            elif op == "advance":
+                ctx.sim.run(until=ctx.sim.now + a)
+            elif op == "move":
+                radios[a].move_to(Position(radios[a].position.x + b,
+                                           radios[a].position.y))
+            elif op == "move_many":
+                # Batched churn: one epoch advance for a platoon of movers.
+                ctx.medium.move_many(
+                    (radio, Position(radio.position.x + b, radio.position.y + 0.3))
+                    for radio in radios[a:a + 3]
                 )
-    ctx.sim.run(until=ctx.sim.now + 20e-3)  # drain; end-edge accounting
-    for radio in radios:
-        assert medium.interference_mw(radio) == 0.0
+            elif op == "retune":
+                radios[a].retune(_BANDS[b][1])
+        loop, vector = worlds
+        assert list(loop[0].medium._active) == list(vector[0].medium._active)
+        assert _energy_readings(*loop[:2]) == _energy_readings(*vector[:2])
+    for ctx, radios, _ in worlds:
+        ctx.sim.run(until=ctx.sim.now + 20e-3)  # drain; end-edge accounting
+        for radio in radios:
+            assert ctx.medium.interference_mw(radio) == 0.0
+    assert _energy_readings(*worlds[0][:2]) == _energy_readings(*worlds[1][:2])
 
 
 # ----------------------------------------------------------------------
@@ -556,30 +562,44 @@ IDLE_GUARD_SCENARIOS = [
 def test_wifi_mac_is_skipped_only_while_idle(force_kernel, monkeypatch, kernel, scenario, params):
     """Every time a kernel or a radio reads a ``WifiMac``'s flag as false and
     so skips its ``on_medium_event``, ``_evaluate`` would have taken its idle
-    return: no countdown, and an ACK pending or an empty queue."""
+    return: no countdown, and an ACK pending or an empty queue.  Conversely
+    no ``on_medium_event`` reaches a MAC in that state: the flag is cleared
+    on every way into idle, also where no medium event leads there (a
+    countdown that pops the last frame, the start of an ACK wait)."""
     reads = {False: 0, True: 0}
     busy = []
+    idle_events = []
+
+    def idle(mac):
+        return mac._countdown_event is None and (
+            mac._awaiting_ack_for is not None or not mac.queue
+        )
 
     def get(mac):
         flag = mac.__dict__.get("_flag", True)
         reads[flag] += 1
-        idle = mac._countdown_event is None and (
-            mac._awaiting_ack_for is not None or not mac.queue
-        )
-        if not flag and not idle:
+        if not flag and not idle(mac):
             busy.append((mac.radio.name, mac.sim.now))
         return flag
 
     def set_(mac, flag):
         mac.__dict__["_flag"] = flag
 
+    on_medium_event = WifiMac.on_medium_event
+
+    def spy(mac):
+        if idle(mac):
+            idle_events.append((mac.radio.name, mac.sim.now))
+        on_medium_event(mac)
+
     monkeypatch.setattr(WifiMac, "medium_event_sensitive", property(get, set_))
+    monkeypatch.setattr(WifiMac, "on_medium_event", spy)
     force_kernel(kernel)
     spec = get_scenario(scenario, **params)
     compiled = compile_scenario(spec, 1)
     assert isinstance(compiled.ctx.medium, VectorMedium) == (kernel == "vector")
     compiled.run()
     assert busy == []
+    assert idle_events == []
     # Both outcomes occur: idle MACs are skipped, busy ones still notified.
     assert reads[False] > 0 and reads[True] > 0
-

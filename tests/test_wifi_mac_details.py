@@ -67,6 +67,39 @@ def test_contention_window_doubles_on_missed_ack():
     assert a.mac.data_dropped == 1
 
 
+def test_mac_sending_its_last_frame_is_passed_no_medium_event(monkeypatch):
+    """A countdown that pops the last queued frame leaves the DCF idle, so a
+    burst on the air during that frame is not passed to the MAC."""
+    ctx = deterministic_context(seed=9)
+    a = WifiDevice(ctx, "A", Position(0, 0))
+    WifiDevice(ctx, "R", Position(1, 0))
+    noise = Emitter(ctx, "N", Position(2, 0))
+    events = []
+    real_event = a.mac.on_medium_event
+
+    def event_spy():
+        events.append(ctx.sim.now)
+        real_event()
+
+    monkeypatch.setattr(a.mac, "on_medium_event", event_spy)
+    sent = []
+    real_transmit = a.radio.transmit_frame
+
+    def transmit_spy(frame, power):
+        sent.append(ctx.sim.now)
+        ctx.sim.schedule(20e-6, noise.emit, 10e-6, 0.0, a.radio.band, Technology.WIFI)
+        return real_transmit(frame, power)
+
+    a.radio.transmit_frame = transmit_spy
+    edges = []
+    ctx.medium.add_energy_observer(lambda: edges.append(ctx.sim.now))
+    enqueue(ctx, a.mac, payload=1500)
+    ctx.sim.run(until=0.02)
+    assert sent and a.mac.data_delivered == 1
+    assert sent[0] + 20e-6 in edges  # the burst starts while A is on the air
+    assert events == []
+
+
 def test_nav_takes_maximum_of_overlapping_cts():
     ctx = deterministic_context(seed=5)
     a = WifiDevice(ctx, "A", Position(0, 0))
@@ -168,6 +201,8 @@ def _idle_mac_trial(monkeypatch, idle_events):
         real_event()
 
     monkeypatch.setattr(a.mac, "on_medium_event", event_spy)
+    edges = []
+    ctx.medium.add_energy_observer(lambda: edges.append(ctx.sim.now))
 
     def bursts(*offsets):
         for offset in offsets:
@@ -191,18 +226,22 @@ def _idle_mac_trial(monkeypatch, idle_events):
     ctx.sim.run(until=0.1)
     stream = ctx.streams.stream("mac/wifi/A")
     outcome = (sent, a.mac._cw, a.mac.data_dropped, stream.bit_generator.state)
-    return outcome, sensed, events, ack_waits[0]
+    return outcome, sensed, events, edges, ack_waits[0]
 
 
 def test_idle_mac_skips_carrier_sense_without_changing_its_plan(monkeypatch):
-    """An idle DCF (no countdown; empty queue or an ACK pending) asks the
-    medium nothing on a medium event, and its later backoff is unchanged."""
-    outcome, sensed, events, (tx_end, ack_timeout) = _idle_mac_trial(monkeypatch, True)
-    quiet_outcome, _, _, _ = _idle_mac_trial(monkeypatch, False)
+    """An idle DCF (no countdown; empty queue or an ACK pending) is passed no
+    medium event and asks the medium nothing while medium edges come and
+    go, and its later backoff is unchanged."""
+    outcome, sensed, events, edges, (tx_end, ack_timeout) = _idle_mac_trial(
+        monkeypatch, True
+    )
+    quiet_outcome = _idle_mac_trial(monkeypatch, False)[0]
     sensed_a = [t for name, t in sensed if name == "A"]
     idle_windows = [(0.0, 5e-3), (tx_end, ack_timeout)]
     for start, end in idle_windows:
-        assert any(start <= t < end for t in events)
+        assert any(start < t < end for t in edges)  # the noise bursts
+        assert not any(start <= t < end for t in events)
         assert not any(start <= t < end for t in sensed_a)
     assert sensed_a  # A does sense while it contends
     assert outcome == quiet_outcome
