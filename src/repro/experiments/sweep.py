@@ -80,7 +80,8 @@ from .topology import Calibration
 #:    run's order (its ``mean_delay`` no longer moves in the last bit).
 #: 11: a CTI collection stops at its last trace, so the ``cti`` and
 #:    ``device-id`` telemetry snapshots count fewer simulator events.
-CACHE_SCHEMA = 11
+#: 12: the 802.11 BER takes ``math.erfc``, not scipy's (last-bit differences).
+CACHE_SCHEMA = 12
 
 _LOG = get_logger("sweep")
 

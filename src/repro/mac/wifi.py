@@ -256,8 +256,8 @@ class WifiMac:
         self._backoff_slots = None
         if self.queue and not self._medium_busy(min_age=SENSE_DELAY_S) and self._tx_allowed():
             self._transmit(self.queue.popleft())
-        # Idle when the queue is empty.  Right after a transmission it is
-        # otherwise a no-op: carrier sense says busy while the radio sends.
+            if self.queue:
+                return  # still contending; carrier sense reads busy while it sends
         self._evaluate()
 
     def _transmit(self, frame: Frame) -> None:

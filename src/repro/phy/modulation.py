@@ -6,7 +6,9 @@ technology-specific bit-error-rate curves:
 * **802.15.4 O-QPSK DSSS** — the standard model from the 802.15.4 spec /
   coexistence literature, with the 32-chip spreading gain baked in.
 * **802.11 OFDM** — AWGN formulas for BPSK/QPSK/16-QAM/64-QAM with a simple
-  coding-gain offset per convolutional code rate.
+  coding-gain offset per convolutional code rate, evaluated with the
+  standard library's ``math.erfc`` (exactly 0.0 from an argument of about
+  27.23 on, so every rate's BER reaches exactly zero at a finite SINR).
 * **BLE GFSK** — non-coherent FSK approximation.
 
 Durations follow the corresponding PHY framing (OFDM symbol math for Wi-Fi,
@@ -20,8 +22,6 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict
-
-from scipy.special import erfc
 
 from ..sim.units import USEC, db_to_linear
 
@@ -119,11 +119,6 @@ class WifiModulation(Enum):
     CCK = "cck"  # 802.11b 5.5/11 Mbps complementary code keying
 
 
-#: scipy's ``erfc`` is exactly 0.0 from here on (it underflows near 26.65);
-#: ``tests/test_modulation.py`` fails if a scipy release stops doing so.
-_ERFC_ZERO_FROM = 27.0
-
-
 def _ber_uncoded(modulation: WifiModulation, snr_per_bit: float) -> float:
     """AWGN bit error rate of the raw constellation, linear Eb/N0."""
     if snr_per_bit <= 0.0:
@@ -138,10 +133,7 @@ def _ber_uncoded(modulation: WifiModulation, snr_per_bit: float) -> float:
         scale, arg = 7.0 / 24.0, math.sqrt(snr_per_bit / 7.0)
     else:
         raise ValueError(f"unknown modulation {modulation}")
-    if arg >= _ERFC_ZERO_FROM:
-        return 0.0
-    # ``float`` of scipy's float64 is exact: the BER is a Python float.
-    return scale * float(erfc(arg))
+    return scale * math.erfc(arg)
 
 
 #: Approximate convolutional coding gain at useful BERs, by code rate.

@@ -1,19 +1,23 @@
 """Campaign statistics: t critical values, summaries and aggregation.
 
-Regression coverage for two real bugs: the scipy-less ``t_critical``
-fallback used to return z=1.96 for *all* degrees of freedom (df=4 needs
-2.776 — a 42% wider interval), and ``MetricSummary.to_dict`` emitted ``n``
-as an int inside a payload declared ``Dict[str, float]`` with no typed way
-back from ``report.json``.
+Regression coverage for two real bugs: a scipy-less ``t_critical`` used to
+return z=1.96 for *all* degrees of freedom (df=4 needs 2.776 — a 42% wider
+interval), and ``MetricSummary.to_dict`` emitted ``n`` as an int inside a
+payload declared ``Dict[str, float]`` with no typed way back from
+``report.json``.  ``t_critical`` now takes one path, scipy or not; scipy,
+where installed, is the oracle for its values.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
+import sys
 
 import pytest
 
+from repro.experiments import stats
 from repro.experiments.stats import (
     _T95_TABLE,
     MetricSummary,
@@ -23,54 +27,50 @@ from repro.experiments.stats import (
     t_critical,
 )
 
-try:
-    from scipy import stats as scipy_stats
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - CI installs scipy
-    HAVE_SCIPY = False
-
-
-def _fallback_t_critical(df, confidence=0.95):
-    """Call t_critical as if scipy were absent."""
-    import builtins
-    import unittest.mock as mock
-
-    real_import = builtins.__import__
-
-    def no_scipy(name, *args, **kwargs):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(name)
-        return real_import(name, *args, **kwargs)
-
-    with mock.patch.object(builtins, "__import__", side_effect=no_scipy):
-        return t_critical(df, confidence)
+from .scipy_block import BlockScipy
 
 
 def test_small_sample_critical_values_are_not_z():
     """The old fallback returned 1.96 for every df."""
-    assert _fallback_t_critical(1) == pytest.approx(12.706, abs=1e-3)
-    assert _fallback_t_critical(4) == pytest.approx(2.776, abs=1e-3)
-    assert _fallback_t_critical(10) == pytest.approx(2.228, abs=1e-3)
-    assert _fallback_t_critical(30) == pytest.approx(2.042, abs=1e-3)
-    # Beyond the table the normal quantile is an adequate approximation.
-    assert _fallback_t_critical(31) == pytest.approx(1.959963984540054, abs=1e-9)
+    assert t_critical(1) == pytest.approx(12.706, abs=1e-3)
+    assert t_critical(4) == pytest.approx(2.776, abs=1e-3)
+    assert t_critical(10) == pytest.approx(2.228, abs=1e-3)
+    assert t_critical(30) == pytest.approx(2.042, abs=1e-3)
+    # Beyond the table the expansion carries on from it, down towards z.
+    assert t_critical(31) == pytest.approx(2.0395134464, abs=1e-7)
+    assert t_critical(10**6) == pytest.approx(1.959963984540054, abs=1e-5)
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
 @pytest.mark.parametrize("df", list(range(1, 31)))
 def test_t_table_pins_scipy_values(df):
-    """The hardcoded table must match scipy to the printed precision."""
+    """The table holds scipy's own quantiles, to the bit."""
+    scipy_stats = pytest.importorskip("scipy.stats")
     exact = float(scipy_stats.t.ppf(0.975, df))
-    assert _T95_TABLE[df - 1] == pytest.approx(exact, abs=5e-4)
-    # With scipy present, t_critical uses scipy directly.
-    assert t_critical(df) == pytest.approx(exact, abs=1e-12)
+    assert _T95_TABLE[df - 1] == exact
+    assert t_critical(df) == exact
 
 
-def test_fallback_non_95_confidence_uses_normal_quantile():
-    assert _fallback_t_critical(4, confidence=0.99) == pytest.approx(
-        2.5758293035489004, abs=1e-9
+def test_expansion_matches_scipy_beyond_the_table():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    for df in range(31, 2001):
+        exact = float(scipy_stats.t.ppf(0.975, df))
+        assert abs(t_critical(df) - exact) <= 1e-7 * exact, df
+
+
+def test_t_critical_is_the_same_with_scipy_blocked(monkeypatch):
+    """A copy of the module loaded where no scipy import can succeed
+    returns the same critical value for every df."""
+    for name in [name for name in sys.modules if name.split(".")[0] == "scipy"]:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(sys, "meta_path", [BlockScipy(), *sys.meta_path])
+    spec = importlib.util.spec_from_file_location(
+        "repro.experiments._stats_without_scipy", stats.__file__
     )
+    blocked = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, blocked)  # for its dataclasses
+    spec.loader.exec_module(blocked)
+    dfs = range(1, 2001)
+    assert [blocked.t_critical(df) for df in dfs] == [t_critical(df) for df in dfs]
 
 
 def test_t_critical_invalid_df():

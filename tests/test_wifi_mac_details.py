@@ -100,6 +100,38 @@ def test_mac_sending_its_last_frame_is_passed_no_medium_event(monkeypatch):
     assert events == []
 
 
+def test_countdown_that_sends_with_frames_left_senses_once(monkeypatch):
+    """A countdown that sends one of two queued frames senses the carrier
+    once, for the send itself: re-planning while the radio sends is a no-op."""
+    ctx = deterministic_context(seed=9)
+    a = WifiDevice(ctx, "A", Position(0, 0))
+    WifiDevice(ctx, "R", Position(1, 0))
+    senses = []
+    real_busy = a.mac._medium_busy
+
+    def busy_spy(min_age=0.0):
+        senses.append(min_age)
+        return real_busy(min_age)
+
+    monkeypatch.setattr(a.mac, "_medium_busy", busy_spy)
+    completions = []
+    real_complete = a.mac._countdown_complete
+
+    def complete_spy():
+        senses.clear()
+        queued = len(a.mac.queue)
+        real_complete()
+        completions.append((queued, len(a.mac.queue), list(senses)))
+
+    monkeypatch.setattr(a.mac, "_countdown_complete", complete_spy)
+    enqueue(ctx, a.mac, seq=1)
+    enqueue(ctx, a.mac, seq=2)
+    ctx.sim.run(until=0.02)
+    assert a.mac.data_delivered == 2
+    assert completions[0] == (2, 1, [SENSE_DELAY_S])
+    assert a.mac.medium_event_sensitive is False  # idle once both are sent
+
+
 def test_nav_takes_maximum_of_overlapping_cts():
     ctx = deterministic_context(seed=5)
     a = WifiDevice(ctx, "A", Position(0, 0))
