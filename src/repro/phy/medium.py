@@ -15,6 +15,10 @@ Two different power questions arise and are answered by two methods:
 * :meth:`Medium.inband_energy_dbm` — the total power inside a radio's receive
   filter right now (noise floor plus all active transmissions), which is what
   energy-detection CCA measures.
+
+A run's radio set is fixed at its first frame: :meth:`Medium.attach` raises
+once any source has transmitted, so every frame's powers cover every radio
+and are read only while the frame is on the air.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ class Technology(Enum):
     MICROWAVE = "microwave"
 
     # Members are singletons and compare by identity, so they may hash by
-    # identity too: a dict probe keyed by a technology (the per-technology
-    # counts, ``VectorMedium``'s index) then runs no Python-level ``__hash__``.
+    # identity too: a dict probe keyed by a technology (``VectorMedium``'s
+    # index) then runs no Python-level ``__hash__``.
     __hash__ = object.__hash__
 
 
@@ -119,28 +123,17 @@ class _Link:
         self.draws: List[float] = []
         self.head = 0
 
-    def fading_db(self, channel: Channel) -> float:
-        """The next draw of the link's fading stream."""
-        head = self.head
-        if head == len(self.draws):
-            block = channel.fading_draws(self.src, (self.name,), _FADING_BATCH)
-            self.draws = block[0].tolist()
-            head = 0
-        self.head = head + 1
-        return self.draws[head]
-
 
 class _LinkRow:
     """The links from one source to every other attached radio, in attach order.
 
-    Valid while the radio count, the channel's position epoch and the
-    source's position object are the ones it was built for.
+    Valid while the channel's position epoch and the source's position
+    object are the ones it was built for.
     """
 
-    __slots__ = ("n", "epoch", "src_pos", "links")
+    __slots__ = ("epoch", "src_pos", "links")
 
-    def __init__(self, n: int, epoch: int, src_pos: Any, links: List[_Link]):
-        self.n = n
+    def __init__(self, epoch: int, src_pos: Any, links: List[_Link]):
         self.epoch = epoch
         self.src_pos = src_pos
         self.links = links
@@ -157,9 +150,10 @@ class Medium:
 
     Its per-frame work is kept to what can change an outcome:
 
+    * the radio set is closed at the first transmission (:meth:`attach`);
     * a per-source :class:`_LinkRow` holds each link's path loss and
-      shadowing, rebuilt only when the radio count, the position epoch or
-      the source's position object changes;
+      shadowing, rebuilt only when the position epoch or the source's
+      position object changes;
     * fading is drawn 64 at a time per link from the stream state the
       channel holds (:class:`_Link`, :meth:`Channel.fading_draws`);
     * a transmission edge is passed only to radios it can affect: those
@@ -204,50 +198,47 @@ class Medium:
         self._listeners: List[Any] = []
         self._active: Dict[int, Transmission] = {}
         self._tx_ids = itertools.count(1)
-        # rx power of each active transmission at each attached radio, dBm.
-        self._rx_power: Dict[Tuple[int, str], float] = {}
-        # Radio names with per-tx cache entries written, so ``_finish`` pops
-        # O(entries written) keys instead of looping over every radio.
-        self._tx_touched: Dict[int, set] = {}
         #: Bumped on every transmission start/end.  The in-band energy at any
         #: radio is **piecewise-constant between epochs**, which is what the
         #: segment-based RSSI capture and ``WifiMac``'s carrier-sense memo
         #: rely on.
         self.state_epoch = 0
         self._energy_observers: List[Callable[[], None]] = []
-        # Per-technology count of active transmissions (O(1) busy_with).
-        self._tech_active: Dict[Technology, int] = {t: 0 for t in Technology}
-        # Captured in-filter power of one tx at one radio, keyed by
-        # (tx_id, radio name).  The value is pure in (rx power, bands); the
-        # stored band reference guards against receivers retuning mid-flight
-        # (BLE hops reassign ``radio.band``).
-        self._captured_mw: Dict[Tuple[int, str], Tuple[Any, float]] = {}
         # Link rows per source name, and every link built so far by
-        # (source name, receiver name).
-        self._link_rows: Dict[str, _LinkRow] = {}
+        # (source name, receiver name).  Both kernels keep their rows here:
+        # the first row closes the radio set (see :meth:`attach`).
+        self._link_rows: Dict[str, Any] = {}
         self._links: Dict[Tuple[str, str], _Link] = {}
-        # Rx power of each active transmission at each attached radio, dBm,
-        # frozen at transmit time: tx id -> {radio name: dBm}.  Radios
-        # missing here (attached mid-transmission) go through ``_rx_power``.
+        # Rx power of each active transmission at every other radio, dBm,
+        # frozen at transmit time: tx id -> {radio name: dBm}.
         self._frame_rx: Dict[int, Dict[str, float]] = {}
+        # Captured in-filter power of each active transmission, filled on
+        # first query: tx id -> {radio name: (band, mW)}.  The value is pure
+        # in (rx power, bands); the stored band reference guards against
+        # receivers retuning mid-flight (BLE hops reassign ``radio.band``).
+        self._frame_cap: Dict[int, Dict[str, Tuple[Any, float]]] = {}
 
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
     def attach(self, radio: Any) -> None:
-        """Register a radio.  The radio's ``medium`` attribute is set."""
+        """Register a radio.  The radio's ``medium`` attribute is set.
+
+        Raises RuntimeError once any source has transmitted: a run's radio
+        set is fixed at its first frame, so every frame's powers cover every
+        radio.
+        """
+        if self._link_rows:
+            raise RuntimeError(
+                f"cannot attach {radio.name!r}: the radio set is fixed once a "
+                "source has transmitted"
+            )
         if radio.name in self._index_of:
             raise ValueError(f"duplicate radio name {radio.name!r}")
         self._index_of[radio.name] = len(self.radios)
         self.radios.append(radio)
         self._listeners.append(radio.mac if _mac_sensitive(radio) else None)
         radio.medium = self
-
-    def radio_by_name(self, name: str) -> Any:
-        try:
-            return self.radios[self._index_of[name]]
-        except KeyError:
-            raise KeyError(name) from None
 
     def move_many(self, moves: Iterable[Tuple[Any, Any]]) -> None:
         """Relocate several radios with a single gain invalidation.
@@ -270,8 +261,8 @@ class Medium:
     def on_radio_retuned(self, radio: Any) -> None:
         """Hook called by :meth:`Radio.retune` when a radio's band changes.
 
-        This kernel needs no action: its per-(tx, radio) caches store the
-        band they were computed for and recompute on mismatch.
+        This kernel needs no action: its captured-power cache stores the
+        band each value was computed for and recomputes on mismatch.
         :class:`~repro.phy.medium_fast.VectorMedium` overrides it to refresh
         its band arrays.
         """
@@ -322,21 +313,15 @@ class Medium:
     def _link_row(self, source: Any) -> _LinkRow:
         """The links from ``source``, rebuilt if the topology changed.
 
-        The same validity rule as ``VectorMedium._source_row``: the radio
-        count, the position epoch and the source's position object.  A
-        rebuild keeps each link's unused fading draws.
+        The same validity rule as ``VectorMedium._source_row``: the position
+        epoch and the source's position object.  A rebuild keeps each link's
+        unused fading draws.
         """
         name = source.name
-        n = len(self.radios)
         channel = self.channel
         epoch = channel.position_epoch
         row = self._link_rows.get(name)
-        if (
-            row is not None
-            and row.n == n
-            and row.epoch == epoch
-            and row.src_pos is source.position
-        ):
+        if row is not None and row.epoch == epoch and row.src_pos is source.position:
             return row
         src_pos = source.position
         links = []
@@ -351,7 +336,7 @@ class Medium:
                 name, src_pos, rx_name, radio.position
             )
             links.append(link)
-        row = self._link_rows[name] = _LinkRow(n, epoch, src_pos, links)
+        row = self._link_rows[name] = _LinkRow(epoch, src_pos, links)
         return row
 
     def transmit(
@@ -384,14 +369,11 @@ class Medium:
             source=source,
         )
         self._active[tx.tx_id] = tx
-        self._tech_active[technology] += 1
         self._broadcasts.inc()
-        self._tx_touched[tx.tx_id] = set()
         links = self._link_row(source).links
         channel = self.channel
-        # The operation order of ``Channel.rx_power_dbm``:
-        # ((power - loss) + shadow) + fading.  Each link's fading is its
-        # next buffered draw (``_Link.fading_db``, inlined).
+        # ((power - loss) + shadow) + fading, where each link's fading is
+        # its next buffered draw.
         rx_power = {}
         if channel.fading.fading_sigma_db > 0.0:
             for link in links:
@@ -407,6 +389,7 @@ class Medium:
             for link in links:
                 rx_power[link.name] = ((power_dbm - link.loss) + link.shadow) + 0.0
         self._frame_rx[tx.tx_id] = rx_power
+        self._frame_cap[tx.tx_id] = {}
         self._bump_state()
         trace = self.trace
         if trace.note("medium.tx_start"):
@@ -433,8 +416,7 @@ class Medium:
             elif (
                 frame is not None
                 and radio.technology is technology
-                # A radio missing from ``rx_power`` attached after the draw.
-                and rx_power.get(radio.name, radio.sensitivity_dbm) >= radio.sensitivity_dbm
+                and rx_power[radio.name] >= radio.sensitivity_dbm
             ):
                 radio.on_transmission_start(tx)
             elif mac is not None and getattr(mac, "medium_event_sensitive", True):
@@ -443,8 +425,7 @@ class Medium:
         return tx
 
     def _finish(self, tx: Transmission) -> None:
-        if self._active.pop(tx.tx_id, None) is not None:
-            self._tech_active[tx.technology] -= 1
+        del self._active[tx.tx_id]
         self._bump_state()
         trace = self.trace
         if trace.note("medium.tx_end"):
@@ -461,10 +442,8 @@ class Medium:
                 mac.on_medium_event()
         # The frozen powers outlive the end notifications: receivers reading
         # them from ``on_transmission_end`` see the frame's values.
-        self._frame_rx.pop(tx.tx_id, None)
-        for name in self._tx_touched.pop(tx.tx_id, ()):
-            self._rx_power.pop((tx.tx_id, name), None)
-            self._captured_mw.pop((tx.tx_id, name), None)
+        del self._frame_rx[tx.tx_id]
+        del self._frame_cap[tx.tx_id]
         if source is not None and hasattr(source, "on_own_transmission_end"):
             source.on_own_transmission_end(tx)
 
@@ -476,32 +455,7 @@ class Medium:
     # ------------------------------------------------------------------
     def rx_power_dbm(self, tx: Transmission, radio: Any) -> float:
         """Unfiltered received power of ``tx`` at ``radio`` (frozen per frame)."""
-        frame_rx = self._frame_rx.get(tx.tx_id)
-        if frame_rx is not None:
-            rx_dbm = frame_rx.get(radio.name)
-            if rx_dbm is not None:
-                return rx_dbm
-        key = (tx.tx_id, radio.name)
-        try:
-            return self._rx_power[key]
-        except KeyError:
-            pass
-        # A radio attached mid-transmission (rare; mobility experiments), or
-        # a query after the frame ended.  The fading is the link's next
-        # draw, so unused buffered draws come first.
-        rx_dbm = self.channel.mean_rx_power_dbm(
-            tx.power_dbm, tx.source_name, tx.source.position, radio.name, radio.position
-        )
-        link = self._links.get((tx.source_name, radio.name))
-        if link is not None and self.channel.fading.fading_sigma_db > 0.0:
-            rx_dbm += link.fading_db(self.channel)
-        else:
-            rx_dbm += self.channel.frame_fading_db(tx.source_name, radio.name)
-        self._rx_power[key] = rx_dbm
-        touched = self._tx_touched.get(tx.tx_id)
-        if touched is not None:
-            touched.add(radio.name)
-        return rx_dbm
+        return self._frame_rx[tx.tx_id][radio.name]
 
     def captured_power_mw(self, tx: Transmission, radio: Any) -> float:
         """Power of ``tx`` that enters ``radio``'s receive filter, in mW.
@@ -512,20 +466,18 @@ class Medium:
         receive band it was computed for: a radio that retunes mid-flight
         (BLE hopping) transparently recomputes.
         """
-        key = (tx.tx_id, radio.name)
-        entry = self._captured_mw.get(key)
-        if entry is not None and entry[0] is radio.band:
+        cache = self._frame_cap[tx.tx_id]
+        name = radio.name
+        band = radio.band
+        entry = cache.get(name)
+        if entry is not None and entry[0] is band:
             return entry[1]
-        fraction = overlap_fraction(tx.band, radio.band)
+        fraction = overlap_fraction(tx.band, band)
         if fraction <= 0.0:
             value = 0.0
         else:
-            value = dbm_to_mw(self.rx_power_dbm(tx, radio) + linear_to_db(fraction))
-        if tx.tx_id in self._active:
-            self._captured_mw[key] = (radio.band, value)
-            touched = self._tx_touched.get(tx.tx_id)
-            if touched is not None:
-                touched.add(radio.name)
+            value = dbm_to_mw(self._frame_rx[tx.tx_id][name] + linear_to_db(fraction))
+        cache[name] = (band, value)
         return value
 
     def interference_mw(
@@ -628,11 +580,3 @@ class Medium:
         """Total in-band power at ``radio``: noise floor + interference, dBm."""
         noise_mw = radio.noise_floor_mw
         return mw_to_dbm(noise_mw + self.interference_mw(radio, technologies=technologies))
-
-    def busy_with(self, technology: Technology) -> bool:
-        """True if any transmission of ``technology`` is currently on the air.
-
-        O(1): the medium keeps a per-technology count of active
-        transmissions instead of scanning the active set.
-        """
-        return self._tech_active[technology] > 0

@@ -11,8 +11,8 @@ This kernel keeps the *same numbers* (bit-identical traces, enforced by
 index-aligned numpy arrays:
 
 * **Link matrix rows** (:class:`_SourceRow`) — path loss and shadowing from
-  one source to every attached radio, rebuilt only when the position epoch,
-  the radio count, or the source's position object changes.  Per-link fading
+  one source to every attached radio, rebuilt only when the position epoch
+  or the source's position object changes.  Per-link fading
   is buffered: each transmission consumes one pre-drawn sample per link (a
   single numpy gather), and empty buffers are refilled in blocks from the
   stream state the channel keeps (``Channel.fading_draws``).
@@ -21,9 +21,9 @@ index-aligned numpy arrays:
   version).  Zero-overlap radios are masked out of all power math.
 * **Slots** (:class:`_Slot`) — per-transmission rx-power and captured-power
   arrays indexed by radio position, replacing the ``(tx_id, radio.name)``
-  tuple-key dicts.  Energy queries (``interference_mw``, ``cca_power_mw``)
+  per-frame dicts.  Energy queries (``interference_mw``, ``cca_power_mw``)
   are :class:`Medium`'s own folds over the active set; they read each
-  covered radio's captured power from its slot through
+  radio's captured power from its slot through
   :meth:`VectorMedium.captured_power_mw`.
 * **Reception locks** (:class:`_Locks`) — the record a locked radio would
   keep in its ``_ReceptionContext`` (locked frame, open interference
@@ -32,8 +32,7 @@ index-aligned numpy arrays:
   the active slots, so a locked radio is called only when its frame ends:
   :meth:`VectorMedium._hand_over` writes the record into its context and the
   radio finishes the reception (BER, SINR and the success draw stay scalar,
-  per segment).  A radio attached mid-transmission locks on the per-radio
-  path instead and sees every edge.  An edge nested in a notification loop
+  per segment).  An edge nested in a notification loop
   is folded too; the overlaps it reorders relative to the loop kernel are
   recorded per slot (``_Slot.late``).
 
@@ -65,25 +64,19 @@ _TECH_INDEX = {tech: i for i, tech in enumerate(Technology)}
 
 
 class _SourceRow:
-    """Per-source link state: path loss, shadowing, buffered fading."""
+    """Per-source link state: path loss, shadowing, buffered fading.
 
-    __slots__ = (
-        "n",
-        "src_index",
-        "epoch",
-        "src_pos",
-        "loss",
-        "shadow",
-        "buf",
-        "head",
-        "count",
-    )
+    :meth:`VectorMedium._source_row` fills ``src_index``, ``epoch``,
+    ``src_pos``, ``loss`` and ``shadow`` on every (re)build; the fading
+    buffers live as long as the row.
+    """
 
-    def __init__(self, n: int, src_index: int, epoch: int, src_pos: Any):
-        self.n = n
-        self.src_index = src_index  # -1 when the source is not an attached radio
-        self.epoch = epoch
-        self.src_pos = src_pos
+    __slots__ = ("src_index", "epoch", "src_pos", "loss", "shadow", "buf", "head", "count")
+
+    def __init__(self, n: int):
+        self.src_index = -1  # -1 when the source is not an attached radio
+        self.epoch = -1
+        self.src_pos: Any = None
         self.loss = np.zeros(n)
         self.shadow = np.zeros(n)
         # ``buf[j, head[j]:head[j] + count[j]]`` are link j's drawn, unused
@@ -103,18 +96,16 @@ class _Slot:
     frames started later (see ``VectorMedium._open_late``).
     """
 
-    __slots__ = ("n", "src_index", "rx_dbm", "cap", "dec", "tx", "late")
+    __slots__ = ("src_index", "rx_dbm", "cap", "dec", "tx", "late")
 
     def __init__(
         self,
-        n: int,
         src_index: int,
         rx_dbm: np.ndarray,
         cap: np.ndarray,
         dec: np.ndarray,
         tx: Transmission,
     ):
-        self.n = n
         self.src_index = src_index
         self.rx_dbm = rx_dbm
         self.cap = cap
@@ -249,7 +240,9 @@ class VectorMedium(Medium):
     """Struct-of-arrays medium hot path, bit-identical to :class:`Medium`.
 
     :func:`repro.context.build_context` builds it for deployments of at
-    least :data:`repro.context.VECTOR_MEDIUM_MIN_RADIOS` radios.
+    least :data:`repro.context.VECTOR_MEDIUM_MIN_RADIOS` radios.  The radio
+    set is closed at the first transmission (:meth:`Medium.attach`), so
+    every link row, slot and lock row spans every radio.
     """
 
     keeps_lock_records = True
@@ -271,27 +264,18 @@ class VectorMedium(Medium):
         #: Radios whose MAC is a listener (``Medium._listeners``): they are
         #: visited on every transmission edge, where the MAC's flag is read.
         self._sensitive = np.zeros(0, dtype=bool)
-        #: Reception locks of covered radios (index < ``_cover_n`` when the
-        #: lock was taken): the medium keeps their record and folds them
-        #: across every edge at once.
+        #: Every reception lock: the medium keeps its record and folds them
+        #: all across every edge at once.
         self._locks = _Locks()
-        #: Indices of radios holding a lock taken while uncovered: they keep
-        #: the per-radio path and see every transmission edge.
-        self._untracked: set = set()
         #: (source name, technology) of each transmission source, by the id
         #: the overlap log stores.
         self._source_ids: Dict[Tuple[str, Technology], int] = {}
         self._source_keys: List[Tuple[str, Technology]] = []
-        #: Bumped whenever any radio's band changes or a radio attaches;
-        #: keys the per-band overlap profiles.
+        #: Bumped whenever any radio's band changes; keys the per-band
+        #: overlap profiles.
         self._band_version = 0
-        self._rows: Dict[str, _SourceRow] = {}
         self._profiles: Dict[Tuple[Any, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._slots: Dict[int, _Slot] = {}
-        #: Radios with index >= _cover_n are not covered by every active
-        #: slot (attached mid-transmission); their queries take the exact
-        #: legacy fallback path.
-        self._cover_n = 0
 
     # ------------------------------------------------------------------
     # Topology
@@ -307,9 +291,6 @@ class VectorMedium(Medium):
             self._tech_code, _TECH_INDEX.get(radio.technology, -1)
         )
         self._sensitive = np.append(self._sensitive, self._listeners[-1] is not None)
-        self._band_version += 1
-        if not self._slots:
-            self._cover_n = len(self.radios)
 
     def on_radio_retuned(self, radio: Any) -> None:
         j = self._index_of.get(radio.name)
@@ -323,7 +304,7 @@ class VectorMedium(Medium):
         # Refresh this radio's captured power in every active slot, exactly
         # as the legacy cache recomputes on its band-identity guard.
         for slot in self._slots.values():
-            if j >= slot.n or j == slot.src_index:
+            if j == slot.src_index:
                 continue
             # slot.tx, not an _active lookup: a slot lingers through its end
             # notifications (matching the legacy dict entries), and a retune
@@ -345,25 +326,20 @@ class VectorMedium(Medium):
         return j
 
     def on_radio_lock_changed(self, radio: Any, locked: bool) -> bool:
-        """Keep the record of a new lock when ``radio`` is covered by every slot.
+        """Keep the record of ``radio``'s new lock.
 
-        A covered radio stays covered (later slots span it too), so its lock
-        is folded across edges here and handed back to the radio only when
-        the locked frame ends (:meth:`_hand_over`).  Returns True for such a
-        lock.  :meth:`Radio._set_lock <repro.devices.base.Radio._set_lock>`
-        calls it on every lock transition, because this kernel
-        :attr:`keeps_lock_records`.
+        The lock is folded across edges here and handed back to the radio
+        only when the locked frame ends (:meth:`_hand_over`).  Returns True
+        for a new lock.  :meth:`Radio._set_lock
+        <repro.devices.base.Radio._set_lock>` calls it on every lock
+        transition, because this kernel :attr:`keeps_lock_records`.
         """
         j = self._index_of.get(radio.name)
         if j is None or self.radios[j] is not radio:
             return False
         locks = self._locks
-        locks.fit(j + 1)
-        if not locked or j >= self._cover_n:
+        if not locked:
             locks.tx[j] = 0
-            self._untracked.discard(j)
-            if locked:
-                self._untracked.add(j)
             return False
         lock = radio._lock
         start, level = lock.segment_start
@@ -380,26 +356,27 @@ class VectorMedium(Medium):
     # ------------------------------------------------------------------
     def _source_row(self, source: Any) -> _SourceRow:
         name = source.name
-        n = len(self.radios)
         epoch = self.channel.position_epoch
-        row = self._rows.get(name)
-        if (
-            row is not None
-            and row.n == n
-            and row.epoch == epoch
-            and row.src_pos is source.position
-        ):
+        row = self._link_rows.get(name)
+        if row is not None and row.epoch == epoch and row.src_pos is source.position:
             return row
-        if row is not None:
-            # A true rebuild (stale epoch/position/size), not a first build:
+        if row is None:
+            # The radio set is closed from here on (``Medium.attach``), so
+            # the row's fading buffers keep their size for the whole run.
+            row = self._link_rows[name] = _SourceRow(len(self.radios))
+        else:
+            # A true rebuild (stale epoch/position), not a first build:
             # this is the per-source cost of topology churn that
-            # ``Medium.move_many`` batches down to one epoch advance.
+            # ``Medium.move_many`` batches down to one epoch advance.  The
+            # unconsumed buffered fading draws stay where they are.
             self._link_rows_rebuilt.inc()
         # Identity check: an emitter sharing a name with a radio must not
         # cause that radio to be skipped (legacy skips by object identity).
         idx = self._index_of.get(name)
         src_index = idx if idx is not None and self.radios[idx] is source else -1
-        new = _SourceRow(n, src_index, epoch, source.position)
+        row.src_index = src_index
+        row.epoch = epoch
+        row.src_pos = source.position
         channel = self.channel
         radios = self.radios
         # The row's own index is skipped; an emitter sharing a radio's name
@@ -417,18 +394,9 @@ class VectorMedium(Medium):
         if src_index >= 0:
             loss.insert(src_index, 0.0)
             shadow.insert(src_index, 0.0)
-        new.loss = np.asarray(loss)
-        new.shadow = np.asarray(shadow)
-        if row is not None:
-            # Unconsumed buffered fading samples are already drawn from the
-            # per-link streams; they must survive a rebuild (radio indices
-            # are append-only, so the old arrays map onto the new prefix).
-            old_n = row.n
-            new.buf[:old_n] = row.buf
-            new.head[:old_n] = row.head
-            new.count[:old_n] = row.count
-        self._rows[name] = new
-        return new
+        row.loss = np.asarray(loss)
+        row.shadow = np.asarray(shadow)
+        return row
 
     def _band_profile(self, band: Any) -> Tuple[np.ndarray, np.ndarray]:
         key = (band, self._band_version)
@@ -456,7 +424,6 @@ class VectorMedium(Medium):
         Every empty buffer is refilled with one block per link, in a single
         channel call (a row's first frame seeds and fills all of them).
         """
-        n = row.n
         js = row.src_index
         need = row.count == 0
         if js >= 0:
@@ -473,33 +440,13 @@ class VectorMedium(Medium):
             )
             row.head[picked] = 0
             row.count[picked] = _FADING_BATCH
-        fading = row.buf[np.arange(n), row.head]
+        fading = row.buf[np.arange(len(row.head)), row.head]
         row.head += 1
         row.count -= 1
         if js >= 0:
             fading[js] = 0.0
             row.head[js], row.count[js] = kept
         return fading
-
-    def _draw_fading_scalar(self, src_name: str, rx_name: str) -> float:
-        """Query-time fading draw for one link, buffer-aware.
-
-        Radios attached mid-transmission query rx power lazily; the draw must
-        come from the same position in the per-link stream the legacy kernel
-        would use, so a buffered sample (if any) is consumed first.
-        """
-        sigma = self.channel.fading.fading_sigma_db
-        if sigma <= 0.0:
-            return 0.0
-        row = self._rows.get(src_name)
-        if row is not None:
-            j = self._index_of.get(rx_name)
-            if j is not None and j < row.n and row.count[j] > 0:
-                value = float(row.buf[j, row.head[j]])
-                row.head[j] += 1
-                row.count[j] -= 1
-                return value
-        return self.channel.frame_fading_db(src_name, rx_name)
 
     # ------------------------------------------------------------------
     # Transmissions
@@ -527,12 +474,10 @@ class VectorMedium(Medium):
             source=source,
         )
         self._active[tx.tx_id] = tx
-        self._tech_active[technology] += 1
         self._broadcasts.inc()
-        self._tx_touched[tx.tx_id] = set()
 
         row = self._source_row(source)
-        n = row.n
+        n = len(self.radios)
         js = row.src_index
         sigma = self.channel.fading.fading_sigma_db
         if sigma > 0.0:
@@ -552,10 +497,7 @@ class VectorMedium(Medium):
         cap[active_idx] = [10.0 ** v for v in scaled[active_idx].tolist()]
         if js >= 0:
             cap[js] = 0.0
-        slot = _Slot(n, js, rx_dbm, cap, cap * dilution, tx)
-        self._slots[tx.tx_id] = slot
-        if n < self._cover_n:
-            self._cover_n = n
+        self._slots[tx.tx_id] = _Slot(js, rx_dbm, cap, cap * dilution, tx)
         links = n - 1 if js >= 0 else n
         self._vector_links.inc(links)
         masked = int(mask.sum())
@@ -577,14 +519,14 @@ class VectorMedium(Medium):
         self._locks.fit(len(self.radios))
         held, held_locks = self._fold_locks(tx, js)
         # Notification pruning: a start notification only *does* anything for
-        # a radio that (a) could lock onto this transmission, (b) holds a lock
-        # the medium does not keep, or (c) has a listener MAC, whose flag is
-        # read live as its turn comes.  (a) is screened vectorized with the
-        # exact checks Radio.on_transmission_start performs (technology, band
-        # equality, rx power vs. sensitivity) — false positives are
-        # re-filtered by the radio, false negatives are impossible.  A radio
-        # whose lock the medium keeps, or that cannot lock, would only pass
-        # the edge to its MAC, so (c) reaches the MAC directly.  Everyone else
+        # a radio that (a) could lock onto this transmission or (b) has a
+        # listener MAC, whose flag is read live as its turn comes.  (a) is
+        # screened vectorized with the exact checks Radio.on_transmission_start
+        # performs (technology, band equality, rx power vs. sensitivity) —
+        # false positives are re-filtered by the radio, false negatives are
+        # impossible.  A locked radio (the medium keeps every lock), or one
+        # that cannot lock, would only pass the edge to its MAC, so (b)
+        # reaches the MAC directly.  Everyone else
         # would run a provably empty no-op, so the legacy behavior is
         # preserved bit-for-bit.  Index order == attach order, matching the
         # legacy iteration order.
@@ -600,9 +542,6 @@ class VectorMedium(Medium):
             )
             notify |= candidate
             candidates = set(np.flatnonzero(candidate).tolist())
-        untracked = self._untracked
-        for j in untracked:
-            notify[j] = True
         if js >= 0:
             notify[js] = False
         radios = self.radios
@@ -610,7 +549,7 @@ class VectorMedium(Medium):
         locks = self._locks
         epoch = self.state_epoch
         for j in np.flatnonzero(notify).tolist():
-            if j in untracked or (j in candidates and not locks.tx[j]):
+            if j in candidates and not locks.tx[j]:
                 radios[j].on_transmission_start(tx)
             else:
                 mac = listeners[j]
@@ -623,17 +562,7 @@ class VectorMedium(Medium):
         return tx
 
     def _finish(self, tx: Transmission) -> None:
-        if self._active.pop(tx.tx_id, None) is not None:
-            self._tech_active[tx.technology] -= 1
-            if tx.tx_id in self._slots:
-                self._cover_n = min(
-                    (
-                        self._slots[tx_id].n
-                        for tx_id in self._active
-                        if tx_id in self._slots
-                    ),
-                    default=len(self.radios),
-                )
+        del self._active[tx.tx_id]
         self._bump_state()
         trace = self.trace
         if trace.note("medium.tx_end"):
@@ -642,16 +571,12 @@ class VectorMedium(Medium):
         if src_j >= 0 and self.radios[src_j] is not tx.source:
             src_j = -1
         self._fold_locks(tx, src_j, ending=True)
-        # End notifications are no-ops except for the receivers of ``tx``,
-        # locks the medium does not keep and event-sensitive MACs (there is
-        # no lock-acquisition path on an end edge), so the pruned set needs
-        # no decode screen.
+        # End notifications are no-ops except for the receivers of ``tx`` and
+        # event-sensitive MACs (there is no lock-acquisition path on an end
+        # edge), so the pruned set needs no decode screen.
         handoff = self._handoff(tx, src_j)
         notify = self._sensitive.copy()
         notify[handoff.rows] = True
-        untracked = self._untracked
-        for j in untracked:
-            notify[j] = True
         if src_j >= 0:
             notify[src_j] = False
         radios = self.radios
@@ -659,9 +584,6 @@ class VectorMedium(Medium):
         locks = self._locks
         tx_id = tx.tx_id
         for j in np.flatnonzero(notify).tolist():
-            if j in untracked:
-                radios[j].on_transmission_end(tx)
-                continue
             if j in handoff.index and locks.tx[j] == tx_id:
                 if handoff.epoch != self.state_epoch:
                     # An edge nested in this loop moved the records.
@@ -673,13 +595,9 @@ class VectorMedium(Medium):
             if mac is not None and getattr(mac, "medium_event_sensitive", True):
                 mac.on_medium_event()
         # The slot outlives the end notifications, exactly as the legacy
-        # per-tx dict entries do: receivers reading this transmission's power
-        # from inside ``on_transmission_end`` must see the frozen values, not
-        # a fresh fallback draw.
-        self._slots.pop(tx.tx_id, None)
-        for name in self._tx_touched.pop(tx.tx_id, ()):
-            self._rx_power.pop((tx.tx_id, name), None)
-            self._captured_mw.pop((tx.tx_id, name), None)
+        # per-frame dicts do: receivers reading this transmission's power
+        # from inside ``on_transmission_end`` see the frozen values.
+        del self._slots[tx.tx_id]
         if tx.source is not None and hasattr(tx.source, "on_own_transmission_end"):
             tx.source.on_own_transmission_end(tx)
 
@@ -833,46 +751,17 @@ class VectorMedium(Medium):
     # Power queries
     # ------------------------------------------------------------------
     def rx_power_dbm(self, tx: Transmission, radio: Any) -> float:
-        slot = self._slots.get(tx.tx_id)
-        if slot is not None:
-            j = self._index_of.get(radio.name)
-            if j is not None and j < slot.n and j != slot.src_index:
-                return float(slot.rx_dbm[j])
-        # Legacy fallback (radio attached mid-transmission, or a query about
-        # an already-finished transmission), with a buffer-aware fading draw.
-        key = (tx.tx_id, radio.name)
-        try:
-            return self._rx_power[key]
-        except KeyError:
-            rx_dbm = self.channel.mean_rx_power_dbm(
-                tx.power_dbm,
-                tx.source_name,
-                tx.source.position,
-                radio.name,
-                radio.position,
-            ) + self._draw_fading_scalar(tx.source_name, radio.name)
-            self._rx_power[key] = rx_dbm
-            touched = self._tx_touched.get(tx.tx_id)
-            if touched is not None:
-                touched.add(radio.name)
-            return rx_dbm
+        return float(self._slots[tx.tx_id].rx_dbm[self._index_of[radio.name]])
 
     def captured_power_mw(self, tx: Transmission, radio: Any) -> float:
-        slot = self._slots.get(tx.tx_id)
-        if slot is not None:
-            j = self._index_of.get(radio.name)
-            if j is not None and j < slot.n and j != slot.src_index:
-                return float(slot.cap[j])
-        return super().captured_power_mw(tx, radio)
+        return float(self._slots[tx.tx_id].cap[self._index_of[radio.name]])
 
     def decoding_interference_mw(
         self,
         radio: Any,
         exclude: Tuple[int, ...] = (),
     ) -> float:
-        j = self._index_of.get(radio.name)
-        if j is None or j >= self._cover_n:
-            return super().decoding_interference_mw(radio, exclude)
+        j = self._index_of[radio.name]
         # Fold over the precomputed per-slot demodulator-weighted powers of
         # the *active* set, in insertion order (a slot lingers through its
         # transmission's end notifications and must not contribute there).
@@ -883,14 +772,9 @@ class VectorMedium(Medium):
         slots = self._slots
         if exclude:
             for tx_id in self._active:
-                if tx_id in exclude:
-                    continue
-                slot = slots.get(tx_id)
-                if slot is not None:
-                    total += slot.dec[j]
+                if tx_id not in exclude:
+                    total += slots[tx_id].dec[j]
         else:
             for tx_id in self._active:
-                slot = slots.get(tx_id)
-                if slot is not None:
-                    total += slot.dec[j]
+                total += slots[tx_id].dec[j]
         return float(total)

@@ -206,22 +206,3 @@ class Channel:
             out[k] = normal(0.0, sigma, size)
             words[c : c + 2] = slot[:2]
         return out
-
-    def frame_fading_db(self, tx_name: str, rx_name: str) -> float:
-        """Draw the per-frame fading term for one (frame, link) pair."""
-        if self.fading.fading_sigma_db <= 0.0:
-            return 0.0
-        return float(self.fading_draws(tx_name, (rx_name,), 1)[0, 0])
-
-    def rx_power_dbm(
-        self,
-        tx_power_dbm: float,
-        tx_name: str,
-        tx_pos: Position,
-        rx_name: str,
-        rx_pos: Position,
-    ) -> float:
-        """Received power including a fresh per-frame fading draw."""
-        return self.mean_rx_power_dbm(
-            tx_power_dbm, tx_name, tx_pos, rx_name, rx_pos
-        ) + self.frame_fading_db(tx_name, rx_name)

@@ -12,9 +12,9 @@ Three layers of evidence:
   office under every scheme, two generated layouts) compared on trace
   digest + event count + the whole summary dict;
 * targeted adversarial cases for the kernel's caches — mid-run mobility
-  (position-epoch invalidation), BLE retunes while foreign transmissions are
-  in flight (gather-profile + slot refresh), and a radio attached while a
-  transmission is on the air (slot coverage fallback);
+  (position-epoch invalidation) and BLE retunes while foreign transmissions
+  are in flight (gather-profile + slot refresh) — and the rule both kernels
+  enforce that no radio attaches after the first transmission;
 * reception records — every ``RxInfo`` a MAC receives and every radio's
   reception-outcome stream, on a compiled grid dense enough that dozens of
   radios stay locked across Wi-Fi edges, and with MACs that transmit from
@@ -206,41 +206,24 @@ def test_ble_retune_during_foreign_transmission(force_kernel):
     assert out["vector"] == out["legacy"]
 
 
-def test_radio_attached_mid_transmission(force_kernel):
-    """A radio attached while a transmission is on the air sees the same
-    (lazily computed) powers as the legacy dict fallback."""
-
-    def scenario(ctx):
-        a = _attach_radio(ctx, "a", Position(0, 0), zigbee_channel(24), Technology.ZIGBEE)
-        _attach_radio(ctx, "b", Position(6, 0), zigbee_channel(24), Technology.ZIGBEE)
-        readings = []
-        late = []
-
-        def start_long():
-            a.transmit_frame(_zigbee_frame("a", "b", 1), 0.0)
-
-        def attach_late():
-            late.append(
-                _attach_radio(ctx, "late", Position(3, 1),
-                              zigbee_channel(24), Technology.ZIGBEE)
-            )
-            # Query immediately, during the in-flight transmission (legacy
-            # computes through the dict-fallback; vector through its own).
-            readings.append(late[0].energy_dbm())
-
-        ctx.sim.schedule(0.0, start_long)
-        ctx.sim.schedule(0.4e-3, attach_late)  # mid-flight (frame ~1.6 ms)
-        ctx.sim.schedule(1.0e-3, lambda: readings.append(late[0].energy_dbm()))
-        # After the first frame ends, transmit again: the new radio is now a
-        # first-class column of the link matrix.
-        ctx.sim.schedule(5e-3, start_long)
-        ctx.sim.schedule(5.5e-3, lambda: readings.append(late[0].energy_dbm()))
+def test_attach_after_first_transmission_raises(force_kernel):
+    """A run's radio set is fixed at its first frame: every frame's powers
+    cover every radio, so neither kernel accepts a radio once a source has
+    transmitted, on the air or not."""
+    band = zigbee_channel(24)
+    for kernel in KERNELS:
+        force_kernel(kernel)
+        ctx = build_context(seed=3, fading=FadingModel(2.0, 2.5))
+        assert isinstance(ctx.medium, VectorMedium) == (kernel == "vector")
+        a = _attach_radio(ctx, "a", Position(0, 0), band, Technology.ZIGBEE)
+        _attach_radio(ctx, "b", Position(6, 0), band, Technology.ZIGBEE)
+        a.transmit_frame(_zigbee_frame("a", "b", 1), 0.0)
+        with pytest.raises(RuntimeError):
+            _attach_radio(ctx, "late", Position(3, 1), band, Technology.ZIGBEE)
         ctx.sim.run(until=10e-3)
-        return readings
-
-    out = _dual_run(force_kernel, scenario, fading=FadingModel(2.0, 2.5))
-    assert out["vector"] == out["legacy"]
-    assert len(out["vector"][2]) == 3
+        with pytest.raises(RuntimeError):
+            _attach_radio(ctx, "later", Position(3, 1), band, Technology.ZIGBEE)
+        assert [radio.name for radio in ctx.medium.radios] == ["a", "b"]
 
 
 # ----------------------------------------------------------------------

@@ -63,8 +63,9 @@ def test_path_loss_monotonic_in_distance(d1, d2):
 
 def test_deterministic_channel_rx_power():
     channel = make_channel()
-    rx = channel.rx_power_dbm(0.0, "a", Position(0, 0), "b", Position(10, 0))
+    rx = channel.mean_rx_power_dbm(0.0, "a", Position(0, 0), "b", Position(10, 0))
     assert rx == pytest.approx(-70.0)  # 40 + 30*log10(10)
+    assert channel.fading_draws("a", ("b",), 1)[0, 0] == 0.0
 
 
 def test_shadowing_is_static_per_link_and_symmetric():
@@ -86,7 +87,7 @@ def test_shadowing_differs_across_links():
 
 def test_fading_varies_per_frame_with_fixed_mean():
     channel = make_channel(fading=3.0)
-    draws = {channel.frame_fading_db("a", "b") for _ in range(20)}
+    draws = {float(channel.fading_draws("a", ("b",), 1)[0, 0]) for _ in range(20)}
     assert len(draws) > 1
     mean = channel.mean_rx_power_dbm(0.0, "a", Position(0, 0), "b", Position(5, 0))
     assert mean == channel.mean_rx_power_dbm(0.0, "a", Position(0, 0), "b", Position(5, 0))
@@ -94,10 +95,13 @@ def test_fading_varies_per_frame_with_fixed_mean():
 
 def test_zero_sigma_channel_is_fully_deterministic():
     channel = make_channel()
-    assert channel.frame_fading_db("a", "b") == 0.0
-    a = channel.rx_power_dbm(10.0, "a", Position(0, 0), "b", Position(2, 0))
-    b = channel.rx_power_dbm(10.0, "a", Position(0, 0), "b", Position(2, 0))
-    assert a == b
+    assert channel.fading_draws("a", ("b",), 4).tolist() == [[0.0] * 4]
+
+    def rx_power():
+        mean = channel.mean_rx_power_dbm(10.0, "a", Position(0, 0), "b", Position(2, 0))
+        return mean + float(channel.fading_draws("a", ("b",), 1)[0, 0])
+
+    assert rx_power() == rx_power()
 
 
 def test_same_seed_reproduces_shadowing():
@@ -191,9 +195,9 @@ def _check_stored_fading_state(seed, reference_seeding, state_copy, monkeypatch)
             assert block.shape == (len(rxs), size)
             for rx, values in zip(order, block.tolist()):
                 got[(tx, rx)].extend(values)
-            # A scalar fallback between blocks, for one link of the row.
+            # A block of one between blocks, for one link of the row.
             rx = rxs[step % len(rxs)]
-            got[(tx, rx)].append(channel.frame_fading_db(tx, rx))
+            got[(tx, rx)].append(float(channel.fading_draws(tx, (rx,), 1)[0, 0]))
     reference = RandomStreams(seed=seed)
     for (tx, rx), values in got.items():
         stream = reference.stream(f"fading/{tx}->{rx}")
@@ -204,7 +208,7 @@ def _check_stored_fading_state(seed, reference_seeding, state_copy, monkeypatch)
     "seed, reference_seeding", [(0, False), (7, False), (2**63 - 1, False), (7, True)]
 )
 def test_stored_fading_state_continues_each_stream(seed, reference_seeding, monkeypatch):
-    """Blocks of mixed sizes, scalar draws between them, links seeded in
+    """Blocks of mixed sizes, blocks of one between them, links seeded in
     batches and alone: every value is the link stream's next scalar draw,
     loaded and stored through the verified in-place state copy."""
     _check_stored_fading_state(seed, reference_seeding, None, monkeypatch)
