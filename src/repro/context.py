@@ -28,17 +28,17 @@ from .telemetry import MetricsRegistry
 #: ``python -m benchmarks.kernel_crossover`` (``grid`` with one link in five
 #: Wi-Fi, 0.3 s simulated, build and run timed, seeds 1-2 summed per round,
 #: interleaved rounds; Python 3.11, numpy 2.4, 2-vCPU Xeon), the median
-#: vector/loop wall time of each repeat (7, 7 and 9 rounds) was:
+#: vector/loop wall time of each repeat (7, 7, 9, 9 and 9 rounds) was:
 #:
-#: ======  =========  =========  =========  =========  =========  =========
-#: radios  28         32         36         40         44         48-56
-#: ratio   1.16-1.23  1.11-1.24  1.03-1.04  0.98-0.99  0.92-0.96  0.90-1.04
-#: ======  =========  =========  =========  =========  =========  =========
+#: ======  =========  =========  =========  =========  =========
+#: radios  28         32         36         40         44
+#: ratio   1.09-1.10  1.03-1.06  0.94-1.04  0.89-1.01  0.89-0.92
+#: ======  =========  =========  =========  =========  =========
 #:
-#: (two repeats below 40 radios).  The vector median wins in every repeat
-#: from 44 radios; 40 is break-even.  The paper's deployments (4-7 radios)
-#: and the scenario library (4-20) stay on the loops; the 480-radio dense
-#: grid does not.
+#: (two repeats below 36 radios).  The vector median wins in every repeat
+#: from 44 radios; at 40 it won four repeats of five.  The paper's
+#: deployments (4-7 radios) and the scenario library (4-20) stay on the
+#: loops; the 480-radio dense grid does not.
 VECTOR_MEDIUM_MIN_RADIOS = 44
 
 

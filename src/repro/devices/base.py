@@ -13,7 +13,6 @@ devices (Wi-Fi appliance, ZigBee node, interferers) live in sibling modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
 from ..phy.medium import Medium, Technology, Transmission
@@ -31,60 +30,77 @@ from ..sim.units import dbm_to_mw, mw_to_dbm, thermal_noise_dbm
 _RX_BATCH = 16
 
 
-@dataclass
 class RxInfo:
-    """What the PHY knows about a received (or lost) frame."""
+    """What the PHY knows about a received (or lost) frame.
 
-    rx_power_dbm: float
-    success_probability: float
-    min_sinr_db: float
-    #: Non-own-technology transmissions that overlapped the frame:
-    #: (technology, source name, unfiltered rx power dBm, overlap seconds).
-    overlaps: List[Tuple[Technology, str, float, float]] = field(default_factory=list)
+    ``overlaps`` lists the non-own-technology transmissions that overlapped
+    the frame, one entry per source: (technology, source name, unfiltered rx
+    power dBm, overlap seconds).  A radio's ``RxInfo`` works them out on
+    first read (:meth:`Medium.overlaps <repro.phy.medium.Medium.overlaps>`),
+    which must come inside the MAC callback the info is passed to and before
+    any transmission it starts: any other first read raises RuntimeError.
+    ``RxInfo(..., overlaps=[...])`` fixes the list instead.
+    """
+
+    __slots__ = ("rx_power_dbm", "success_probability", "min_sinr_db", "_overlaps", "_reception")
+
+    def __init__(
+        self,
+        rx_power_dbm: float,
+        success_probability: float,
+        min_sinr_db: float,
+        overlaps: Optional[List[Tuple[Technology, str, float, float]]] = None,
+        reception: Optional[Tuple[Any, float, int, int]] = None,
+    ):
+        self.rx_power_dbm = rx_power_dbm
+        self.success_probability = success_probability
+        self.min_sinr_db = min_sinr_db
+        if overlaps is None and reception is None:
+            overlaps = []
+        self._overlaps = overlaps
+        # (radio, lock time, lock epoch, state epoch at the reception's end),
+        # until the radio drops it after the MAC callback.
+        self._reception = reception
+
+    @property
+    def overlaps(self) -> List[Tuple[Technology, str, float, float]]:
+        if self._overlaps is None:
+            reception = self._reception
+            if reception is None or reception[0].medium.state_epoch != reception[3]:
+                raise RuntimeError(
+                    "RxInfo.overlaps is first read after its MAC callback returned "
+                    "or started a transmission"
+                )
+            radio, start, epoch, _ = reception
+            self._overlaps = radio.medium.overlaps(radio, start, epoch)
+        return self._overlaps
 
 
 class _ReceptionContext:
-    """Tracks one locked frame: its signal power and interference history."""
+    """Tracks one locked frame: its signal power and interference history.
 
-    __slots__ = ("tx", "signal_dbm", "segments", "segment_start", "overlap_log", "_overlap_open")
+    ``start`` and ``epoch`` are the lock's time and the medium's state epoch
+    when it was taken, the key of the reception's overlaps.
+    """
 
-    def __init__(self, tx: Transmission, signal_dbm: float, now: float, interference_mw: float):
+    __slots__ = ("tx", "signal_dbm", "segments", "segment_start", "start", "epoch")
+
+    def __init__(
+        self, tx: Transmission, signal_dbm: float, now: float, interference_mw: float, epoch: int
+    ):
         self.tx = tx
         self.signal_dbm = signal_dbm
         # Closed segments: (duration_s, interference_mw).
         self.segments: List[Tuple[float, float]] = []
         self.segment_start: Tuple[float, float] = (now, interference_mw)
-        # Cross-technology overlaps: source name -> [technology, rx_dbm,
-        # accumulated_s], and the overlaps still open by tx id.  Most frames
-        # see none, so both dicts are made on first use.
-        self.overlap_log: Optional[dict] = None
-        self._overlap_open: Optional[dict] = None
+        self.start = now
+        self.epoch = epoch
 
     def change_interference(self, now: float, interference_mw: float) -> None:
         start, level = self.segment_start
         if now > start:
             self.segments.append((now - start, level))
         self.segment_start = (now, interference_mw)
-
-    def open_overlap(self, now: float, other: Transmission, rx_dbm: float) -> None:
-        if self._overlap_open is None:
-            self._overlap_open = {}
-        self._overlap_open[other.tx_id] = (now, other.technology, other.source_name, rx_dbm)
-
-    def close_overlap(self, now: float, other: Transmission) -> None:
-        if self._overlap_open is None:
-            return
-        opened = self._overlap_open.pop(other.tx_id, None)
-        if opened is not None:
-            self._log_overlap(now, opened)
-
-    def _log_overlap(self, now: float, opened: tuple) -> None:
-        start, technology, source_name, rx_dbm = opened
-        if self.overlap_log is None:
-            self.overlap_log = {}
-        entry = self.overlap_log.setdefault(source_name, [technology, rx_dbm, 0.0])
-        entry[1] = max(entry[1], rx_dbm)
-        entry[2] += now - start
 
 
 class Radio:
@@ -228,18 +244,13 @@ class Radio:
             rx_dbm = medium.rx_power_dbm(tx, self)
             if rx_dbm >= self.sensitivity_dbm:
                 interference = medium.decoding_interference_mw(self, (tx.tx_id,))
-                lock = _ReceptionContext(tx, rx_dbm, now, interference)
-                if not self._set_lock(lock):
-                    # Record any cross-technology transmissions already on the air.
-                    for other in medium.active_transmissions():
-                        if other.technology is not self.technology and other.source is not self:
-                            lock.open_overlap(now, other, medium.rx_power_dbm(other, self))
+                self._set_lock(
+                    _ReceptionContext(tx, rx_dbm, now, interference, medium.state_epoch)
+                )
         elif lock is not None and tx.tx_id != lock.tx.tx_id:
             lock.change_interference(
                 now, medium.decoding_interference_mw(self, (lock.tx.tx_id,))
             )
-            if tx.technology is not self.technology:
-                lock.open_overlap(now, tx, medium.rx_power_dbm(tx, self))
         # The MAC's flag is read live (see ``Medium``).
         mac = self._mac
         if mac is not None and getattr(mac, "medium_event_sensitive", True):
@@ -251,36 +262,29 @@ class Radio:
             if tx.tx_id == lock.tx.tx_id:
                 self._finish_reception()
             else:
-                now = self.sim.now
                 lock.change_interference(
-                    now, self.medium.decoding_interference_mw(self, (lock.tx.tx_id,))
+                    self.sim.now, self.medium.decoding_interference_mw(self, (lock.tx.tx_id,))
                 )
-                if tx.technology is not self.technology:
-                    lock.close_overlap(now, tx)
         mac = self._mac
         if mac is not None and getattr(mac, "medium_event_sensitive", True):
             mac.on_medium_event()
 
-    def _set_lock(self, lock: Optional[_ReceptionContext]) -> bool:
+    def _set_lock(self, lock: Optional[_ReceptionContext]) -> None:
         """Install/clear the reception lock, keeping the medium informed.
 
         Every lock transition must go through here.  A kernel that
         :attr:`~repro.phy.medium.Medium.keeps_lock_records` hears of it
         through :meth:`VectorMedium.on_radio_lock_changed
-        <repro.phy.medium_fast.VectorMedium.on_radio_lock_changed>`; the
-        loop kernel reads ``_lock`` at each edge.  Returns True when the
-        medium keeps the lock's record: it then notifies this radio of no
-        edge but the locked frame's end, and writes the segments and
-        overlaps into the context just before it
-        (``VectorMedium._hand_over``).
+        <repro.phy.medium_fast.VectorMedium.on_radio_lock_changed>`: it then
+        notifies this radio of no edge but the locked frame's end, and
+        writes the segments into the context just before it
+        (``VectorMedium._hand_over``).  The loop kernel reads ``_lock`` at
+        each edge.
         """
         self._lock = lock
         medium = self.medium
-        return (
-            medium is not None
-            and medium.keeps_lock_records
-            and bool(medium.on_radio_lock_changed(self, lock is not None))
-        )
+        if medium is not None and medium.keeps_lock_records:
+            medium.on_radio_lock_changed(self, lock is not None)
 
     def _abort_lock(self) -> None:
         if self._lock is None:
@@ -318,21 +322,11 @@ class Radio:
                     duration = max(tx.duration, 1e-12)
                     seg_bits = max(1, round(total_bits * seg_duration / duration))
                     success_p *= packet_success_probability(bit_error, seg_bits)
-        # Overlaps still open at the frame's end are logged after the
-        # closed ones.
-        if context._overlap_open:
-            for opened in context._overlap_open.values():
-                context._log_overlap(now, opened)
-        overlap_log = context.overlap_log
-        overlaps = [] if overlap_log is None else [
-            (tech, source_name, rx_dbm, seconds)
-            for source_name, (tech, rx_dbm, seconds) in overlap_log.items()
-        ]
         info = RxInfo(
             rx_power_dbm=signal_dbm,
             success_probability=success_p,
             min_sinr_db=min_sinr if min_sinr != math.inf else 0.0,
-            overlaps=overlaps,
+            reception=(self, context.start, context.epoch, self.medium.state_epoch),
         )
         if self.energy_meter is not None:
             self.energy_meter.charge_rx(tx.duration)
@@ -363,6 +357,9 @@ class Radio:
                 )
             if mac is not None:
                 mac.on_frame_lost(frame, info)
+        # The overlaps are not worked out after the callback: the medium may
+        # forget the frames they came from.
+        info._reception = None
 
     # ------------------------------------------------------------------
     # Measurements

@@ -17,16 +17,19 @@ Two different power questions arise and are answered by two methods:
   energy-detection CCA measures.
 
 A run's radio set is fixed at its first frame: :meth:`Medium.attach` raises
-once any source has transmitted, so every frame's powers cover every radio
-and are read only while the frame is on the air.
+once any source has transmitted, so every frame's powers cover every radio.
+A frame's powers are kept while it is on the air and then for as long as a
+reception lock may still have overlapped it (:meth:`Medium.overlaps`).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .. import telemetry as _telemetry
 from ..sim.engine import Simulator
@@ -169,8 +172,8 @@ class Medium:
     without the flag is a listener that is always sensitive.
     """
 
-    #: Whether the kernel keeps the record of reception locks itself and so
-    #: must hear of every lock transition (:meth:`Radio._set_lock
+    #: Whether the kernel keeps the interference segments of reception locks
+    #: itself and so must hear of every lock transition (:meth:`Radio._set_lock
     #: <repro.devices.base.Radio._set_lock>`).  This kernel reads each
     #: radio's ``_lock`` at the edge instead.
     keeps_lock_records = False
@@ -209,13 +212,19 @@ class Medium:
         # the first row closes the radio set (see :meth:`attach`).
         self._link_rows: Dict[str, Any] = {}
         self._links: Dict[Tuple[str, str], _Link] = {}
-        # Rx power of each active transmission at every other radio, dBm,
-        # frozen at transmit time: tx id -> {radio name: dBm}.
+        # Rx power of each transmission at every other radio, dBm, frozen at
+        # transmit time and kept until :meth:`_forget`: tx id -> {radio
+        # name: dBm}.
         self._frame_rx: Dict[int, Dict[str, float]] = {}
-        # Captured in-filter power of each active transmission, filled on
-        # first query: tx id -> {radio name: (band, mW)}.  The value is pure
-        # in (rx power, bands); the stored band reference guards against
-        # receivers retuning mid-flight (BLE hops reassign ``radio.band``).
+        # Ended frames that a lock still on the air may have overlapped, in
+        # end order: (transmission, end time, state epoch of the end).
+        # :meth:`overlaps` reads them.
+        self._ended: Deque[Tuple[Transmission, float, int]] = deque()
+        # Captured in-filter power of each transmission, filled on first
+        # query and kept until :meth:`_forget`: tx id -> {radio name: (band,
+        # mW)}.  The value is pure in (rx power, bands); the stored band
+        # reference guards against receivers retuning mid-flight (BLE hops
+        # reassign ``radio.band``).
         self._frame_cap: Dict[int, Dict[str, Tuple[Any, float]]] = {}
 
     # ------------------------------------------------------------------
@@ -427,9 +436,24 @@ class Medium:
     def _finish(self, tx: Transmission) -> None:
         del self._active[tx.tx_id]
         self._bump_state()
+        self._ended.append((tx, self.sim.now, self.state_epoch))
         trace = self.trace
         if trace.note("medium.tx_end"):
             trace.store(self.sim.now, "medium.tx_end", source=tx.source_name)
+        self._notify_end(tx)
+        # A lock is taken no earlier than its frame starts, so a frame that
+        # ended before the oldest frame on the air started overlapped no
+        # lock still to end.
+        ended = self._ended
+        oldest = next(iter(self._active.values())).start if self._active else math.inf
+        while ended and ended[0][1] < oldest:
+            self._forget(ended.popleft()[0])
+        source = tx.source
+        if source is not None and hasattr(source, "on_own_transmission_end"):
+            source.on_own_transmission_end(tx)
+
+    def _notify_end(self, tx: Transmission) -> None:
+        """Pass the end of ``tx`` to the radios and MACs it can affect."""
         # No lock is acquired on an end edge: only lock holders and MACs
         # that want medium events can act on it.
         source = tx.source
@@ -440,21 +464,52 @@ class Medium:
                 radio.on_transmission_end(tx)
             elif mac is not None and getattr(mac, "medium_event_sensitive", True):
                 mac.on_medium_event()
-        # The frozen powers outlive the end notifications: receivers reading
-        # them from ``on_transmission_end`` see the frame's values.
+
+    def _forget(self, tx: Transmission) -> None:
+        """Drop the powers of ``tx``, which no reader can still ask for."""
         del self._frame_rx[tx.tx_id]
         del self._frame_cap[tx.tx_id]
-        if source is not None and hasattr(source, "on_own_transmission_end"):
-            source.on_own_transmission_end(tx)
 
-    def active_transmissions(self) -> Iterable[Transmission]:
-        return self._active.values()
+    def overlaps(
+        self, radio: Any, start: float, epoch: int
+    ) -> List[Tuple[Technology, str, float, float]]:
+        """The cross-technology overlaps of a reception at ``radio`` ending now.
+
+        The lock was taken at time ``start``, state epoch ``epoch``.  The
+        frames of another technology, not sent by ``radio``, that ended
+        after that epoch (in end order) or are still on the air (in start
+        order) overlapped it: the epoch, not the time, decides whether a
+        frame ending at the instant of the lock counts.  One entry per
+        source: (technology, source name, strongest rx power dBm, overlap
+        seconds summed in that order).
+        """
+        now = self.sim.now
+        frames = [(tx, end) for tx, end, ended_epoch in self._ended if ended_epoch > epoch]
+        frames.extend((tx, now) for tx in self._active.values())
+        technology = radio.technology
+        log: Dict[str, list] = {}
+        for tx, end in frames:
+            if tx.technology is technology or tx.source is radio:
+                continue
+            rx_dbm = self.rx_power_dbm(tx, radio)
+            seconds = end - max(start, tx.start)
+            entry = log.get(tx.source_name)
+            if entry is None:
+                log[tx.source_name] = [tx.technology, rx_dbm, seconds]
+            else:
+                entry[1] = max(entry[1], rx_dbm)
+                entry[2] += seconds
+        return [(tech, name, rx_dbm, seconds) for name, (tech, rx_dbm, seconds) in log.items()]
 
     # ------------------------------------------------------------------
     # Power queries
     # ------------------------------------------------------------------
     def rx_power_dbm(self, tx: Transmission, radio: Any) -> float:
-        """Unfiltered received power of ``tx`` at ``radio`` (frozen per frame)."""
+        """Unfiltered received power of ``tx`` at ``radio`` (frozen per frame).
+
+        It answers while ``tx`` is on the air and after its end until the
+        medium forgets the frame (:meth:`_forget`).
+        """
         return self._frame_rx[tx.tx_id][radio.name]
 
     def captured_power_mw(self, tx: Transmission, radio: Any) -> float:

@@ -25,16 +25,17 @@ index-aligned numpy arrays:
   are :class:`Medium`'s own folds over the active set; they read each
   radio's captured power from its slot through
   :meth:`VectorMedium.captured_power_mw`.
-* **Reception locks** (:class:`_Locks`) — the record a locked radio would
-  keep in its ``_ReceptionContext`` (locked frame, open interference
-  segment, closed segments, closed cross-technology overlaps), one row per
-  radio.  Every edge carries all locks across in one elementwise fold over
-  the active slots, so a locked radio is called only when its frame ends:
-  :meth:`VectorMedium._hand_over` writes the record into its context and the
-  radio finishes the reception (BER, SINR and the success draw stay scalar,
-  per segment).  An edge nested in a notification loop
-  is folded too; the overlaps it reorders relative to the loop kernel are
-  recorded per slot (``_Slot.late``).
+* **Reception locks** (:class:`_Locks`) — the interference record a locked
+  radio would keep in its ``_ReceptionContext`` (locked frame, open
+  segment, closed segments), one row per radio.  Every edge, nested ones
+  too, carries all locks across in one elementwise fold over the active
+  slots, so a locked radio is called only when its frame ends:
+  :meth:`VectorMedium._hand_over` writes the segments into its context and
+  the radio finishes the reception (BER, SINR and the success draw stay
+  scalar, per segment).  A reception's cross-technology overlaps are not
+  tracked per edge: :meth:`Medium.overlaps` works them out on request from
+  the active set and the record of ended frames, whose slots are kept
+  until :meth:`Medium._finish` forgets them.
 
 Bitwise-exactness notes (all verified empirically): elementwise numpy
 add/sub/mul/div/min/max match the equivalent scalar operation sequences;
@@ -47,7 +48,7 @@ subtracting a term does not undo adding it.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -87,16 +88,15 @@ class _SourceRow:
 
 
 class _Slot:
-    """Array state of one active transmission (replaces the tuple-key dicts).
+    """Array state of one transmission (replaces the tuple-key dicts).
 
     ``dec`` is the demodulator-weighted power (captured × bandwidth
     dilution), precomputed so ``decoding_interference_mw`` folds over plain
-    array reads.  ``late`` maps a locked radio to ``(lock tx id, key)`` when
-    the loop kernel would have opened this transmission's overlap after
-    frames started later (see ``VectorMedium._open_late``).
+    array reads.  A slot lives from the frame's start until the medium
+    forgets the ended frame (:meth:`VectorMedium._forget`).
     """
 
-    __slots__ = ("src_index", "rx_dbm", "cap", "dec", "tx", "late")
+    __slots__ = ("src_index", "rx_dbm", "cap", "dec", "tx")
 
     def __init__(
         self,
@@ -111,7 +111,6 @@ class _Slot:
         self.cap = cap
         self.dec = dec
         self.tx = tx
-        self.late: Optional[Dict[int, Tuple[int, float]]] = None
 
 
 def _widen(table: np.ndarray) -> np.ndarray:
@@ -122,45 +121,25 @@ def _widen(table: np.ndarray) -> np.ndarray:
 class _Locks:
     """The reception locks the medium keeps the record of, one row per radio.
 
-    Row ``j`` is the state a :class:`~repro.devices.base._ReceptionContext`
-    would hold for radio ``j``: ``tx`` is the locked frame's id (0: no
-    lock), ``start`` the lock time, ``seg_start``/``seg_level`` the open
-    interference segment and ``seg_dur``/``seg_lvl`` the closed ones
-    (``seg_n`` per row).  ``ov_*`` log the cross-technology overlaps closed
-    during the lock, in end order: source id, rx power and seconds overlapped
-    (``ov_n`` per row).  The overlaps still open are the active
-    cross-technology transmissions, so they need no state of their own.
-    The two logs widen on demand.
+    Row ``j`` is the interference record a
+    :class:`~repro.devices.base._ReceptionContext` would hold for radio
+    ``j``: ``tx`` is the locked frame's id (0: no lock),
+    ``seg_start``/``seg_level`` the open segment and ``seg_dur``/``seg_lvl``
+    the closed ones (``seg_n`` per row), which widen on demand.  A lock
+    keeps segments only; its overlaps come from :meth:`Medium.overlaps`.
     """
 
-    __slots__ = (
-        "tx", "start", "seg_start", "seg_level", "seg_n", "seg_dur", "seg_lvl",
-        "ov_n", "ov_src", "ov_rx", "ov_dur",
-    )
+    __slots__ = ("tx", "seg_start", "seg_level", "seg_n", "seg_dur", "seg_lvl")
 
     _WIDTH = 4
 
-    def __init__(self) -> None:
-        self.tx = np.zeros(0, dtype=np.int64)
-        self.start = np.zeros(0)
-        self.seg_start = np.zeros(0)
-        self.seg_level = np.zeros(0)
-        self.seg_n = np.zeros(0, dtype=np.intp)
-        self.seg_dur = np.zeros((0, self._WIDTH))
-        self.seg_lvl = np.zeros((0, self._WIDTH))
-        self.ov_n = np.zeros(0, dtype=np.intp)
-        self.ov_src = np.zeros((0, self._WIDTH), dtype=np.intp)
-        self.ov_rx = np.zeros((0, self._WIDTH))
-        self.ov_dur = np.zeros((0, self._WIDTH))
-
-    def fit(self, n: int) -> None:
-        """Make room for ``n`` rows; new rows hold no lock."""
-        have = len(self.tx)
-        if have < n:
-            for name in self.__slots__:
-                table = getattr(self, name)
-                rows = np.zeros((n - have,) + table.shape[1:], dtype=table.dtype)
-                setattr(self, name, np.concatenate((table, rows)))
+    def __init__(self, n: int) -> None:
+        self.tx = np.zeros(n, dtype=np.int64)
+        self.seg_start = np.zeros(n)
+        self.seg_level = np.zeros(n)
+        self.seg_n = np.zeros(n, dtype=np.intp)
+        self.seg_dur = np.zeros((n, self._WIDTH))
+        self.seg_lvl = np.zeros((n, self._WIDTH))
 
     def close_segments(self, held: np.ndarray, now: float, levels: np.ndarray) -> None:
         """Close the open segment of every radio in ``held``; open ``levels``."""
@@ -176,38 +155,16 @@ class _Locks:
         self.seg_start[held] = now
         self.seg_level[held] = levels
 
-    def close_overlaps(
-        self, rows: np.ndarray, source: int, rx_dbm: np.ndarray, tx_start: float, now: float
-    ) -> None:
-        """Log, for every radio in ``rows``, an overlap with a frame ending ``now``."""
-        col = self.ov_n[rows]
-        while col.max() >= self.ov_src.shape[1]:
-            self.ov_src = _widen(self.ov_src)
-            self.ov_rx = _widen(self.ov_rx)
-            self.ov_dur = _widen(self.ov_dur)
-        self.ov_src[rows, col] = source
-        self.ov_rx[rows, col] = rx_dbm
-        # An overlap opens when the later of the lock and the frame begins.
-        self.ov_dur[rows, col] = now - np.maximum(self.start[rows], tx_start)
-        self.ov_n[rows] = col + 1
-
 
 class _Handoff:
     """The lock records of the receivers of one ending frame, as Python lists.
 
-    Row ``i`` belongs to radio ``rows[i]`` (``index`` maps back).  The
-    overlaps still open are the active transmissions of another technology
-    than the frame's, which every receiver shares; ``opened`` lists them in
-    active-set order with their slot and per-receiver rx powers.
+    Row ``i`` belongs to radio ``rows[i]`` (``index`` maps back).
     """
 
-    __slots__ = (
-        "tx_id", "epoch", "rows", "index", "seg_n", "seg_dur", "seg_lvl", "seg_start",
-        "seg_level", "ov_n", "ov_src", "ov_rx", "ov_dur", "lock_start", "opened",
-    )
+    __slots__ = ("epoch", "rows", "index", "seg_n", "seg_dur", "seg_lvl", "seg_start", "seg_level")
 
-    def __init__(self, medium: "VectorMedium", tx: Transmission, rows: np.ndarray):
-        self.tx_id = tx.tx_id
+    def __init__(self, medium: "VectorMedium", rows: np.ndarray):
         self.epoch = medium.state_epoch
         self.rows = rows
         self.index = {j: i for i, j in enumerate(rows.tolist())}
@@ -221,19 +178,6 @@ class _Handoff:
         self.seg_lvl = locks.seg_lvl[rows, :width].tolist()
         self.seg_start = locks.seg_start[rows].tolist()
         self.seg_level = locks.seg_level[rows].tolist()
-        ov_n = locks.ov_n[rows]
-        width = int(ov_n.max())
-        self.ov_n = ov_n.tolist()
-        self.ov_src = locks.ov_src[rows, :width].tolist()
-        self.ov_rx = locks.ov_rx[rows, :width].tolist()
-        self.ov_dur = locks.ov_dur[rows, :width].tolist()
-        self.lock_start = locks.start[rows].tolist()
-        slots = medium._slots
-        self.opened = [
-            (tx_id, other, slots[tx_id], slots[tx_id].rx_dbm[rows].tolist())
-            for tx_id, other in medium._active.items()
-            if other.technology is not tx.technology
-        ]
 
 
 class VectorMedium(Medium):
@@ -265,12 +209,9 @@ class VectorMedium(Medium):
         #: visited on every transmission edge, where the MAC's flag is read.
         self._sensitive = np.zeros(0, dtype=bool)
         #: Every reception lock: the medium keeps its record and folds them
-        #: all across every edge at once.
-        self._locks = _Locks()
-        #: (source name, technology) of each transmission source, by the id
-        #: the overlap log stores.
-        self._source_ids: Dict[Tuple[str, Technology], int] = {}
-        self._source_keys: List[Tuple[str, Technology]] = []
+        #: all across every edge at once.  Sized when the first link row
+        #: closes the radio set (:meth:`_source_row`).
+        self._locks = _Locks(0)
         #: Bumped whenever any radio's band changes; keys the per-band
         #: overlap profiles.
         self._band_version = 0
@@ -301,14 +242,14 @@ class VectorMedium(Medium):
         self._band_high[j] = band.high_mhz
         self._band_bw[j] = band.bandwidth_mhz
         self._band_version += 1
-        # Refresh this radio's captured power in every active slot, exactly
-        # as the legacy cache recomputes on its band-identity guard.
+        # Refresh this radio's captured power in every slot, exactly as the
+        # legacy cache recomputes on its band-identity guard.
         for slot in self._slots.values():
             if j == slot.src_index:
                 continue
             # slot.tx, not an _active lookup: a slot lingers through its end
-            # notifications (matching the legacy dict entries), and a retune
-            # from inside one must still refresh it.
+            # notifications (matching the legacy dict entries) and after
+            # them, and a retune from inside one must still refresh it.
             tx = slot.tx
             fraction = overlap_fraction(tx.band, band)
             if fraction <= 0.0:
@@ -325,31 +266,28 @@ class VectorMedium(Medium):
             self._sensitive[j] = self._listeners[j] is not None
         return j
 
-    def on_radio_lock_changed(self, radio: Any, locked: bool) -> bool:
+    def on_radio_lock_changed(self, radio: Any, locked: bool) -> None:
         """Keep the record of ``radio``'s new lock.
 
         The lock is folded across edges here and handed back to the radio
-        only when the locked frame ends (:meth:`_hand_over`).  Returns True
-        for a new lock.  :meth:`Radio._set_lock
-        <repro.devices.base.Radio._set_lock>` calls it on every lock
-        transition, because this kernel :attr:`keeps_lock_records`.
+        only when the locked frame ends (:meth:`_hand_over`).
+        :meth:`Radio._set_lock <repro.devices.base.Radio._set_lock>` calls it
+        on every lock transition, because this kernel
+        :attr:`keeps_lock_records`.
         """
         j = self._index_of.get(radio.name)
         if j is None or self.radios[j] is not radio:
-            return False
+            return
         locks = self._locks
         if not locked:
             locks.tx[j] = 0
-            return False
+            return
         lock = radio._lock
         start, level = lock.segment_start
         locks.tx[j] = lock.tx.tx_id
-        locks.start[j] = start
         locks.seg_start[j] = start
         locks.seg_level[j] = level
         locks.seg_n[j] = 0
-        locks.ov_n[j] = 0
-        return True
 
     # ------------------------------------------------------------------
     # Link rows and band profiles
@@ -362,7 +300,10 @@ class VectorMedium(Medium):
             return row
         if row is None:
             # The radio set is closed from here on (``Medium.attach``), so
-            # the row's fading buffers keep their size for the whole run.
+            # the row's fading buffers and the lock rows keep their size for
+            # the whole run.
+            if not self._link_rows:
+                self._locks = _Locks(len(self.radios))
             row = self._link_rows[name] = _SourceRow(len(self.radios))
         else:
             # A true rebuild (stale epoch/position), not a first build:
@@ -516,8 +457,7 @@ class VectorMedium(Medium):
                 power_dbm=power_dbm,
             )
         # Every lock the medium keeps crosses this edge in one fold.
-        self._locks.fit(len(self.radios))
-        held, held_locks = self._fold_locks(tx, js)
+        self._fold_locks(tx, js)
         # Notification pruning: a start notification only *does* anything for
         # a radio that (a) could lock onto this transmission or (b) has a
         # listener MAC, whose flag is read live as its turn comes.  (a) is
@@ -547,7 +487,6 @@ class VectorMedium(Medium):
         radios = self.radios
         listeners = self._listeners
         locks = self._locks
-        epoch = self.state_epoch
         for j in np.flatnonzero(notify).tolist():
             if j in candidates and not locks.tx[j]:
                 radios[j].on_transmission_start(tx)
@@ -555,21 +494,11 @@ class VectorMedium(Medium):
                 mac = listeners[j]
                 if mac is not None and getattr(mac, "medium_event_sensitive", True):
                     mac.on_medium_event()
-            if self.state_epoch != epoch:
-                self._open_late(tx, held, held_locks, j)
-                epoch = self.state_epoch
         self.sim.schedule(duration, self._finish, tx)
         return tx
 
-    def _finish(self, tx: Transmission) -> None:
-        del self._active[tx.tx_id]
-        self._bump_state()
-        trace = self.trace
-        if trace.note("medium.tx_end"):
-            trace.store(self.sim.now, "medium.tx_end", source=tx.source_name)
-        src_j = self._index_of.get(tx.source_name, -1)
-        if src_j >= 0 and self.radios[src_j] is not tx.source:
-            src_j = -1
+    def _notify_end(self, tx: Transmission) -> None:
+        src_j = self._slots[tx.tx_id].src_index
         self._fold_locks(tx, src_j, ending=True)
         # End notifications are no-ops except for the receivers of ``tx`` and
         # event-sensitive MACs (there is no lock-acquisition path on an end
@@ -594,28 +523,18 @@ class VectorMedium(Medium):
             mac = listeners[j]
             if mac is not None and getattr(mac, "medium_event_sensitive", True):
                 mac.on_medium_event()
-        # The slot outlives the end notifications, exactly as the legacy
-        # per-frame dicts do: receivers reading this transmission's power
-        # from inside ``on_transmission_end`` see the frozen values.
-        del self._slots[tx.tx_id]
-        if tx.source is not None and hasattr(tx.source, "on_own_transmission_end"):
-            tx.source.on_own_transmission_end(tx)
 
     # ------------------------------------------------------------------
     # Reception locks
     # ------------------------------------------------------------------
-    def _fold_locks(
-        self, tx: Transmission, src_j: int, ending: bool = False
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _fold_locks(self, tx: Transmission, src_j: int, ending: bool = False) -> None:
         """Carry every lock the medium keeps across an edge of ``tx``.
 
         One elementwise fold over the active slots, in active-set order,
         gives each locked radio the level ``decoding_interference_mw`` would
         return with its locked frame excluded: that frame's slot adds an
-        exact +0.0 instead.  On an end edge the radios of the other
-        technology log their overlap with ``tx``, and the radios locked on
-        ``tx`` are left for :meth:`_hand_over`.  Returns the folded radios
-        and the frames they are locked on.
+        exact +0.0 instead.  On an end edge the radios locked on ``tx`` are
+        left for :meth:`_hand_over`.
         """
         locks = self._locks
         held = np.flatnonzero(locks.tx)
@@ -627,53 +546,14 @@ class VectorMedium(Medium):
             held = held[other]
             held_locks = held_locks[other]
         if not held.size:
-            return held, held_locks
+            return
         levels = np.zeros(held.size)
         slots = self._slots
         for tx_id in self._active:
             dec = slots[tx_id].dec[held]
             dec[held_locks == tx_id] = 0.0
             levels += dec
-        now = self.sim.now
-        locks.close_segments(held, now, levels)
-        if ending:
-            rows = held[self._tech_code[held] != _TECH_INDEX[tx.technology]]
-            if rows.size:
-                locks.close_overlaps(
-                    rows, self._source_id(tx), slots[tx.tx_id].rx_dbm[rows], tx.start, now
-                )
-        return held, held_locks
-
-    def _source_id(self, tx: Transmission) -> int:
-        key = (tx.source_name, tx.technology)
-        sid = self._source_ids.get(key)
-        if sid is None:
-            sid = self._source_ids[key] = len(self._source_keys)
-            self._source_keys.append(key)
-        return sid
-
-    def _open_late(
-        self, tx: Transmission, held: np.ndarray, held_locks: np.ndarray, j: int
-    ) -> None:
-        """Reorder overlaps after an edge nested in ``tx``'s start notifications.
-
-        The loop kernel delivers ``tx``'s start to the radios after ``j`` only
-        once the nested edge is done, so a lock among them that the fold
-        already carried across ``tx`` opens its overlap with ``tx`` after
-        the nested frames' overlaps.  The override dies with the lock.
-        """
-        later = held > j
-        if not later.any():
-            return
-        locks = self._locks
-        key = max(self._active) + 0.5
-        slot = self._slots[tx.tx_id]
-        late = slot.late if slot.late is not None else {}
-        code = _TECH_INDEX[tx.technology]
-        for k, lock_id in zip(held[later].tolist(), held_locks[later].tolist()):
-            if locks.tx[k] == lock_id and self._tech_code[k] != code:
-                late[k] = (lock_id, key)
-        slot.late = late
+        locks.close_segments(held, self.sim.now, levels)
 
     def _handoff(self, tx: Transmission, src_j: int) -> "_Handoff":
         """The records of every lock on the ending ``tx``, read out in one go."""
@@ -681,17 +561,13 @@ class VectorMedium(Medium):
         rows = np.flatnonzero(locks.tx == tx.tx_id)
         if src_j >= 0:
             rows = rows[rows != src_j]
-        return _Handoff(self, tx, rows)
+        return _Handoff(self, rows)
 
     def _hand_over(self, j: int, radio: Any, handoff: "_Handoff") -> None:
         """Write radio ``j``'s lock record into its reception context.
 
         The context ends up as the per-radio path leaves it at the locked
-        frame's end, except that the overlaps still open (the active
-        cross-technology transmissions) are already logged, after the ones
-        closed during the lock, in the order the loop kernel opened them:
-        that is where ``Radio._finish_reception`` would log them.  The radio
-        then finishes the reception itself.
+        frame's end; the radio then finishes the reception itself.
         """
         i = handoff.index[j]
         context = radio._lock
@@ -699,53 +575,9 @@ class VectorMedium(Medium):
         if n:
             context.segments = list(zip(handoff.seg_dur[i][:n], handoff.seg_lvl[i][:n]))
         context.segment_start = (handoff.seg_start[i], handoff.seg_level[i])
-        # The overlaps in the order the context logs them: the ones closed
-        # during the lock, then the ones still open.
-        overlaps = []
-        n = handoff.ov_n[i]
-        if n:
-            keys = self._source_keys
-            overlaps = [
-                (*keys[src], rx_dbm, seconds)
-                for src, rx_dbm, seconds in zip(
-                    handoff.ov_src[i][:n], handoff.ov_rx[i][:n], handoff.ov_dur[i][:n]
-                )
-            ]
-        if handoff.opened:
-            now = self.sim.now
-            lock_start = handoff.lock_start[i]
-            opened = []
-            reordered = False
-            for tx_id, other, slot, rx_dbm in handoff.opened:
-                if other.source is radio:
-                    continue
-                key = tx_id
-                if slot.late is not None:
-                    late = slot.late.get(j)
-                    if late is not None and late[0] == handoff.tx_id:
-                        key = late[1]
-                        reordered = True
-                opened.append((key, other, rx_dbm[i]))
-            if reordered:
-                opened.sort(key=lambda entry: entry[0])
-            for _, other, rx_dbm in opened:
-                overlaps.append((
-                    other.source_name, other.technology, rx_dbm,
-                    now - max(lock_start, other.start),
-                ))
-        if overlaps:
-            # Entry by entry as ``_ReceptionContext._log_overlap`` builds it:
-            # first sight of a source sets its technology, then the strongest
-            # rx power and the summed seconds.
-            log: Dict[str, list] = {}
-            for name, technology, rx_dbm, seconds in overlaps:
-                entry = log.get(name)
-                if entry is None:
-                    log[name] = [technology, rx_dbm, 0.0 + seconds]
-                else:
-                    entry[1] = max(entry[1], rx_dbm)
-                    entry[2] += seconds
-            context.overlap_log = log
+
+    def _forget(self, tx: Transmission) -> None:
+        del self._slots[tx.tx_id]
 
     # ------------------------------------------------------------------
     # Power queries

@@ -389,13 +389,92 @@ def test_edges_nested_in_notification_loops(force_kernel):
     out = _dual_run(force_kernel, scenario, fading=FadingModel(2.0, 2.5))
     assert out["vector"] == out["legacy"]
     log = out["legacy"][2]
-    # Both orders of the still-open jammer/w2 overlaps occur: the radios
-    # after w2 saw its frame start before the jammer's.
+    # The still-open jammer/w2 overlaps are listed in start order, also by
+    # the radios after w2, which saw w2's frame start before the jammer's.
     orders = {tuple(o[1] for o in entry[7]) for entry in log if len(entry[7]) >= 2}
-    assert ("jam", "w2") in orders and ("w2", "jam") in orders
+    assert ("jam", "w2") in orders and ("w2", "jam") not in orders
     # Radios after z3 were still locked on a's frame when z3's reply began.
     heard = {entry[0] for entry in log if entry[2:4] == ("z3", 9)}
     assert {"z0", "z2"} <= heard and not heard & {"z4", "z5"}
+
+
+@pytest.mark.parametrize("lock_first", [True, False])
+def test_frame_ending_at_the_instant_of_a_lock(force_kernel, lock_first):
+    """A Wi-Fi frame ends at the very instant a ZigBee radio locks on: it
+    overlapped the lock (for 0.0 s) only if its end event ran after the
+    lock, whatever the equal times say."""
+    duration = 2.5e-3
+
+    def scenario(ctx):
+        log = []
+        a = _attach_radio(ctx, "a", Position(0, 0), zigbee_channel(24), Technology.ZIGBEE)
+        z = _attach_radio(ctx, "z", Position(1.5, 0), zigbee_channel(24), Technology.ZIGBEE)
+        w = _attach_radio(ctx, "w", Position(3, 0), wifi_channel(13), Technology.WIFI)
+        _ScriptedMac(z, log)
+
+        def wifi():
+            ctx.medium.transmit(w, duration, 15.0, w.band, Technology.WIFI)
+
+        if lock_first:
+            # The lock's start event is queued before the Wi-Fi end event.
+            ctx.sim.schedule(duration, lambda: a.transmit_frame(_zigbee_frame("a", "z", 1), 0.0))
+            ctx.sim.schedule(0.0, wifi)
+        else:
+            wifi()
+            ctx.sim.schedule(duration, lambda: a.transmit_frame(_zigbee_frame("a", "z", 1), 0.0))
+        ctx.sim.run(until=20e-3)
+        return log
+
+    out = _dual_run(force_kernel, scenario, fading=FadingModel(2.0, 2.5))
+    assert out["vector"] == out["legacy"]
+    (entry,) = out["legacy"][2]
+    overlaps = entry[7]
+    if lock_first:
+        assert [(tech, name, seconds) for tech, name, _, seconds in overlaps] == [
+            (Technology.WIFI, "w", 0.0)
+        ]
+    else:
+        assert overlaps == []
+
+
+def test_overlaps_are_read_inside_the_callback(force_kernel):
+    """``RxInfo.overlaps`` is worked out from the medium's record of ended
+    frames, which it forgets once the air is quiet: a first read after the
+    MAC callback, or after the callback started a transmission, raises
+    rather than answer from a record that moved on."""
+
+    class KeepingMac(_ScriptedMac):
+        def on_frame_received(self, frame, info):
+            kept.append(info)
+            if self.reply is not None:
+                frame, self.reply = self.reply, None
+                self._send(frame)
+                with pytest.raises(RuntimeError):
+                    info.overlaps
+
+        on_frame_lost = on_frame_received
+
+    for kernel in KERNELS:
+        force_kernel(kernel)
+        ctx = build_context(seed=3, fading=FadingModel(2.0, 2.5))
+        kept = []
+        log, radios, jammer = _nested_world(ctx)
+        for name in ("z0", "z2", "w1"):
+            KeepingMac(radios[name], log)
+        radios["z0"].mac.reply = _zigbee_frame("z0", "a", 2)
+        a = radios["a"]
+        ctx.sim.schedule(0.0, lambda: a.transmit_frame(_zigbee_frame("a", "z0", 1), 0.0))
+        ctx.sim.schedule(0.2e-3, lambda: jammer.emit(1e-3, 10.0, wifi_channel(13), Technology.WIFI))
+        ctx.sim.run(until=20e-3)
+        assert len(kept) >= 2 and radios["z0"].frames_sent == 1
+        for info in kept:
+            with pytest.raises(RuntimeError):
+                info.overlaps
+        medium = ctx.medium
+        assert not medium._active
+        assert not medium._ended and not medium._frame_rx
+        if kernel == "vector":
+            assert not medium._slots
 
 
 def test_locked_radio_transmits_half_duplex_abort(force_kernel):

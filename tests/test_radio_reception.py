@@ -136,16 +136,22 @@ def test_wifi_overlap_recorded_in_rxinfo():
         streams=ctx.streams,
     )
     ctx.medium.attach(wifi)
+    seen = []
+
+    def read_overlaps(frame, info):
+        # The overlaps are worked out on first read, inside the callback.
+        seen.append(info.overlaps)
+
+    mac.on_frame_received = mac.on_frame_lost = read_overlaps
     send(ctx, tx)
     ctx.sim.schedule(0.3e-3, lambda: ctx.medium.transmit(
         wifi, 0.5e-3, 20.0, wifi.band, Technology.WIFI))
     ctx.sim.run()
-    outcomes = mac.received + mac.lost
-    assert len(outcomes) == 1
-    info = outcomes[0][1]
-    techs = [tech for tech, *_ in info.overlaps]
+    assert len(seen) == 1
+    overlaps = seen[0]
+    techs = [tech for tech, *_ in overlaps]
     assert Technology.WIFI in techs
-    _, name, rx_dbm, seconds = next(o for o in info.overlaps if o[0] is Technology.WIFI)
+    _, name, rx_dbm, seconds = next(o for o in overlaps if o[0] is Technology.WIFI)
     assert name == "W"
     assert seconds == pytest.approx(0.5e-3, abs=1e-6)
 
