@@ -386,12 +386,21 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0 if plan is None else _run_plan(args, plan)
 
 
+def _load_json(flag: str, cls: type, path: str):
+    """Decode a ``cls`` from the JSON file a flag names; CommandError if unusable."""
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
+    try:
+        return loads(cls, text)
+    except ValueError as exc:  # SpecError or malformed JSON
+        raise CommandError(f"{flag} {path}: {exc}") from None
+
+
 def _load_fault_plan(path: str):
     """Load a FaultPlan from a JSON file of field overrides."""
     from .faults import FaultPlan
 
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(FaultPlan, handle.read())
+    return _load_json("--faults", FaultPlan, path)
 
 
 def _scenario_config(name: str, params: Dict[str, Any], **overrides: Any):
@@ -429,8 +438,7 @@ def _coexist_plan(args: argparse.Namespace) -> Optional[Plan]:
         }
         return _scenario_plan(args, _scenario_config(entry.name, params))
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config = loads(CoexistenceConfig, handle.read())
+        config = _load_json("--config", CoexistenceConfig, args.config)
         if args.faults:
             config = dataclasses.replace(config, faults=_load_fault_plan(args.faults))
     else:

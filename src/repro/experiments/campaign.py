@@ -228,12 +228,17 @@ class CampaignRunner:
             raise CampaignError(
                 f"no campaign at {self.directory} (missing spec.json): {exc}"
             ) from None
+        except ValueError as exc:  # not JSON
+            raise CampaignError(f"{self.spec_path}: {exc}") from None
         if payload.get("schema") != CAMPAIGN_SCHEMA:
             raise CampaignError(
                 f"campaign schema {payload.get('schema')!r} != {CAMPAIGN_SCHEMA}; "
                 "start a new campaign directory"
             )
-        return from_dict(CampaignSpec, payload["spec"])
+        try:
+            return from_dict(CampaignSpec, payload.get("spec"))
+        except (KeyError, ValueError) as exc:  # a SpecError or the spec's own checks
+            raise CampaignError(f"{self.spec_path}: {exc.args[0]}") from None
 
     def _plan(self, spec: CampaignSpec) -> Tuple[List[Any], List[str]]:
         """The plan and its cache keys; unknown parameters fail here."""

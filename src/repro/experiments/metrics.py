@@ -9,7 +9,7 @@ therefore *lowers* utilization — the quantity BiCord optimizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -107,7 +107,8 @@ class CoexistenceResult(ResultBase):
     wifi_delays_low_priority: List[float] = field(default_factory=list)
     wifi_delays_high_priority: List[float] = field(default_factory=list)
     wifi_packets_delivered: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
+    #: Fault-injection counts (``fault_*``) are ints, the rest floats.
+    extra: Dict[str, Union[int, float]] = field(default_factory=dict)
     seed: int = -1
 
     # ------------------------------------------------------------------

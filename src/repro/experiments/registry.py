@@ -29,7 +29,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple, get_type_hints
 
-from ..serialization import _coerce
+from ..serialization import decode, from_dict
 from .ble_extension import BleCoexistenceResult, BleTrialConfig, run_ble_coexistence
 from .cti_dataset import (
     CtiAccuracyResult,
@@ -81,15 +81,15 @@ class ExperimentSpec:
         """Resolve (config, **params) to a fully-populated config instance.
 
         ``config`` may be an instance of ``config_cls``, a plain dict, or
-        None; ``params`` are field overrides applied on top.  Dict values
-        for nested dataclass fields (e.g. ``bicord_config``) are coerced
-        recursively.  Unknown parameter names raise ``TypeError`` loudly.
+        None; ``params`` are field overrides applied on top.  Dicts and
+        param values decode strictly against their field types
+        (:func:`repro.serialization.decode`: an int in a float field becomes
+        a float, an ill-typed value raises ``SpecError``).  Unknown
+        parameter names raise ``TypeError`` loudly.
         """
         if config is None:
             config = self.config_cls()
         elif isinstance(config, dict):
-            from ..serialization import from_dict
-
             config = from_dict(self.config_cls, config)
         elif not isinstance(config, self.config_cls):
             raise TypeError(
@@ -105,13 +105,9 @@ class ExperimentSpec:
                     f"{self.name!r}; valid: {sorted(valid)}"
                 )
             hints = get_type_hints(self.config_cls)
-            coerced = {
-                key: _coerce(hints.get(key), value)
-                if isinstance(value, (dict, list))
-                else value
-                for key, value in params.items()
-            }
-            config = dataclasses.replace(config, **coerced)
+            config = dataclasses.replace(config, **{
+                key: decode(hints[key], value, key) for key, value in params.items()
+            })
         return config
 
 

@@ -88,7 +88,7 @@ class RobustnessResult(ResultBase):
     whitespaces_issued: int
     bursts_offered: int
     #: Flat ``fault_*`` injection counts from the trial's harness.
-    fault_counters: Dict[str, float] = field(default_factory=dict)
+    fault_counters: Dict[str, int] = field(default_factory=dict)
     seed: int = -1
 
     def summary(self) -> Dict[str, float]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -105,7 +105,8 @@ class ScenarioResult(ResultBase):
     #: Digest of the trace-kind counters: two runs of the same compiled
     #: scenario are equivalent iff these digests match bitwise.
     trace_digest: str = ""
-    extra: Dict[str, float] = field(default_factory=dict)
+    #: Fault-injection counts (``fault_*``) are ints, the rest floats.
+    extra: Dict[str, Union[int, float]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @property

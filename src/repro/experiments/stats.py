@@ -82,12 +82,8 @@ class MetricSummary:
         return self.mean + self.ci95
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON payload: ``n`` stays an int, the rest are floats.
-
-        (The return type used to be declared ``Dict[str, float]`` while
-        ``n`` was an int — round-trip through :meth:`from_dict` to get the
-        fields back typed.)
-        """
+        """JSON payload (report.json): ``n`` stays an int, the rest are
+        floats, plus the derived ``lo``/``hi`` bounds."""
         return {
             "n": self.n,
             "mean": self.mean,
@@ -97,22 +93,6 @@ class MetricSummary:
             "lo": self.lo,
             "hi": self.hi,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "MetricSummary":
-        """Rebuild a summary from a :meth:`to_dict` payload (e.g. report.json).
-
-        ``n`` is coerced back to int and the statistics to float, so a
-        JSON round-trip reproduces the original object exactly; the derived
-        ``lo``/``hi`` keys are ignored.
-        """
-        return cls(
-            n=int(payload["n"]),
-            mean=float(payload["mean"]),
-            std=float(payload["std"]),
-            stderr=float(payload["stderr"]),
-            ci95=float(payload["ci95"]),
-        )
 
 
 def summarize(values: Sequence[float]) -> MetricSummary:

@@ -57,7 +57,7 @@ from typing import (
 from .. import __version__ as _CODE_VERSION
 from ..log import get_logger
 from ..serialization import canonical_dumps, from_dict, stable_hash, to_dict
-from ..telemetry import MetricsRegistry, collect as telemetry_collect, merge_snapshots
+from ..telemetry import MetricsRegistry, collect as telemetry_collect
 from .registry import get_experiment, resolve_config, run_experiment
 from .topology import Calibration
 
@@ -184,37 +184,6 @@ class SweepRun:
     @property
     def results(self) -> List[Any]:
         return [record.result for record in self.records]
-
-    def telemetry_by_combo(self) -> Dict[Tuple[Tuple[str, Any], ...], Dict[str, Any]]:
-        """Merged per-combo metric snapshots (seeds folded together).
-
-        Empty dict when the sweep ran without telemetry.
-        """
-        merged: Dict[Tuple[Tuple[str, Any], ...], Dict[str, Any]] = {}
-        for combo, records in self.combos().items():
-            snaps = [r.metrics for r in records if r.metrics is not None]
-            if snaps:
-                merged[combo] = merge_snapshots(snaps)
-        return merged
-
-    def group_by(self, *param_names: str) -> Dict[Tuple[Any, ...], List[TrialRecord]]:
-        """Records bucketed by the values of the named parameters (in order)."""
-        groups: Dict[Tuple[Any, ...], List[TrialRecord]] = {}
-        for record in self.records:
-            key = tuple(record.params.get(name) for name in param_names)
-            groups.setdefault(key, []).append(record)
-        return groups
-
-    def combos(self) -> Dict[Tuple[Tuple[str, Any], ...], List[TrialRecord]]:
-        """Records bucketed by their full parameter combination (seeds merged)."""
-        groups: Dict[Tuple[Tuple[str, Any], ...], List[TrialRecord]] = {}
-        for record in self.records:
-            key = tuple(sorted(
-                (name, value) for name, value in record.params.items()
-                if isinstance(value, (str, int, float, bool)) or value is None
-            ))
-            groups.setdefault(key, []).append(record)
-        return groups
 
 
 @dataclass(frozen=True)
@@ -343,13 +312,7 @@ class SweepEngine:
                 # The entry predates caching every trial's snapshot:
                 # re-execute so the snapshot exists (and gets cached) too.
                 return None
-            # Results implementing the ExperimentResult contract own their
-            # deserialization; plain dataclasses go through serialization.
-            loader = getattr(result_cls, "from_dict", None)
-            if callable(loader):
-                result = loader(data["result"])
-            else:
-                result = from_dict(result_cls, data["result"])
+            result = from_dict(result_cls, data["result"])
             return result, float(data.get("elapsed", 0.0)), metrics
         except (OSError, ValueError, TypeError, KeyError):
             # Missing or corrupt entry: treat as a miss, never as an error.

@@ -163,17 +163,6 @@ class WifiMac:
     def queue_length(self) -> int:
         return len(self.queue)
 
-    @property
-    def busy_with_traffic(self) -> bool:
-        """True if the MAC currently holds frames or awaits an ACK."""
-        return bool(self.queue) or self._awaiting_ack_for is not None
-
-    def highest_queued_priority(self) -> int:
-        """Max priority among queued frames (0 when empty)."""
-        if not self.queue:
-            return 0
-        return max(f.priority for f in self.queue)
-
     # ------------------------------------------------------------------
     # Carrier sensing
     # ------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Implements the CC2420-class MAC behaviour the paper's TelosB motes exhibit:
 
 * unslotted CSMA/CA: random backoff of ``0..2^BE-1`` unit periods (320 µs),
-  one CCA (128 µs) per attempt, backoff exponent growing from 3 to 5, at most
-  4 CCA failures per frame (``CHANNEL_ACCESS_FAILURE``);
+  one CCA (128 µs) per attempt, backoff exponent growing from 3 to 5; a
+  frame fails with ``CHANNEL_ACCESS_FAILURE`` at its fifth busy CCA (more
+  than ``MAX_CSMA_BACKOFFS`` = 4 busy CCAs);
 * energy-detection CCA at −82 dBm — ZigBee defers to *any* energy, which is
   exactly why it starves under Wi-Fi and needs coordination;
 * 192 µs RX/TX turnaround, ACKed unicast with up to 3 retransmissions;
@@ -143,18 +144,6 @@ class ZigbeeMac:
         self._be = MAC_MIN_BE
         self._retries = self.max_frame_retries  # single attempt
         self._pending_event = self.sim.schedule(TURNAROUND_S, self._transmit_current)
-
-    def cancel_pending(self) -> None:
-        """Abort the current CSMA attempt and clear the data queue."""
-        if self._pending_event is not None:
-            self._pending_event.cancel()
-            self._pending_event = None
-        if self._ack_timer is not None:
-            self._ack_timer.cancel()
-            self._ack_timer = None
-        self._awaiting_ack = False
-        self._current = None
-        self.queue.clear()
 
     def cca(self) -> bool:
         """One clear-channel assessment: True if the channel is idle.

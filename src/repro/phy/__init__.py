@@ -15,7 +15,7 @@ from .modulation import (
     zigbee_frame_duration,
 )
 from .propagation import Channel, FadingModel, PathLossModel, Position
-from .rssi import CAPTURE_MODES, RssiSampler, RssiTrace
+from .rssi import RssiSampler, RssiTrace
 from .spectrum import (
     BLE_CHANNELS,
     MICROWAVE_BAND,
@@ -54,7 +54,6 @@ __all__ = [
     "Position",
     "RssiSampler",
     "RssiTrace",
-    "CAPTURE_MODES",
     "BLE_CHANNELS",
     "MICROWAVE_BAND",
     "WIFI_CHANNELS",

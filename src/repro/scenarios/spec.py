@@ -13,33 +13,25 @@ Specs are frozen dataclasses, so they serialize through
 :meth:`ScenarioSpec.fingerprint` content-addresses the whole tree — the
 sweep cache and telemetry manifests key on that digest.
 
-Loading is *strict*: :func:`spec_from_dict` walks the dataclass tree and
-rejects unknown keys and ill-typed values with a :class:`SpecError`
-carrying the exact path (``zigbee[1].traffic.n_packets``) — a typo in a
-scenario file must never silently fall back to a default.  TOML and JSON
+Loading is *strict*: :func:`spec_from_dict` decodes through
+:func:`repro.serialization.from_dict`, the decoder every config and cached
+result goes through, which rejects unknown keys and ill-typed values with a
+:class:`SpecError` carrying the exact path (``zigbee[1].traffic.n_packets``)
+— a typo in a scenario file must never silently fall back to a default.
+:meth:`ScenarioSpec.validate` then adds the semantic checks.  TOML and JSON
 files load through :func:`load_spec`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Optional,
-    Tuple,
-    Union,
-    get_args,
-    get_origin,
-    get_type_hints,
-)
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.config import BicordConfig
 from ..experiments.topology import LOCATIONS, Calibration
 from ..schemes import SCHEMES, scheme_names
-from ..serialization import stable_hash, to_dict
+from ..serialization import SpecError, from_dict, stable_hash, to_dict
 
 MOBILITY_KINDS = ("none", "person", "device", "trajectory")
 TRAJECTORY_MODELS = ("waypoint", "random-waypoint")
@@ -55,15 +47,6 @@ def round_position(x: float, y: float) -> Tuple[float, float]:
     :meth:`ScenarioSpec.fingerprint` and never split the sweep cache.
     """
     return (round(float(x), 3), round(float(y), 3))
-
-
-class SpecError(ValueError):
-    """A scenario spec failed validation; ``path`` pinpoints the field."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path or "<root>"
-        self.message = message
-        super().__init__(f"{self.path}: {message}")
 
 
 def check_location(location: str) -> None:
@@ -530,100 +513,10 @@ class ScenarioSpec:
                 raise SpecError("fault_plan", str(exc)) from None
 
 
-# ======================================================================
-# Strict loading
-# ======================================================================
-_SCALARS = (bool, int, float, str)
-
-
-def _type_name(target: Any) -> str:
-    return getattr(target, "__name__", str(target))
-
-
-def _convert(target: Any, value: Any, path: str) -> Any:
-    """Coerce ``value`` to ``target`` or raise a path-tagged SpecError."""
-    if target is Any:
-        return value
-    origin = get_origin(target)
-    if origin is Union:
-        arms = get_args(target)
-        if type(None) in arms:
-            if value is None:
-                return None
-            inner = [arm for arm in arms if arm is not type(None)]
-            if len(inner) == 1:
-                return _convert(inner[0], value, path)
-        raise SpecError(path, f"unsupported union {target}")
-    if dataclasses.is_dataclass(target):
-        if not isinstance(value, dict):
-            raise SpecError(
-                path,
-                f"expected a table/object for {_type_name(target)}, "
-                f"got {type(value).__name__}",
-            )
-        return _dataclass_from(target, value, path)
-    if origin is tuple:
-        args = get_args(target)
-        if not isinstance(value, (list, tuple)):
-            raise SpecError(path, f"expected a list, got {type(value).__name__}")
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(
-                _convert(args[0], item, f"{path}[{i}]") for i, item in enumerate(value)
-            )
-        if len(value) != len(args):
-            raise SpecError(
-                path, f"expected exactly {len(args)} values, got {len(value)}"
-            )
-        return tuple(
-            _convert(arg, item, f"{path}[{i}]")
-            for i, (arg, item) in enumerate(zip(args, value))
-        )
-    if target is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SpecError(path, f"expected a number, got {type(value).__name__}")
-        return float(value)
-    if target is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SpecError(path, f"expected an integer, got {type(value).__name__}")
-        return value
-    if target is bool:
-        if not isinstance(value, bool):
-            raise SpecError(path, f"expected a boolean, got {type(value).__name__}")
-        return value
-    if target is str:
-        if not isinstance(value, str):
-            raise SpecError(path, f"expected a string, got {type(value).__name__}")
-        return value
-    raise SpecError(path, f"unsupported field type {target!r}")
-
-
-def _dataclass_from(cls: type, data: Dict[str, Any], path: str) -> Any:
-    hints = get_type_hints(cls)
-    field_names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - field_names)
-    if unknown:
-        raise SpecError(
-            f"{path}.{unknown[0]}" if path else unknown[0],
-            f"unknown key(s) {unknown} for {cls.__name__} (valid: {sorted(field_names)})",
-        )
-    kwargs: Dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        child = f"{path}.{f.name}" if path else f.name
-        kwargs[f.name] = _convert(hints[f.name], data[f.name], child)
-    return cls(**kwargs)
-
-
 def spec_from_dict(data: Dict[str, Any]) -> ScenarioSpec:
-    """Build and validate a :class:`ScenarioSpec` from a plain dict.
-
-    Unknown keys and ill-typed values raise :class:`SpecError` with the
-    exact dotted path of the offending field.
-    """
-    if not isinstance(data, dict):
-        raise SpecError("", f"expected a mapping, got {type(data).__name__}")
-    spec = _dataclass_from(ScenarioSpec, data, "")
+    """Decode (strictly, see :func:`repro.serialization.from_dict`) and
+    validate a :class:`ScenarioSpec`; a :class:`SpecError` names the field."""
+    spec = from_dict(ScenarioSpec, data)
     spec.validate()
     return spec
 

@@ -94,7 +94,7 @@ class Simulator:
         sim.schedule(1.5, my_callback, arg1, arg2)
         sim.run(until=10.0)
 
-    The clock (:attr:`now`) only moves inside :meth:`run` / :meth:`step`.
+    The clock (:attr:`now`) only moves inside :meth:`run`.
     """
 
     def __init__(self) -> None:
@@ -179,8 +179,8 @@ class Simulator:
         """Pop cancelled events off the head; return the pending head entry.
 
         This is the single source of truth for "what fires next":
-        :meth:`peek` and :meth:`step` consult it and :meth:`run` inlines it,
-        so they always agree.  Note it *mutates* the queue (cancelled heads
+        :meth:`peek` consults it and :meth:`run` inlines it, so they always
+        agree.  Note it *mutates* the queue (cancelled heads
         are discarded), which is what makes the follow-up pop O(log n)
         rather than a rescan.
         """
@@ -196,20 +196,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False when the queue is empty."""
-        head = self._prune_cancelled_head()
-        if head is None:
-            return False
-        heapq.heappop(self._queue)
-        event = head[2]
-        self.now = head[0]
-        event.fired = True
-        self._pending -= 1
-        self.events_processed += 1
-        event.callback(*event.args)
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
 
@@ -262,9 +248,9 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next *pending* event, or None if the queue is empty.
 
-        Like :meth:`run` and :meth:`step` this goes through
-        :meth:`_prune_cancelled_head`, so cancelled heads are popped (the
-        queue is mutated) and all three views of "next event" agree.
+        Like :meth:`run` this goes through :meth:`_prune_cancelled_head`, so
+        cancelled heads are popped (the queue is mutated) and both views of
+        "next event" agree.
         """
         head = self._prune_cancelled_head()
         return head[0] if head is not None else None

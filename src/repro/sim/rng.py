@@ -254,22 +254,5 @@ class RandomStreams:
         words = [_seeded_words(self.seed, h, fast) for h in hashes]
         return np.array(words, dtype=np.uint64).reshape(-1, 4)
 
-    def fork(self, salt: str) -> "RandomStreams":
-        """Derive an independent family of streams (e.g. per repetition).
-
-        The child seed is produced by SeedSequence mixing of (parent seed,
-        hash("fork/" + salt)) rather than an affine combination: the old
-        ``seed * 1000003 + hash(salt)`` scheme was invertible per-salt, so
-        distinct (seed, salt) pairs could collide exactly (e.g. a fork of
-        seed 0 collided with a root ``RandomStreams`` whose seed was
-        ``_stable_hash(salt) % 2**63``), correlating supposedly independent
-        repetitions.  The "fork/" prefix also keeps fork-derived entropy
-        disjoint from the ``stream(name)`` spawn-key namespace.
-        """
-        seq = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(_stable_hash("fork/" + salt),)
-        )
-        return RandomStreams(seed=int(seq.generate_state(1, np.uint64)[0]) % (2**63))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"RandomStreams(seed={self.seed}, streams={len(self._streams)})"

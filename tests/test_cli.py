@@ -127,6 +127,37 @@ def test_sweep_unknown_param_errors(capsys):
     assert "unknown parameter" in err
 
 
+@pytest.mark.parametrize("flag,payload,path", [
+    ("--config", {"n_bursts": "3"}, "n_bursts: expected an integer, got str"),
+    ("--config", {"bicord_config": {"detector": {"window": []}}},
+     "bicord_config.detector.window: expected a number, got list"),
+    ("--faults", {"detection_fn_rate": "0.2"}, "detection_fn_rate: expected a number"),
+])
+def test_mistyped_input_files_are_usage_errors(tmp_path, capsys, flag, payload, path):
+    config = tmp_path / "input.json"
+    config.write_text(json.dumps(payload))
+    code = main(["coexist", flag, str(config), "--bursts", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {flag} {config}: {path}" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    (json.dumps({"schema": 2, "spec": {"name": "x", "experiment": "learning",
+                                       "seeds": [0, "1"]}}),
+     "seeds[1]: expected an integer, got str"),
+    (json.dumps({"schema": 2, "spec": {"name": "x", "experiment": "nope"}}),
+     "unknown experiment 'nope'"),
+    ('{"schema": 2, ', "Expecting property name"),
+])
+def test_mistyped_campaign_spec_is_a_usage_error(tmp_path, capsys, text, message):
+    (tmp_path / "spec.json").write_text(text)
+    code = main(["campaign", "status", "--dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"spec.json: {message}" in err
+
+
 def test_sweep_expands_integer_ranges_like_campaign(tmp_path, capsys):
     code = main(["sweep", "--experiment", "learning", "--param", "n_bursts=3:5",
                  "--cache-dir", str(tmp_path), "--quiet"])

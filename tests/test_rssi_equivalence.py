@@ -1,12 +1,12 @@
-"""Segment-based RSSI capture vs the legacy per-sample reference path.
+"""Segment-based RSSI capture vs a per-sample reference sampler.
 
-The segment path (default) must be **bitwise identical** to the per-sample
-path it replaced: same sample values, same dtype, same start times, and no
-side effects on the rest of the simulation.  These tests run the same busy
-scenario under both modes and compare traces element-for-element, across
-seeds, capture rates, and an active fault plan.  One more test pins what
-the segment path saves: one simulator event per capture instead of one per
-sample.
+The segment path (production) must be **bitwise identical** to reading the
+RSSI register once per sample, one simulator event each: same sample
+values, same dtype, same start times, and no side effects on the rest of
+the simulation.  These tests run the same busy scenario with both samplers
+and compare traces element-for-element, across seeds, capture rates, and an
+active fault plan.  One more test pins what the segment path saves: one
+simulator event per capture instead of one per sample.
 
 Also here: the vectorized CTI feature extraction against a straight-line
 reference implementation (property-based), and the propagation gain cache
@@ -34,9 +34,35 @@ from .helpers import deterministic_context
 
 
 # ----------------------------------------------------------------------
-# Fast path == legacy path, bit for bit
+# Fast path == per-sample reference, bit for bit
 # ----------------------------------------------------------------------
-def _capture_campaign(mode, seed, rate_hz, faults=None, n_captures=5, duration=4e-3):
+class PerSampleRssiSampler(RssiSampler):
+    """The reference: one simulator event per sample, each reading the
+    energy and drawing its measurement noise scalar by scalar."""
+
+    def _capture(self, n_samples, rate_hz, on_done):
+        samples = []
+        start_time = self.sim.now
+        period = 1.0 / rate_hz
+        self._events_counter.inc(n_samples)
+
+        def sample():
+            value = self.radio.energy_dbm()
+            if self.measurement_noise_db > 0.0:
+                value += float(self._rng.normal(0.0, self.measurement_noise_db))
+            if self.quantize:
+                value = round(value)
+            samples.append(value)
+            if len(samples) >= n_samples:
+                self._active = False
+                on_done(RssiTrace(start_time, rate_hz, np.asarray(samples)))
+            else:
+                self.sim.schedule(period, sample)
+
+        self.sim.schedule(0.0, sample)
+
+
+def _capture_campaign(sampler_cls, seed, rate_hz, faults=None, n_captures=5, duration=4e-3):
     """A busy office + a chained capture campaign; returns traces and a
     fingerprint of the *rest* of the simulation (the capture path must not
     perturb it)."""
@@ -52,7 +78,7 @@ def _capture_campaign(mode, seed, rate_hz, faults=None, n_captures=5, duration=4
     WifiPacketSource(ctx, sender.mac, "W2", payload_bytes=100, interval=1.3e-3)
     ZigbeeDevice(ctx, "ZB", Position(1.0, 2.0))
     collector = ZigbeeDevice(ctx, "C", Position(0.0, 0.0))
-    sampler = RssiSampler(collector.radio, ctx.sim, ctx.streams, mode=mode)
+    sampler = sampler_cls(collector.radio, ctx.sim, ctx.streams)
     traces = []
 
     def chain(i=0):
@@ -78,8 +104,8 @@ def _capture_campaign(mode, seed, rate_hz, faults=None, n_captures=5, duration=4
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("rate_hz", [40e3, 10e3])
 def test_segment_capture_bitwise_equals_legacy(seed, rate_hz):
-    fast, fp_fast = _capture_campaign("segment", seed, rate_hz)
-    legacy, fp_legacy = _capture_campaign("per_sample", seed, rate_hz)
+    fast, fp_fast = _capture_campaign(RssiSampler, seed, rate_hz)
+    legacy, fp_legacy = _capture_campaign(PerSampleRssiSampler, seed, rate_hz)
     assert len(fast) == len(legacy) == 5
     for a, b in zip(fast, legacy):
         assert a.start_time == b.start_time
@@ -92,8 +118,8 @@ def test_segment_capture_bitwise_equals_legacy(seed, rate_hz):
 
 def test_equivalence_holds_under_fault_plan():
     plan = FaultPlan(control_drop_rate=0.3, csi_spurious_rate=0.05)
-    fast, _ = _capture_campaign("segment", 7, 40e3, faults=plan)
-    legacy, _ = _capture_campaign("per_sample", 7, 40e3, faults=plan)
+    fast, _ = _capture_campaign(RssiSampler, 7, 40e3, faults=plan)
+    legacy, _ = _capture_campaign(PerSampleRssiSampler, 7, 40e3, faults=plan)
     for a, b in zip(fast, legacy):
         assert np.array_equal(a.samples_dbm, b.samples_dbm)
 
@@ -101,26 +127,24 @@ def test_equivalence_holds_under_fault_plan():
 def test_equivalence_without_quantization():
     """Raw (float) traces must match exactly too, not just after rounding."""
 
-    def run(mode):
+    def run(sampler_cls):
         ctx = deterministic_context(seed=5, fading=FadingModel())
         sender = WifiDevice(ctx, "W1", Position(2.0, 0.0), data_rate_mbps=1.0)
         WifiDevice(ctx, "W2", Position(5.0, 0.0), data_rate_mbps=1.0)
         WifiPacketSource(ctx, sender.mac, "W2", payload_bytes=100, interval=1e-3)
         collector = ZigbeeDevice(ctx, "C", Position(0.0, 0.0))
-        sampler = RssiSampler(
-            collector.radio, ctx.sim, ctx.streams, quantize=False, mode=mode
-        )
+        sampler = sampler_cls(collector.radio, ctx.sim, ctx.streams, quantize=False)
         out = []
         sampler.capture(5e-3, 40e3, out.append)
         ctx.sim.run(until=0.02)
         return out[0]
 
-    fast, legacy = run("segment"), run("per_sample")
+    fast, legacy = run(RssiSampler), run(PerSampleRssiSampler)
     assert fast.samples_dbm.dtype == legacy.samples_dbm.dtype == np.float64
     assert np.array_equal(fast.samples_dbm, legacy.samples_dbm)
 
 
-def _chained_capture_events(mode, wifi, n_captures=25):
+def _chained_capture_events(sampler_cls, wifi, n_captures=25):
     """Simulator events of back-to-back 5 ms @ 40 kHz captures, and the traces."""
     ctx = build_context(
         seed=2,
@@ -133,7 +157,7 @@ def _chained_capture_events(mode, wifi, n_captures=25):
         WifiDevice(ctx, "W2", Position(5.0, 0.0), data_rate_mbps=1.0)
         WifiPacketSource(ctx, sender.mac, "W2", payload_bytes=100, interval=1e-4)
     collector = ZigbeeDevice(ctx, "C", Position(0.0, 0.0))
-    sampler = RssiSampler(collector.radio, ctx.sim, ctx.streams, mode=mode)
+    sampler = sampler_cls(collector.radio, ctx.sim, ctx.streams)
     traces = []
 
     def chain(i=0):
@@ -153,21 +177,15 @@ def test_segment_capture_costs_one_event_per_capture():
     simulation does is the same in both."""
     n_captures, samples = 25, 200
     for wifi in (False, True):
-        segment, fast = _chained_capture_events("segment", wifi, n_captures)
-        per_sample, legacy = _chained_capture_events("per_sample", wifi, n_captures)
+        segment, fast = _chained_capture_events(RssiSampler, wifi, n_captures)
+        per_sample, legacy = _chained_capture_events(
+            PerSampleRssiSampler, wifi, n_captures
+        )
         assert len(fast) == len(legacy) == n_captures
         assert all(len(trace) == samples for trace in fast)
         assert per_sample - segment == n_captures * (samples - 1)
         if not wifi:  # a quiet medium: the captures are the only events
             assert segment == n_captures
-
-
-def test_default_capture_mode_flag():
-    ctx = deterministic_context()
-    dev = ZigbeeDevice(ctx, "Z", Position(0, 0))
-    assert dev.rssi.mode == "segment"  # production capture
-    with pytest.raises(ValueError):
-        RssiSampler(dev.radio, ctx.sim, ctx.streams, mode="bogus")
 
 
 # ----------------------------------------------------------------------

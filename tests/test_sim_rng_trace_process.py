@@ -47,35 +47,6 @@ def test_new_consumer_does_not_perturb_existing_stream():
     assert first == second
 
 
-def test_fork_changes_draws_deterministically():
-    base = RandomStreams(seed=3)
-    f1 = base.fork("rep-1").stream("x").random(5)
-    f2 = RandomStreams(seed=3).fork("rep-1").stream("x").random(5)
-    assert list(f1) == list(f2)
-    assert list(RandomStreams(seed=3).fork("rep-2").stream("x").random(5)) != list(f1)
-
-
-def test_fork_of_seed_zero_does_not_collide_with_root_seed():
-    """Regression: the old affine fork (seed*p + hash(salt)) made
-    ``RandomStreams(0).fork(salt)`` land exactly on the root family whose
-    seed is ``hash(salt) % 2**63`` — supposedly independent repetitions
-    shared every stream."""
-    from repro.sim.rng import _stable_hash
-
-    forked = RandomStreams(seed=0).fork("rep-1")
-    aliased = RandomStreams(seed=_stable_hash("rep-1") % (2**63))
-    assert forked.seed != aliased.seed
-    assert list(forked.stream("x").random(5)) != list(aliased.stream("x").random(5))
-
-
-def test_fork_namespace_disjoint_from_stream_names():
-    """fork('a') must not correlate with stream('a') draws of any family."""
-    base = RandomStreams(seed=11)
-    direct = list(base.stream("rep-1").random(5))
-    forked = list(base.fork("rep-1").stream("rep-1").random(5))
-    assert direct != forked
-
-
 def test_negative_seed_is_rejected_with_its_value():
     with pytest.raises(ValueError, match="-1"):
         RandomStreams(seed=-1)

@@ -26,6 +26,7 @@ from repro.experiments.stats import (
     summarize,
     t_critical,
 )
+from repro.serialization import from_dict, to_dict
 
 from .scipy_block import BlockScipy
 
@@ -89,19 +90,11 @@ def test_table_is_monotonic_towards_normal():
 def test_metric_summary_round_trips_typed_through_json():
     summary = summarize([1.0, 2.0, 3.0, 4.0, 5.0])
     payload = json.loads(json.dumps(summary.to_dict()))
-    restored = MetricSummary.from_dict(payload)
+    assert payload["lo"] == summary.lo and payload["hi"] == summary.hi
+    restored = from_dict(MetricSummary, json.loads(json.dumps(to_dict(summary))))
     assert restored == summary
     assert isinstance(restored.n, int)
     assert isinstance(restored.mean, float)
-    assert restored.lo == summary.lo and restored.hi == summary.hi
-
-
-def test_from_dict_coerces_types():
-    restored = MetricSummary.from_dict(
-        {"n": 3.0, "mean": "2.5", "std": 1, "stderr": 0.5, "ci95": 0.9}
-    )
-    assert restored.n == 3 and isinstance(restored.n, int)
-    assert restored.std == 1.0 and isinstance(restored.std, float)
 
 
 def test_ci_uses_t_not_z_for_small_samples():
@@ -122,12 +115,12 @@ def test_aggregate_records_summaries_round_trip():
     ]
     report = aggregate_records(records)
     payload = {
-        group: {name: s.to_dict() for name, s in metrics.items()}
+        group: {name: to_dict(s) for name, s in metrics.items()}
         for group, metrics in report.items()
     }
     restored = {
         group: {
-            name: MetricSummary.from_dict(p) for name, p in metrics.items()
+            name: from_dict(MetricSummary, p) for name, p in metrics.items()
         }
         for group, metrics in json.loads(json.dumps(payload)).items()
     }

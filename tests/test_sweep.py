@@ -59,6 +59,13 @@ def test_trial_key_resolves_defaults():
     assert trial_key("learning", {"n_packets": 10}, 0) == trial_key("learning", {}, 0)
 
 
+def test_trial_key_of_an_int_equals_that_of_the_equal_float():
+    """An int in a float field decodes to a float: one config, one cache entry."""
+    assert trial_key("coexistence", {"burst_interval": 1}, 0) == trial_key(
+        "coexistence", {"burst_interval": 1.0}, 0
+    )
+
+
 def test_trial_key_sensitive_to_config_seed_and_code_version():
     base = trial_key("learning", {"n_packets": 5}, seed=0)
     assert trial_key("learning", {"n_packets": 6}, seed=0) != base

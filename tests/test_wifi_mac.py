@@ -147,17 +147,6 @@ def test_backoff_freezes_while_medium_busy():
     assert sent_times[0] > DIFS_S + a_duration
 
 
-def test_queue_priority_inspection():
-    ctx = deterministic_context()
-    sender, _ = wifi_pair(ctx)
-    assert sender.mac.highest_queued_priority() == 0
-    sender.mac.suppress_until(1.0)
-    enqueue_data(ctx, sender.mac, seq=1, priority=0)
-    enqueue_data(ctx, sender.mac, seq=2, priority=1)
-    assert sender.mac.highest_queued_priority() == 1
-    assert sender.mac.busy_with_traffic
-
-
 def test_wifi_mac_requires_wifi_radio():
     ctx = deterministic_context()
     from repro.devices import ZigbeeDevice

@@ -245,7 +245,7 @@ def _idle_mac_trial(monkeypatch, idle_events):
 
     def on_sent(frame):
         if not sent:
-            assert len(a.mac.queue) == 1 and a.mac.busy_with_traffic
+            assert len(a.mac.queue) == 1 and a.mac._awaiting_ack_for is not None
             ack_waits.append((ctx.sim.now, a.mac._ack_timer.time))
             if idle_events:
                 bursts(5e-6, 30e-6)

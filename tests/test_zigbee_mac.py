@@ -155,18 +155,6 @@ def test_control_frame_duration_covers_two_wifi_packets():
     assert control.duration() > 2 * 1e-3
 
 
-def test_cancel_pending_clears_state():
-    ctx = deterministic_context()
-    sender, receiver = zigbee_pair(ctx)
-    results = wire(sender)
-    send_data(ctx, sender, seq=1)
-    send_data(ctx, sender, seq=2)
-    sender.mac.cancel_pending()
-    ctx.sim.run(until=0.2)
-    assert results["ok"] == []
-    assert not sender.mac.busy
-
-
 def test_zigbee_mac_requires_zigbee_radio():
     ctx = deterministic_context()
     from repro.devices import WifiDevice
